@@ -41,7 +41,7 @@ from .workbench import (
     serialize_function,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig",

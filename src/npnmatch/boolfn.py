@@ -30,6 +30,12 @@ def var_mask(n: int, i: int) -> int:
     return block
 
 
+@lru_cache(maxsize=None)
+def low_mask(n: int, i: int) -> int:
+    """Complement of var_mask(n, i): minterms with bit i clear."""
+    return full_mask(n) ^ var_mask(n, i)
+
+
 @dataclass(frozen=True)
 class Literal:
     var: int
@@ -64,8 +70,7 @@ class Cube:
     def mask(self, n: int) -> int:
         m = full_mask(n)
         for lit in self.literals:
-            vm = var_mask(n, lit.var)
-            m &= vm if lit.positive else (full_mask(n) & ~vm)
+            m &= var_mask(n, lit.var) if lit.positive else low_mask(n, lit.var)
         return m
 
     def __str__(self):
@@ -181,22 +186,20 @@ def equal(f: TruthTable, g: TruthTable) -> bool:
 
 
 def _negate_var(bits: int, n: int, i: int) -> int:
-    vm = var_mask(n, i)
     shift = 1 << i
-    return ((bits & vm) >> shift) | ((bits & ~vm & full_mask(n)) << shift)
+    return ((bits & var_mask(n, i)) >> shift) | ((bits & low_mask(n, i)) << shift)
 
 
 def _swap_vars(bits: int, n: int, i: int, j: int) -> int:
+    """Exchange x_i and x_j by one delta swap (Knuth, TAOCP 4A 7.1.3): the
+    minterms with x_j = 1, x_i = 0 trade places with those d positions up."""
     if i == j:
         return bits
     if i < j:
         i, j = j, i
-    mi = var_mask(n, i)
-    mj = var_mask(n, j)
-    hi = bits & mi & ~mj  # i set, j clear: moves down
-    lo = bits & mj & ~mi  # j set, i clear: moves up
     d = (1 << i) - (1 << j)
-    return (bits & ~(hi | lo)) | (hi >> d) | (lo << d)
+    t = ((bits >> d) ^ bits) & var_mask(n, j) & low_mask(n, i)
+    return bits ^ t ^ (t << d)
 
 
 def apply_np_transform(f: TruthTable, t: NPTransformation) -> TruthTable:

@@ -28,7 +28,12 @@ from .boolfn import (
     negate,
 )
 from .signature import PHASE_NEGATIVE, PHASE_UNDETERMINED, SSVector
-from .symmetry import SymmetryClass, build_symmetry_classes
+from .symmetry import (
+    SymmetryClass,
+    build_symmetry_classes,
+    complement_pairs,
+    first_order_pairs,
+)
 
 
 class BudgetExceededError(RuntimeError):
@@ -125,9 +130,14 @@ class MatchState:
     split_queue: deque = field(default_factory=deque)
     stats: SearchStats = field(default_factory=SearchStats)
     node_cap: Optional[int] = None
+    # first-order pairs of the unrestricted f and g, counted once per match
+    root_pairs_f: Optional[list[tuple[int, int]]] = None
+    root_pairs_g: Optional[list[tuple[int, int]]] = None
 
     @staticmethod
-    def initial(f, g, sym_f, sym_g, stats=None, node_cap=None) -> "MatchState":
+    def initial(
+        f, g, sym_f, sym_g, stats=None, node_cap=None, root_pairs_f=None, root_pairs_g=None
+    ) -> "MatchState":
         n = f.n
         return MatchState(
             f=f,
@@ -140,6 +150,8 @@ class MatchState:
             phase_record_g=[PHASE_UNDETERMINED] * n,
             stats=stats or SearchStats(),
             node_cap=node_cap,
+            root_pairs_f=root_pairs_f,
+            root_pairs_g=root_pairs_g,
         )
 
     def snapshot(self):
@@ -483,15 +495,18 @@ def match_npn(
     if not arms:
         return MatchResult(Verdict.NON_EQUIVALENT, None, None, stats)
 
-    sym_f = build_symmetry_classes(f)
-    sym_g = build_symmetry_classes(g)
-    g_neg = None
+    pairs_f, pairs_g = first_order_pairs(f), first_order_pairs(g)
+    sym_f = build_symmetry_classes(f, pairs_f)
+    sym_g = build_symmetry_classes(g, pairs_g)
     for output_negated in arms:
         observer.on_arm(output_negated)
         if output_negated:
-            g_neg = negate(g)
-        target = g_neg if output_negated else g
-        state = MatchState.initial(f, target, sym_f, sym_g, stats, node_cap)
+            target, target_pairs = negate(g), complement_pairs(pairs_g, n)
+        else:
+            target, target_pairs = g, pairs_g
+        state = MatchState.initial(
+            f, target, sym_f, sym_g, stats, node_cap, pairs_f, target_pairs
+        )
         found = detect(state, observer)
         if found is not None:
             witness = transformation_from_map_list(found, n, output_negated)

@@ -70,6 +70,7 @@ def compute_ss_vector(
     sym: Sequence[SymmetryClass],
     identified: Optional[Sequence[bool]] = None,
     prev: Optional[SSVector] = None,
+    pairs: Optional[Sequence[tuple[int, int]]] = None,
 ) -> SSVector:
     """Fill first-order values, frozen symmetry marks, and group marks.
 
@@ -78,20 +79,26 @@ def compute_ss_vector(
     group is refined: the sub-group with the largest canonical pair keeps the
     old serial, the rest take fresh serials past the current maximum.
     Identified variables read (0, 0) and keep their frozen group.
+
+    pairs, when given, are f's first-order pairs under c (the matcher passes
+    the root pairs it already counted); the count pass is then skipped.
     """
     n = f.n
     if identified is None:
         identified = [False] * n
 
-    restricted = f.bits & c.mask(n)
-    total = restricted.bit_count()
-    pairs: list[tuple[int, int]] = []
-    for i in range(n):
-        if identified[i]:
-            pairs.append((0, 0))
-        else:
-            pos = (restricted & var_mask(n, i)).bit_count()
-            pairs.append((pos, total - pos))
+    if pairs is None:
+        restricted = f.bits & c.mask(n)
+        total = restricted.bit_count()
+        pairs = []
+        for i in range(n):
+            if identified[i]:
+                pairs.append((0, 0))
+            else:
+                pos = (restricted & var_mask(n, i)).bit_count()
+                pairs.append((pos, total - pos))
+    else:
+        pairs = [(0, 0) if identified[i] else pairs[i] for i in range(n)]
 
     sym_size = [-1] * n
     sym_first = [-1] * n
@@ -177,13 +184,16 @@ def update(state) -> bool:
     first-determination records, and report cross-function compatibility.
 
     ``state`` carries f, g, cube_f, cube_g, symmetry classes, identification
-    flags, vectors, and phase records (see the matcher's MatchState).
+    flags, vectors, phase records, and optionally the root first-order pairs
+    used for the first vectors (see the matcher's MatchState).
     """
     state.vf = compute_ss_vector(
-        state.f, state.cube_f, state.sym_f, state.identified_f, prev=state.vf
+        state.f, state.cube_f, state.sym_f, state.identified_f, prev=state.vf,
+        pairs=state.root_pairs_f if state.vf is None else None,
     )
     state.vg = compute_ss_vector(
-        state.g, state.cube_g, state.sym_g, state.identified_g, prev=state.vg
+        state.g, state.cube_g, state.sym_g, state.identified_g, prev=state.vg,
+        pairs=state.root_pairs_g if state.vg is None else None,
     )
     for v, identified, record in (
         (state.vf, state.identified_f, state.phase_record_f),

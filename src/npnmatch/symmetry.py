@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from .boolfn import (
     NPTransformation,
     TruthTable,
     apply_np_transform,
-    count_minterms,
-    cofactor,
-    cube_of,
     equal,
-    full_mask,
+    low_mask,
     var_mask,
 )
 
@@ -58,14 +56,13 @@ def symmetry_flags(f: TruthTable, i: int, j: int) -> tuple[bool, bool]:
     n = f.n
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"bad variable pair ({i}, {j}) for n={n}")
-    mi = var_mask(n, i)
-    mj = var_mask(n, j)
-    full = full_mask(n)
+    mi, li = var_mask(n, i), low_mask(n, i)
+    mj, lj = var_mask(n, j), low_mask(n, j)
     si, sj = 1 << i, 1 << j
     # swap x_i <-> x_j: f restricted to (x_i=1, x_j=0) equals (x_i=0, x_j=1)
-    identical = (f.bits & mi & ~mj & full) >> si == (f.bits & mj & ~mi & full) >> sj
+    identical = (f.bits & mi & lj) >> si == (f.bits & mj & li) >> sj
     # swap x_i <-> complement of x_j: (x_i=1, x_j=1) equals (x_i=0, x_j=0)
-    opposite = (f.bits & mi & mj) >> (si + sj) == f.bits & ~mi & ~mj & full
+    opposite = (f.bits & mi & mj) >> (si + sj) == f.bits & li & lj
     return identical, opposite
 
 
@@ -91,12 +88,21 @@ def swap_transform(n: int, i: int, j: int, opposite: bool) -> NPTransformation:
 
 
 def first_order_pairs(f: TruthTable) -> list[tuple[int, int]]:
-    total = count_minterms(f)
+    """(|f_{x_i}|, |f_{~x_i}|) for every variable of the unrestricted f."""
+    n, bits = f.n, f.bits
+    total = bits.bit_count()
     out = []
-    for i in range(f.n):
-        pos = count_minterms(cofactor(f, cube_of((i, True))))
+    for i in range(n):
+        pos = (bits & var_mask(n, i)).bit_count()
         out.append((pos, total - pos))
     return out
+
+
+def complement_pairs(pairs: Sequence[tuple[int, int]], n: int) -> list[tuple[int, int]]:
+    """first_order_pairs of the complement of f, from those of f: each
+    cofactor of ~f over x_i has 2^(n-1) minterms minus f's."""
+    half = (1 << n) >> 1
+    return [(half - p, half - q) for p, q in pairs]
 
 
 def build_symmetry_classes(

@@ -7,6 +7,8 @@ from npnmatch.boolfn import (
     Literal,
     NPTransformation,
     TruthTable,
+    _negate_var,
+    _swap_vars,
     apply_np_transform,
     cofactor,
     compose,
@@ -16,6 +18,8 @@ from npnmatch.boolfn import (
     full_mask,
     negate,
 )
+from npnmatch.signature import compute_ss_vector, first_order_value
+from npnmatch.symmetry import build_symmetry_classes, complement_pairs, first_order_pairs
 
 from cases import CASE3_F, CASE3_G, CASE7_F, CASE7_G, TRIO_A
 
@@ -133,7 +137,8 @@ class TestApplyNPTransform:
 
     def test_matches_brute_reference(self):
         rng = random.Random(42)
-        for n in (0, 1, 2, 3, 4, 5):
+        # n = 8 and 10 put the delta swaps' shifts across many machine words
+        for n in (0, 1, 2, 3, 4, 5, 8, 10):
             for _ in range(8):
                 f = random_table(rng, n)
                 t = random_transform(rng, n)
@@ -161,6 +166,61 @@ class TestApplyNPTransform:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             apply_np_transform(TRIO_A, NPTransformation.identity(4))
+
+
+def _bits_of(bits, n):
+    return [(bits >> m) & 1 for m in range(1 << n)]
+
+
+class TestVariableKernels:
+    """Per-minterm references for the single-variable bigint kernels."""
+
+    def test_swap_vars_every_pair_n7(self):
+        n = 7
+        rng = random.Random(11)
+        bits = rng.getrandbits(1 << n)
+        before = _bits_of(bits, n)
+        for i in range(n):
+            for j in range(n):
+                after = _bits_of(_swap_vars(bits, n, i, j), n)
+                for m in range(1 << n):
+                    bi, bj = (m >> i) & 1, (m >> j) & 1
+                    src = m & ~((1 << i) | (1 << j)) | (bi << j) | (bj << i)
+                    assert after[m] == before[src], (i, j, m)
+
+    def test_negate_var_every_variable_n7(self):
+        n = 7
+        rng = random.Random(12)
+        bits = rng.getrandbits(1 << n)
+        before = _bits_of(bits, n)
+        for i in range(n):
+            after = _bits_of(_negate_var(bits, n, i), n)
+            assert after == [before[m ^ (1 << i)] for m in range(1 << n)], i
+
+
+class TestRootFirstOrderPairs:
+    """The root pairs match_npn counts once and shares with the symmetry
+    build and the first SS vector of every output arm."""
+
+    def test_shared_pairs_match_cofactor_counts(self):
+        rng = random.Random(13)
+        for n in range(1, 9):
+            for _ in range(4):
+                f = random_table(rng, n)
+                pairs = first_order_pairs(f)
+                assert pairs == [first_order_value(f, Cube(), i) for i in range(n)]
+                sym = build_symmetry_classes(f, pairs)
+                assert sym == build_symmetry_classes(f)
+                assert compute_ss_vector(f, Cube(), sym, pairs=pairs) == compute_ss_vector(
+                    f, Cube(), sym
+                )
+
+    def test_negated_arm_pairs(self):
+        rng = random.Random(14)
+        for n in range(0, 9):
+            for _ in range(4):
+                g = random_table(rng, n)
+                assert complement_pairs(first_order_pairs(g), n) == first_order_pairs(negate(g))
 
 
 class TestEqual:

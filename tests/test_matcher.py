@@ -28,6 +28,7 @@ from npnmatch.matcher import (
     transformation_from_map_list,
     verify,
 )
+from npnmatch.oracle import exhaustive_match
 from npnmatch.signature import update
 from npnmatch.symmetry import build_symmetry_classes
 
@@ -396,6 +397,18 @@ class TestMatchNPN:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             match_npn(TruthTable.constant(2, True), TruthTable.constant(3, True))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_every_pair_at_n0_and_n1(self, n):
+        # the negated arm derives its root pairs from 2^(n-1), which must
+        # not be evaluated at n = 0
+        tables = [TruthTable(n, v) for v in range(1 << (1 << n))]
+        for f in tables:
+            for g in tables:
+                result = match_npn(f, g)
+                assert result.equivalent == (exhaustive_match(f, g) is not None), (f, g)
+                if result.equivalent:
+                    assert apply_np_transform(f, result.witness) == g, (f, g)
 
     def test_doubly_symmetric_class_mixed_polarity(self):
         # x0 and x2 satisfy both swap conditions here, and the only witnesses

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +259,12 @@ class TestCLI:
         good = tmp_path / "good.tt"
         good.write_text("vars=2\ntt=8\n")
         assert cli_dispatch(["match", str(bad), str(good)]) == 2
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    import npnmatch
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert npnmatch.__version__ == tomllib.load(fh)["project"]["version"]
