@@ -4,7 +4,10 @@ A seeded corpus of about 300 pairs, n = 0..14, covers random (type1) and
 balanced (type2) functions and symmetric constructions (parity, symmetric
 threshold-like functions, rotation-symmetric and block-symmetric), each as
 an equivalent pair (a hidden NP transform) and as a pair of equal or
-complementary weight that may or may not be equivalent. For every pair
+complementary weight that may or may not be equivalent. A second corpus,
+n = 15..18 from its own seed, adds type1, type2 and block-symmetric pairs
+built with whole-table operations, so the wide count and transform kernels
+are pinned too without a per-minterm loop over 2^18 positions. For every pair
 the fixture tests/golden_matches.json holds match_npn's verdict, witness
 (perm, input polarity, output polarity), nodes_visited and verify_calls.
 A change to the search that is meant to keep its outputs must keep this
@@ -25,9 +28,11 @@ import time
 from pathlib import Path
 
 from npnmatch import NPTransformation, TruthTable, apply_np_transform, match_npn
+from npnmatch.boolfn import full_mask, var_mask
 
 FIXTURE = Path(__file__).resolve().parent / "golden_matches.json"
 SEED = 20261018
+WIDE_SEED = 20261019
 
 
 def _transform(rng, n):
@@ -114,34 +119,122 @@ def _block(rng, n):
     return bits
 
 
+def _shuffled(rng, n, bits):
+    """A uniformly random table with the same weight as bits."""
+    cells = list(format(bits, f"0{1 << n}b"))
+    rng.shuffle(cells)
+    return int("".join(cells), 2)
+
+
+def _balanced(rng, n):
+    return _shuffled(rng, n, full_mask(n) >> (1 << (n - 1)))
+
+
+def _wide_block(rng, n):
+    """_block built from per-block weight masks instead of a loop over
+    minterms: blocks of 3 to 6 inputs, read through their weight under
+    random literal polarities, combined by a random table over the weights."""
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        size = min(len(order), rng.randint(3, 6))
+        blocks.append(order[:size])
+        order = order[size:]
+    full = full_mask(n)
+    weights = []  # weights[b][w]: minterms whose block b has weight w
+    for block in blocks:
+        masks = [full]
+        for v in block:
+            one = var_mask(n, v) if rng.getrandbits(1) else full ^ var_mask(n, v)
+            zero = full ^ one
+            masks = [
+                (masks[w] & zero if w < len(masks) else 0)
+                | (masks[w - 1] & one if w else 0)
+                for w in range(len(masks) + 1)
+            ]
+        weights.append(masks)
+
+    def combine(b, region):
+        if b == len(weights):
+            return region if rng.getrandbits(1) else 0
+        out = 0
+        for mask in weights[b]:
+            out |= combine(b + 1, region & mask)
+        return out
+
+    return combine(0, full)
+
+
+def _other_reweighted(rng, n, make, complement):
+    """Two draws of the family, the second reweighted one minterm at a time
+    to the first's weight (or its complement's)."""
+    f, g = make(rng, n), make(rng, n)
+    target = (1 << n) - f.bit_count() if complement else f.bit_count()
+    return f, _with_weight(rng, n, g, target)
+
+
+def _other_shuffled(rng, n, make, complement):
+    """A draw of the family and a random table of the same weight as it
+    (or as its complement)."""
+    f = make(rng, n)
+    return f, _shuffled(rng, n, f ^ full_mask(n) if complement else f)
+
+
+def _other_near_miss(rng, n, make, complement):
+    """A draw of the family and a transformed copy with one true and one
+    false minterm exchanged: same weight, nearly the same signatures."""
+    f = make(rng, n)
+    g = apply_np_transform(TruthTable(n, f), _transform(rng, n)).bits
+    if complement:
+        g ^= full_mask(n)
+    ones = [m for m in rng.sample(range(1 << n), 64) if g >> m & 1]
+    zeros = [m for m in rng.sample(range(1 << n), 64) if not g >> m & 1]
+    return f, g ^ (1 << ones[0]) ^ (1 << zeros[0])
+
+
 FAMILIES = (
-    # (name, generator, sizes, equivalent pairs per size, other pairs per size)
-    ("type1", _type1, range(0, 15), 4, 3),
-    ("type2", _type2, range(0, 15), 2, 2),
-    ("parity", _parity, range(1, 15), 2, 2),
-    ("symmetric", _symmetric, range(1, 15, 2), 2, 2),
-    ("rotation", _rotation, range(3, 15, 2), 2, 2),
-    ("block", _block, range(4, 15, 2), 2, 2),
+    # (name, generator, sizes, equivalent pairs per size, other pairs per size,
+    #  maker of the other pairs)
+    ("type1", _type1, range(0, 15), 4, 3, _other_reweighted),
+    ("type2", _type2, range(0, 15), 2, 2, _other_reweighted),
+    ("parity", _parity, range(1, 15), 2, 2, _other_reweighted),
+    ("symmetric", _symmetric, range(1, 15, 2), 2, 2, _other_reweighted),
+    ("rotation", _rotation, range(3, 15, 2), 2, 2, _other_reweighted),
+    ("block", _block, range(4, 15, 2), 2, 2, _other_reweighted),
+)
+
+# Balanced tables are shuffled and block functions built from masks: at
+# n = 18, _with_weight from an empty table and _block's minterm loop take
+# seconds per function. A shuffle still costs about 0.04 s at n = 16 and
+# doubles with each input, so type2 stops at n = 16.
+WIDE_FAMILIES = (
+    ("type1", _type1, range(15, 19), 2, 2, _other_reweighted),
+    ("type2", _balanced, range(15, 17), 2, 1, _other_shuffled),
+    ("block", _wide_block, range(15, 19), 2, 1, _other_near_miss),
 )
 
 
-def corpus():
-    """(id, f, g) for every pair of the corpus, in a fixed order."""
-    rng = random.Random(SEED)
+def _family_pairs(rng, families):
     out = []
-    for name, make, sizes, n_eq, n_other in FAMILIES:
+    for name, make, sizes, n_eq, n_other, other in families:
         for n in sizes:
             for k in range(n_eq):
                 f = TruthTable(n, make(rng, n))
                 out.append((f"{name}-n{n}-eq{k}", f, apply_np_transform(f, _transform(rng, n))))
             for k in range(n_other):
-                f, g = make(rng, n), make(rng, n)
                 # match f's weight, or its complement's on odd k, so the
                 # pair passes the zeroth-order filter and enters the search
-                target = f.bit_count() if k % 2 == 0 else (1 << n) - f.bit_count()
-                g = _with_weight(rng, n, g, target)
+                f, g = other(rng, n, make, k % 2 == 1)
                 out.append((f"{name}-n{n}-other{k}", TruthTable(n, f), TruthTable(n, g)))
     return out
+
+
+def corpus():
+    """(id, f, g) for every pair of the corpus, in a fixed order."""
+    return _family_pairs(random.Random(SEED), FAMILIES) + _family_pairs(
+        random.Random(WIDE_SEED), WIDE_FAMILIES
+    )
 
 
 def _digest(f, g):
