@@ -469,6 +469,37 @@ class MatchResult:
         return f"T = {{{body}}}; output={out}"
 
 
+def _arm_states(f: TruthTable, g: TruthTable, stats=None, node_cap=None):
+    """Yield (output_negated, fresh MatchState) for each output polarity the
+    zeroth-order counts allow: against g when |f| = |g|, against its
+    complement when |f| = 2^n - |g| (both for balanced functions).
+
+    The root first-order pairs of f and g are counted once and shared with
+    the symmetry build and the first SS vector of every arm; the negated
+    arm's pairs are derived from g's. Nothing past the zeroth-order counts
+    is computed when no arm is possible, and the complement of g only when
+    its arm is reached.
+    """
+    if f.n != g.n:
+        raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
+    n = f.n
+    cf, cg = count_minterms(f), count_minterms(g)
+    polarities = [neg for neg, target in ((False, cg), (True, (1 << n) - cg)) if cf == target]
+    if not polarities:
+        return
+    pairs_f, pairs_g = first_order_pairs(f), first_order_pairs(g)
+    sym_f = build_symmetry_classes(f, pairs_f)
+    sym_g = build_symmetry_classes(g, pairs_g)
+    for output_negated in polarities:
+        if output_negated:
+            target, target_pairs = negate(g), complement_pairs(pairs_g, n)
+        else:
+            target, target_pairs = g, pairs_g
+        yield output_negated, MatchState.initial(
+            f, target, sym_f, sym_g, stats, node_cap, pairs_f, target_pairs
+        )
+
+
 def match_npn(
     f: TruthTable,
     g: TruthTable,
@@ -480,36 +511,12 @@ def match_npn(
     The zeroth-order signatures pick the output polarity: detection runs
     against g, against its complement, or (for balanced functions) both.
     """
-    if f.n != g.n:
-        raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
-    n = f.n
-    total = 1 << n
-    cf, cg = count_minterms(f), count_minterms(g)
-
-    arms: list[bool] = []  # output polarity of each detection arm
-    if cf == cg:
-        arms.append(False)
-    if cf == total - cg:
-        arms.append(True)
     stats = SearchStats()
-    if not arms:
-        return MatchResult(Verdict.NON_EQUIVALENT, None, None, stats)
-
-    pairs_f, pairs_g = first_order_pairs(f), first_order_pairs(g)
-    sym_f = build_symmetry_classes(f, pairs_f)
-    sym_g = build_symmetry_classes(g, pairs_g)
-    for output_negated in arms:
+    for output_negated, state in _arm_states(f, g, stats, node_cap):
         observer.on_arm(output_negated)
-        if output_negated:
-            target, target_pairs = negate(g), complement_pairs(pairs_g, n)
-        else:
-            target, target_pairs = g, pairs_g
-        state = MatchState.initial(
-            f, target, sym_f, sym_g, stats, node_cap, pairs_f, target_pairs
-        )
         found = detect(state, observer)
         if found is not None:
-            witness = transformation_from_map_list(found, n, output_negated)
+            witness = transformation_from_map_list(found, f.n, output_negated)
             return MatchResult(Verdict.EQUIVALENT, witness, found, stats)
     return MatchResult(Verdict.NON_EQUIVALENT, None, None, stats)
 
@@ -519,18 +526,8 @@ def enumerate_complete_transformations(
 ) -> list[tuple[tuple[VarMapping, ...], bool, bool]]:
     """Exhaust the search tree; each entry is (map_list, output_negated,
     verified). Diagnostic companion to match_npn."""
-    if f.n != g.n:
-        raise ValueError("arity mismatch")
-    total = 1 << f.n
-    cf, cg = count_minterms(f), count_minterms(g)
-    sym_f = build_symmetry_classes(f)
-    sym_g = build_symmetry_classes(g)
     out = []
-    for output_negated in (False, True):
-        if cf != (total - cg if output_negated else cg):
-            continue
-        target = negate(g) if output_negated else g
-        state = MatchState.initial(f, target, sym_f, sym_g)
+    for output_negated, state in _arm_states(f, g):
         collected: list = []
         detect(state, collect_all=collected)
         out.extend((ml, output_negated, ok) for ml, ok in collected)

@@ -16,6 +16,7 @@ from .boolfn import (
     TruthTable,
     apply_np_transform,
     equal,
+    full_mask,
     low_mask,
     var_mask,
 )
@@ -87,15 +88,47 @@ def swap_transform(n: int, i: int, j: int, opposite: bool) -> NPTransformation:
     return NPTransformation(tuple(perm), tuple(pol))
 
 
+# Variables below this one are counted by masked popcounts over the folded
+# planes (2^14 bits each). Measured per function on a 2-vCPU Xeon, Python
+# 3.11: at n = 20, stops of 11 to 14 take 0.72-0.83 ms (15 and 16 more)
+# against 3.5 ms for one full-width popcount per variable; at n = 14 a fold
+# is slower than none (0.062 ms with a stop of 12 against 0.051 ms), so
+# every table with n <= 14 keeps the plain loop.
+_FOLD_STOP = 14
+
+
 def first_order_pairs(f: TruthTable) -> list[tuple[int, int]]:
-    """(|f_{x_i}|, |f_{~x_i}|) for every variable of the unrestricted f."""
-    n, bits = f.n, f.bits
-    total = bits.bit_count()
-    out = []
-    for i in range(n):
-        pos = (bits & var_mask(n, i)).bit_count()
-        out.append((pos, total - pos))
-    return out
+    """(|f_{x_i}|, |f_{~x_i}|) for every variable of the unrestricted f.
+
+    A popcount costs several times an AND of the same width, so the top
+    variables are counted by a bit-sliced fold (Knuth, TAOCP 4A 7.1.3):
+    planes[b] holds bit b of a per-position minterm count, and each level
+    counts x_v from the upper half of every plane, then adds the upper half
+    onto the lower one, halving the width.
+    """
+    n = f.n
+    pos = [0] * n
+    planes = [f.bits]
+    for v in range(n - 1, _FOLD_STOP - 1, -1):
+        shift, low = 1 << v, full_mask(v)
+        folded, carry = [], 0
+        for b, p in enumerate(planes):
+            hi = p >> shift
+            pos[v] += hi.bit_count() << b
+            lo = p & low
+            t = lo ^ hi
+            folded.append(t ^ carry)
+            carry = (lo & hi) ^ (t & carry)
+        if carry:
+            folded.append(carry)
+        planes = folded
+    width = min(n, _FOLD_STOP)
+    total = 0
+    for b, p in enumerate(planes):
+        total += p.bit_count() << b
+        for i in range(width):
+            pos[i] += (p & var_mask(width, i)).bit_count() << b
+    return [(p, total - p) for p in pos]
 
 
 def complement_pairs(pairs: Sequence[tuple[int, int]], n: int) -> list[tuple[int, int]]:

@@ -79,6 +79,10 @@ def _parse_hex(lines: list[tuple[int, str]]) -> TruthTable:
     if "tt" not in fields:
         raise ParseError("missing tt= line", lines[-1][0])
     no, digits = fields["tt"]
+    # int(digits, 16) would also take a 0x prefix, a sign and underscores
+    bad = next((i for i, c in enumerate(digits) if c not in "0123456789abcdefABCDEF"), None)
+    if bad is not None:
+        raise ParseError(f"bad hex digit {digits[bad]!r}", no, len("tt=") + 1 + bad)
     want = _hex_digits(n)
     if len(digits) != want:
         raise ParseError(
@@ -86,12 +90,7 @@ def _parse_hex(lines: list[tuple[int, str]]) -> TruthTable:
             len("tt=") + 1,
         )
     try:
-        bits = int(digits, 16)
-    except ValueError:
-        bad = next(i for i, c in enumerate(digits) if c not in "0123456789abcdefABCDEF")
-        raise ParseError(f"bad hex digit {digits[bad]!r}", no, len("tt=") + 1 + bad)
-    try:
-        return TruthTable(n, bits)
+        return TruthTable(n, int(digits, 16))
     except ValueError as exc:
         raise ParseError(str(exc), no) from None
 
@@ -101,6 +100,8 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
     cover: list[Sequence[tuple[int, bool]]] = []
     for no, line in lines:
         if line.startswith(".i "):
+            if n is not None:
+                raise ParseError("repeated .i directive", no)
             try:
                 n = int(line[3:])
             except ValueError:

@@ -17,6 +17,7 @@ from npnmatch.boolfn import (
     equal,
     full_mask,
     negate,
+    var_mask,
 )
 from npnmatch.signature import compute_ss_vector, first_order_value
 from npnmatch.symmetry import build_symmetry_classes, complement_pairs, first_order_pairs
@@ -214,6 +215,31 @@ class TestRootFirstOrderPairs:
                 assert compute_ss_vector(f, Cube(), sym, pairs=pairs) == compute_ss_vector(
                     f, Cube(), sym
                 )
+
+    def test_fold_matches_masked_popcount(self):
+        # n = 15..18 take the bit-sliced fold; constant 1 carries into a
+        # new plane at every fold level
+        rng = random.Random(15)
+        for n in range(0, 19):
+            vacuous = rng.getrandbits(1 << max(n - 3, 0))
+            for v in range(max(n - 3, 0), n):
+                vacuous |= vacuous << (1 << v)
+            parity = 0
+            for i in range(n):
+                parity ^= var_mask(n, i)
+            tables = [rng.getrandbits(1 << n), 0, full_mask(n), parity, vacuous]
+            for bits in tables:
+                f = TruthTable(n, bits)
+                pairs = first_order_pairs(f)
+                total = bits.bit_count()
+                want = [(bits & var_mask(n, i)).bit_count() for i in range(n)]
+                assert pairs == [(p, total - p) for p in want], (n, bits.bit_count())
+                if n in (15, 16):
+                    sym = build_symmetry_classes(f, pairs)
+                    assert sym == build_symmetry_classes(f)
+                    assert compute_ss_vector(f, Cube(), sym, pairs=pairs) == compute_ss_vector(
+                        f, Cube(), sym
+                    )
 
     def test_negated_arm_pairs(self):
         rng = random.Random(14)

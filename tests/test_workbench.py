@@ -45,6 +45,13 @@ class TestHexFormat:
         assert err.value.line == 2
         assert err.value.col == 5
 
+    def test_rejects_int_literal_syntax(self):
+        # int(..., 16) accepts all of these, and each has the expected length
+        for tt, col in (("0x12", 5), ("1_23", 5), ("+123", 4), ("-123", 4)):
+            with pytest.raises(ParseError, match="bad hex digit") as err:
+                parse_function(f"vars=4\ntt={tt}\n")
+            assert (err.value.line, err.value.col) == (2, col), tt
+
     def test_bad_vars(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_function("vars=23\ntt=00\n")
@@ -92,6 +99,11 @@ class TestPLAFormat:
     def test_rejects_multi_output(self):
         with pytest.raises(ParseError, match="single-output"):
             parse_function(".i 2\n.o 2\n10 11\n.e\n")
+
+    def test_repeated_declaration(self):
+        with pytest.raises(ParseError, match="repeated .i") as err:
+            parse_function(".i 2\n1- 1\n.i 3\n.e\n")
+        assert err.value.line == 3
 
     def test_cover_before_declaration(self):
         with pytest.raises(ParseError, match="before .i"):
