@@ -6,8 +6,8 @@ threshold-like functions, rotation-symmetric and block-symmetric), each as
 an equivalent pair (a hidden NP transform) and as a pair of equal or
 complementary weight that may or may not be equivalent. A second corpus,
 n = 15..18 from its own seed, adds type1, type2 and block-symmetric pairs
-built with whole-table operations, so the wide count and transform kernels
-are pinned too without a per-minterm loop over 2^18 positions. For every pair
+built without a loop over all 2^n minterms, so the kernels that only run
+above 14 inputs are pinned too. For every pair
 the fixture tests/golden_matches.json holds match_npn's verdict, witness
 (perm, input polarity, output polarity), nodes_visited and verify_calls.
 A change to the search that is meant to keep its outputs must keep this
