@@ -61,12 +61,6 @@ class Cube:
                 raise ValueError(f"duplicate variable x{lit.var} in cube")
             seen.add(lit.var)
 
-    def vars(self) -> set[int]:
-        return {lit.var for lit in self.literals}
-
-    def extended(self, lit: Literal) -> "Cube":
-        return Cube(self.literals + (lit,))
-
     def mask(self, n: int) -> int:
         m = full_mask(n)
         for lit in self.literals:

@@ -1,17 +1,16 @@
 """Transformation search: mapping sets, pruned DFS, and top-level matching.
 
 The search maintains a pair of cube-restricted functions, their structural
-signature vectors, and an ordered mapping list (one tree branch). Each
-recursion either commits every forced (singleton) mapping set, or branches
-over the smallest multiple set. Branches are pruned on vector incompatibility
-and on phase collisions. A complete branch is verified bit-exactly before it
-is reported.
+signature vectors, and an ordered mapping list (one tree branch) whose first
+`splits` mappings define the cubes. Each recursion either commits every
+forced (singleton) mapping set, or branches over the smallest multiple set.
+Branches are pruned on vector incompatibility and on phase collisions. A
+complete branch is verified bit-exactly before it is reported.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -24,8 +23,9 @@ from .boolfn import (
     apply_np_transform,
     count_minterms,
     equal,
-    full_mask,
+    low_mask,
     negate,
+    var_mask,
 )
 from .signature import PHASE_NEGATIVE, PHASE_UNDETERMINED, SSVector
 from .symmetry import (
@@ -97,7 +97,7 @@ class Observer:
     def on_commit(self, mapping: VarMapping):
         pass
 
-    def on_cubes(self, cube_f: Cube, cube_g: Cube):
+    def on_cubes(self, state: "MatchState"):
         pass
 
     def on_branch(self, chosen: MappingSet, candidate: tuple[VarMapping, ...]):
@@ -112,22 +112,29 @@ _NULL_OBSERVER = Observer()
 
 @dataclass
 class MatchState:
-    """Live state of one transformation search."""
+    """Live state of one transformation search.
+
+    fc and gc are f and g restricted to the current cubes; the cubes
+    themselves are the Shannon splits on map_list[:splits] (see cubes()).
+    The split that completes the map list leaves fc and gc as they are,
+    because the node below it only verifies. identified_f and identified_g
+    are bit masks over the variables.
+    """
 
     f: TruthTable
     g: TruthTable
     sym_f: Sequence[SymmetryClass]
     sym_g: Sequence[SymmetryClass]
-    cube_f: Cube = field(default_factory=Cube)
-    cube_g: Cube = field(default_factory=Cube)
+    fc: TruthTable
+    gc: TruthTable
     vf: Optional[SSVector] = None
     vg: Optional[SSVector] = None
-    identified_f: list[bool] = field(default_factory=list)
-    identified_g: list[bool] = field(default_factory=list)
+    identified_f: int = 0
+    identified_g: int = 0
     phase_record_f: list[int] = field(default_factory=list)
     phase_record_g: list[int] = field(default_factory=list)
     map_list: list[VarMapping] = field(default_factory=list)
-    split_queue: deque = field(default_factory=deque)
+    splits: int = 0
     stats: SearchStats = field(default_factory=SearchStats)
     node_cap: Optional[int] = None
     # first-order pairs of the unrestricted f and g, counted once per match
@@ -144,8 +151,8 @@ class MatchState:
             g=g,
             sym_f=sym_f,
             sym_g=sym_g,
-            identified_f=[False] * n,
-            identified_g=[False] * n,
+            fc=f,
+            gc=g,
             phase_record_f=[PHASE_UNDETERMINED] * n,
             phase_record_g=[PHASE_UNDETERMINED] * n,
             stats=stats or SearchStats(),
@@ -154,66 +161,52 @@ class MatchState:
             root_pairs_g=root_pairs_g,
         )
 
+    def split_sides(self, m: VarMapping) -> tuple[bool, bool]:
+        """Literal phases of the split on m: f's variable takes its recorded
+        phase (positive when undetermined), g's follows m's polarity."""
+        side_f = self.phase_record_f[m.frm] != PHASE_NEGATIVE
+        return side_f, side_f ^ (m.pol == 1)
+
+    def cubes(self) -> tuple[Cube, Cube]:
+        """The cubes that fc and gc are restricted to, for display."""
+        lits_f, lits_g = [], []
+        for m in self.map_list[: self.splits]:
+            side_f, side_g = self.split_sides(m)
+            lits_f.append(Literal(m.frm, side_f))
+            lits_g.append(Literal(m.to, side_g))
+        return Cube(tuple(lits_f)), Cube(tuple(lits_g))
+
     def snapshot(self):
+        # map_list only grows between a snapshot and its restore
         return (
-            self.cube_f,
-            self.cube_g,
+            self.fc,
+            self.gc,
             self.vf,
             self.vg,
-            tuple(self.identified_f),
-            tuple(self.identified_g),
+            self.identified_f,
+            self.identified_g,
             tuple(self.phase_record_f),
             tuple(self.phase_record_g),
-            tuple(self.map_list),
-            tuple(self.split_queue),
+            len(self.map_list),
+            self.splits,
         )
 
     def restore(self, snap):
         (
-            self.cube_f,
-            self.cube_g,
+            self.fc,
+            self.gc,
             self.vf,
             self.vg,
-            idf,
-            idg,
+            self.identified_f,
+            self.identified_g,
             prf,
             prg,
-            ml,
-            q,
+            length,
+            self.splits,
         ) = snap
-        self.identified_f[:] = idf
-        self.identified_g[:] = idg
         self.phase_record_f[:] = prf
         self.phase_record_g[:] = prg
-        self.map_list[:] = ml
-        self.split_queue.clear()
-        self.split_queue.extend(q)
-
-
-def check_phase_collision(state: MatchState, m: VarMapping) -> bool:
-    """True when both recorded phases are determined and contradict m's polarity."""
-    rf = state.phase_record_f[m.frm]
-    rg = state.phase_record_g[m.to]
-    if rf == PHASE_UNDETERMINED or rg == PHASE_UNDETERMINED:
-        return False
-    return m.pol != (0 if rf == rg else 1)
-
-
-def _case_pols(sf, sg) -> set[int]:
-    pols = set()
-    if (sf.pos_count, sf.neg_count) == (sg.pos_count, sg.neg_count):
-        pols.add(0)
-    if (sf.pos_count, sf.neg_count) == (sg.neg_count, sg.pos_count):
-        pols.add(1)
-    return pols
-
-
-def _record_constraint(state, i, j) -> Optional[int]:
-    rf = state.phase_record_f[i]
-    rg = state.phase_record_g[j]
-    if rf == PHASE_UNDETERMINED or rg == PHASE_UNDETERMINED:
-        return None
-    return 0 if rf == rg else 1
+        del self.map_list[length:]
 
 
 def _class_relative_pols(cls: SymmetryClass, active: list[int]) -> list[int]:
@@ -229,43 +222,56 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     the two first-order cases; candidates contradicting the phase records are
     excluded here (a collision the observer gets to see).
     """
-    vf, vg = state.vf, state.vg
+    vf, vg = state.vf.values, state.vg.values
+    rec_f, rec_g = state.phase_record_f, state.phase_record_g
+    idf, idg = state.identified_f, state.identified_g
     n = state.f.n
     in_class_f = {m for cls in state.sym_f for m in cls.members}
     in_class_g = {m for cls in state.sym_g for m in cls.members}
 
+    def pair_pols(i: int, j: int) -> tuple[int, ...]:
+        """Polarities k for which i -> j - k passes the group mark, one of the
+        first-order cases and the phase records; a case the records rule out
+        is reported as a collision."""
+        a, b = vf[i], vg[j]
+        if a.group != b.group:
+            return ()
+        pols = ()
+        if a.pos_count == b.pos_count and a.neg_count == b.neg_count:
+            pols = (0,)
+        if a.pos_count == b.neg_count and a.neg_count == b.pos_count:
+            pols += (1,)
+        rf, rg = rec_f[i], rec_g[j]
+        if not pols or rf == PHASE_UNDETERMINED or rg == PHASE_UNDETERMINED:
+            return pols
+        need = 0 if rf == rg else 1
+        if need in pols:
+            return (need,)
+        for k in pols:
+            observer.on_collision(VarMapping(i, j, k))
+        return ()
+
     sets: list[MappingSet] = []
 
     for i in range(n):
-        if state.identified_f[i] or i in in_class_f:
+        if idf >> i & 1 or i in in_class_f:
             continue
         cands = []
         for j in range(n):
-            if state.identified_g[j] or j in in_class_g:
+            if idg >> j & 1 or j in in_class_g:
                 continue
-            if vf[i].group != vg[j].group:
-                continue
-            pols = _case_pols(vf[i], vg[j])
-            need = _record_constraint(state, i, j)
-            if need is not None and pols:
-                if need in pols:
-                    pols = {need}
-                else:
-                    for k in sorted(pols):
-                        observer.on_collision(VarMapping(i, j, k))
-                    pols = set()
-            for k in sorted(pols):
+            for k in pair_pols(i, j):
                 cands.append((VarMapping(i, j, k),))
         sets.append(MappingSet(i, False, tuple(cands)))
 
     live_g = []
     for cls in state.sym_g:
-        active = [m for m in cls.members if not state.identified_g[m]]
+        active = [m for m in cls.members if not idg >> m & 1]
         if active:
             live_g.append((cls, active))
 
     for cls_f in state.sym_f:
-        active_f = [m for m in cls_f.members if not state.identified_f[m]]
+        active_f = [m for m in cls_f.members if not idf >> m & 1]
         if not active_f:
             continue
         rel_f = _class_relative_pols(cls_f, active_f)
@@ -274,35 +280,22 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
             if cls_g.size != cls_f.size or len(active_g) != len(active_f):
                 continue
             rel_g = _class_relative_pols(cls_g, active_g)
-            pair_pols: list[set[int]] = []
-            feasible = True
+            member_pols: list[tuple[int, ...]] = []
             for a, b in zip(active_f, active_g):
-                if vf[a].group != vg[b].group:
-                    feasible = False
-                    break
-                pols = _case_pols(vf[a], vg[b])
-                need = _record_constraint(state, a, b)
-                if need is not None and pols:
-                    if need in pols:
-                        pols = {need}
-                    else:
-                        for k in sorted(pols):
-                            observer.on_collision(VarMapping(a, b, k))
-                        pols = set()
+                pols = pair_pols(a, b)
                 if not pols:
-                    feasible = False
                     break
-                pair_pols.append(pols)
-            if not feasible:
+                member_pols.append(pols)
+            if len(member_pols) < len(active_f):
                 continue
             pairs = list(zip(active_f, active_g))
             if cls_f.double and cls_g.double and len(pairs) > 1:
                 # jointly negating two members is an invariance of both
                 # functions, so only the polarity parity matters: one
                 # candidate per achievable parity
-                base = [min(p) for p in pair_pols]
+                base = [p[0] for p in member_pols]
                 patterns = [base]
-                free = [t for t, p in enumerate(pair_pols) if len(p) == 2]
+                free = [t for t, p in enumerate(member_pols) if len(p) == 2]
                 if free:
                     other = base.copy()
                     other[free[0]] ^= 1
@@ -315,7 +308,7 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
                     )
             else:
                 base_pols = {0, 1}
-                for t, pols in enumerate(pair_pols):
+                for t, pols in enumerate(member_pols):
                     base_pols &= {p ^ rel_f[t] ^ rel_g[t] for p in pols}
                 for base in sorted(base_pols):
                     cands.append(
@@ -339,18 +332,25 @@ def select_min_set(sets: Sequence[MappingSet]) -> MappingSet:
 
 def commit_mapping(state: MatchState, m: VarMapping) -> None:
     state.map_list.append(m)
-    state.identified_f[m.frm] = True
-    state.identified_g[m.to] = True
-    state.split_queue.append(m)
+    state.identified_f |= 1 << m.frm
+    state.identified_g |= 1 << m.to
 
 
 def extend_cubes(state: MatchState) -> None:
-    """Shannon-split on the oldest committed mapping not yet used."""
-    m = state.split_queue.popleft()
-    side_f = state.phase_record_f[m.frm] != PHASE_NEGATIVE
-    side_g = side_f ^ (m.pol == 1)
-    state.cube_f = state.cube_f.extended(Literal(m.frm, side_f))
-    state.cube_g = state.cube_g.extended(Literal(m.to, side_g))
+    """Shannon-split on the oldest committed mapping not yet used: narrow fc
+    and gc by one literal each."""
+    m = state.map_list[state.splits]
+    state.splits += 1
+    n = state.f.n
+    if len(state.map_list) == n:
+        return  # the node below only verifies and reads neither table
+    side_f, side_g = state.split_sides(m)
+    state.fc = TruthTable(
+        n, state.fc.bits & (var_mask(n, m.frm) if side_f else low_mask(n, m.frm))
+    )
+    state.gc = TruthTable(
+        n, state.gc.bits & (var_mask(n, m.to) if side_g else low_mask(n, m.to))
+    )
 
 
 def transformation_from_map_list(
@@ -414,12 +414,12 @@ def detect(
         if singles:
             for s in singles:
                 for m in s.candidates[0]:
-                    if state.identified_f[m.frm] or state.identified_g[m.to]:
+                    if state.identified_f >> m.frm & 1 or state.identified_g >> m.to & 1:
                         return None
                     commit_mapping(state, m)
                     observer.on_commit(m)
             extend_cubes(state)
-            observer.on_cubes(state.cube_f, state.cube_g)
+            observer.on_cubes(state)
             return detect(state, observer, collect_all, _depth + 1)
 
         chosen = select_min_set(sets)
@@ -428,14 +428,14 @@ def detect(
             observer.on_branch(chosen, cand)
             usable = True
             for m in cand:
-                if state.identified_f[m.frm] or state.identified_g[m.to]:
+                if state.identified_f >> m.frm & 1 or state.identified_g >> m.to & 1:
                     usable = False
                     break
                 commit_mapping(state, m)
                 observer.on_commit(m)
             if usable:
                 extend_cubes(state)
-                observer.on_cubes(state.cube_f, state.cube_g)
+                observer.on_cubes(state)
                 found = detect(state, observer, collect_all, _depth + 1)
                 if found is not None:
                     return found

@@ -25,7 +25,7 @@ ENUMERATE_MAX_VARS = 4
 
 KIND_TYPE1 = "type1_random"
 KIND_TYPE2 = "type2_balanced"
-_KIND_ALIASES = {
+KIND_ALIASES = {
     "type1": KIND_TYPE1,
     "type2": KIND_TYPE2,
     KIND_TYPE1: KIND_TYPE1,
@@ -91,7 +91,7 @@ def enumerate_npn_classes(n: int) -> NPNClasses:
 
 
 def _random_table(rng: random.Random, n: int, kind: str) -> TruthTable:
-    kind = _KIND_ALIASES[kind]
+    kind = KIND_ALIASES[kind]
     size = 1 << n
     if kind == KIND_TYPE1:
         return TruthTable(n, rng.getrandbits(size) & full_mask(n))
@@ -111,7 +111,7 @@ def _random_np_transform(rng: random.Random, n: int) -> NPTransformation:
 def random_function(n: int, kind: str, seed: int) -> TruthTable:
     """type1_random: each minterm present with probability 1/2.
     type2_balanced: exactly 2^(n-1) minterms, uniformly chosen."""
-    if kind not in _KIND_ALIASES:
+    if kind not in KIND_ALIASES:
         raise ValueError(f"unknown kind {kind!r}")
     return _random_table(random.Random(seed), n, kind)
 
@@ -120,7 +120,7 @@ def random_equivalent_pair(
     n: int, kind: str, seed: int
 ) -> tuple[TruthTable, TruthTable, NPTransformation]:
     """(f, g, t_hidden) with g = f transformed by a random t_hidden."""
-    if kind not in _KIND_ALIASES:
+    if kind not in KIND_ALIASES:
         raise ValueError(f"unknown kind {kind!r}")
     rng = random.Random(seed)
     f = _random_table(rng, n, kind)

@@ -1,9 +1,10 @@
 """Structural signature vectors.
 
-Per variable: the first-order value (cofactor minterm counts) under the
-current cube restriction, frozen symmetry marks, and a group serial number.
-Groups partition variables that have ever shown distinct first-order values;
-refinement never merges groups, so stale-signature mappings are ruled out.
+Per variable: the first-order value (cofactor minterm counts) of a function
+already restricted to the current cube, frozen symmetry marks, and a group
+serial number. Groups partition variables that have ever shown distinct
+first-order values; refinement never merges groups, so stale-signature
+mappings are ruled out.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .boolfn import Cube, TruthTable, cofactor, count_minterms, cube_of, var_mask
+from .boolfn import TruthTable, var_mask
 from .symmetry import SymmetryClass
 
 PHASE_POSITIVE = 0
@@ -35,7 +36,6 @@ class SSValue(NamedTuple):
 @dataclass(frozen=True)
 class SSVector:
     values: tuple[SSValue, ...]
-    identified: tuple[bool, ...]
 
     def __len__(self):
         return len(self.values)
@@ -55,24 +55,17 @@ def dump_first_order(pairs: Sequence[tuple[int, int]]) -> str:
     return "{" + ",".join(f"({p},{q})" for p, q in pairs) + "}"
 
 
-def first_order_value(f: TruthTable, c: Cube, i: int) -> tuple[int, int]:
-    """(|f_{c.x_i}|, |f_{c.~x_i}|) for a variable not in the cube."""
-    if i in c.vars():
-        raise ValueError(f"variable x{i} is restricted by the cube")
-    fc = cofactor(f, c)
-    pos = count_minterms(cofactor(fc, cube_of((i, True))))
-    return pos, count_minterms(fc) - pos
-
-
 def compute_ss_vector(
     f: TruthTable,
-    c: Cube,
     sym: Sequence[SymmetryClass],
-    identified: Optional[Sequence[bool]] = None,
+    identified: int = 0,
     prev: Optional[SSVector] = None,
     pairs: Optional[Sequence[tuple[int, int]]] = None,
 ) -> SSVector:
     """Fill first-order values, frozen symmetry marks, and group marks.
+
+    f is counted as given; to read the vector under a cube, pass the
+    restriction cofactor(f, c). identified is a bit mask over the variables.
 
     Without a previous vector, group serials are assigned by canonical
     first-order pair (max, min) in descending order. With one, each previous
@@ -80,25 +73,22 @@ def compute_ss_vector(
     old serial, the rest take fresh serials past the current maximum.
     Identified variables read (0, 0) and keep their frozen group.
 
-    pairs, when given, are f's first-order pairs under c (the matcher passes
-    the root pairs it already counted); the count pass is then skipped.
+    pairs, when given, are f's first-order pairs (the matcher passes the
+    root pairs it already counted); the count pass is then skipped.
     """
     n = f.n
-    if identified is None:
-        identified = [False] * n
-
     if pairs is None:
-        restricted = f.bits & c.mask(n)
-        total = restricted.bit_count()
+        bits = f.bits
+        total = bits.bit_count()
         pairs = []
         for i in range(n):
-            if identified[i]:
+            if identified >> i & 1:
                 pairs.append((0, 0))
             else:
-                pos = (restricted & var_mask(n, i)).bit_count()
+                pos = (bits & var_mask(n, i)).bit_count()
                 pairs.append((pos, total - pos))
     else:
-        pairs = [(0, 0) if identified[i] else pairs[i] for i in range(n)]
+        pairs = [(0, 0) if identified >> i & 1 else pairs[i] for i in range(n)]
 
     sym_size = [-1] * n
     sym_first = [-1] * n
@@ -118,7 +108,7 @@ def compute_ss_vector(
         next_id = max((v.group for v in prev.values), default=-1) + 1
         old_groups: dict[int, list[int]] = {}
         for i in range(n):
-            if identified[i]:
+            if identified >> i & 1:
                 group[i] = prev[i].group
             else:
                 old_groups.setdefault(prev[i].group, []).append(i)
@@ -136,16 +126,17 @@ def compute_ss_vector(
         SSValue(pairs[i][0], pairs[i][1], sym_size[i], sym_first[i], group[i])
         for i in range(n)
     )
-    return SSVector(values, tuple(bool(b) for b in identified))
+    return SSVector(values)
 
 
 def determine_phases(
-    v: SSVector, recorded: Optional[Sequence[int]] = None
+    v: SSVector, identified: int = 0, recorded: Optional[Sequence[int]] = None
 ) -> list[int]:
-    """Three-way phase per variable; identified variables keep their record."""
+    """Three-way phase per variable; identified variables (a bit mask) keep
+    their record."""
     phases = []
     for i, val in enumerate(v.values):
-        if v.identified[i]:
+        if identified >> i & 1:
             phases.append(recorded[i] if recorded is not None else PHASE_UNDETERMINED)
         elif val.pos_count > val.neg_count:
             phases.append(PHASE_POSITIVE)
@@ -156,7 +147,9 @@ def determine_phases(
     return phases
 
 
-def vectors_compatible(vf: SSVector, vg: SSVector) -> bool:
+def vectors_compatible(
+    vf: SSVector, vg: SSVector, identified_f: int = 0, identified_g: int = 0
+) -> bool:
     """Necessary condition for a mapping to exist under the current cubes.
 
     Per group, the multisets of (canonical first-order pair, symmetry size)
@@ -166,41 +159,43 @@ def vectors_compatible(vf: SSVector, vg: SSVector) -> bool:
     if len(vf) != len(vg):
         raise ValueError("arity mismatch")
 
-    def profile(v: SSVector):
+    def profile(v: SSVector, identified: int):
         live: dict[int, list] = {}
         frozen: dict[int, int] = {}
         for i, val in enumerate(v.values):
-            if v.identified[i]:
+            if identified >> i & 1:
                 frozen[val.group] = frozen.get(val.group, 0) + 1
             else:
                 live.setdefault(val.group, []).append((val.canonical, val.sym_size))
         return {g: sorted(items) for g, items in live.items()}, frozen
 
-    return profile(vf) == profile(vg)
+    return profile(vf, identified_f) == profile(vg, identified_g)
 
 
 def update(state) -> bool:
-    """Recompute both SS vectors under the current cubes, refresh phases and
-    first-determination records, and report cross-function compatibility.
+    """Recompute both SS vectors of the cube-restricted functions, refresh
+    phases and first-determination records, and report cross-function
+    compatibility.
 
-    ``state`` carries f, g, cube_f, cube_g, symmetry classes, identification
-    flags, vectors, phase records, and optionally the root first-order pairs
-    used for the first vectors (see the matcher's MatchState).
+    ``state`` carries fc and gc (f and g restricted to the current cubes),
+    symmetry classes, identification masks, vectors, phase records, and
+    optionally the root first-order pairs used for the first vectors (see
+    the matcher's MatchState).
     """
     state.vf = compute_ss_vector(
-        state.f, state.cube_f, state.sym_f, state.identified_f, prev=state.vf,
+        state.fc, state.sym_f, state.identified_f, prev=state.vf,
         pairs=state.root_pairs_f if state.vf is None else None,
     )
     state.vg = compute_ss_vector(
-        state.g, state.cube_g, state.sym_g, state.identified_g, prev=state.vg,
+        state.gc, state.sym_g, state.identified_g, prev=state.vg,
         pairs=state.root_pairs_g if state.vg is None else None,
     )
     for v, identified, record in (
         (state.vf, state.identified_f, state.phase_record_f),
         (state.vg, state.identified_g, state.phase_record_g),
     ):
-        fresh = determine_phases(v, record)
+        fresh = determine_phases(v, identified, record)
         for i, ph in enumerate(fresh):
-            if not identified[i] and record[i] == PHASE_UNDETERMINED:
+            if not identified >> i & 1 and record[i] == PHASE_UNDETERMINED:
                 record[i] = ph
-    return vectors_compatible(state.vf, state.vg)
+    return vectors_compatible(state.vf, state.vg, state.identified_f, state.identified_g)

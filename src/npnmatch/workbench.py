@@ -4,32 +4,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .boolfn import (
-    Cube,
-    Literal,
-    MAX_VARS,
-    TruthTable,
-    apply_np_transform,
-    count_minterms,
-    equal,
-)
+from .boolfn import MAX_VARS, TruthTable, count_minterms
 from .matcher import BudgetExceededError, Observer, match_npn
 from .oracle import (
     EXHAUSTIVE_MAX_VARS,
-    _KIND_ALIASES,
-    _random_np_transform,
-    _random_table,
+    KIND_ALIASES,
     enumerate_npn_classes,
     exhaustive_match,
     random_equivalent_pair,
+    random_function,
 )
-
-import random
 
 
 class ParseError(ValueError):
@@ -41,6 +31,15 @@ class ParseError(ValueError):
 
 def _hex_digits(n: int) -> int:
     return (1 << max(n, 2)) // 4
+
+
+def _parse_count(raw: str, what: str, no: int, col: int) -> int:
+    """A variable count of ASCII digits; col is where raw starts. int() alone
+    would also take a sign, underscores and non-ASCII digits."""
+    bad = next((k for k, c in enumerate(raw) if c not in "0123456789"), None)
+    if bad is not None or not raw:
+        raise ParseError(f"bad {what} {raw!r}", no, col + (bad or 0))
+    return int(raw)
 
 
 def parse_function(text: str) -> TruthTable:
@@ -66,28 +65,29 @@ def _parse_hex(lines: list[tuple[int, str]]) -> TruthTable:
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", no)
         key, _, value = line.partition("=")
-        fields[key.strip()] = (no, value.strip())
+        key = key.strip()
+        if key in fields:
+            raise ParseError(f"repeated {key}= line", no)
+        # column of the value's first character
+        col = line.index("=") + 2 + len(value) - len(value.lstrip())
+        fields[key] = (no, value.strip(), col)
     if "vars" not in fields:
         raise ParseError("missing vars= line", lines[0][0])
-    no, raw_n = fields["vars"]
-    try:
-        n = int(raw_n)
-    except ValueError:
-        raise ParseError(f"bad variable count {raw_n!r}", no) from None
+    no, raw_n, col = fields["vars"]
+    n = _parse_count(raw_n, "variable count", no, col)
     if not 0 <= n <= MAX_VARS:
         raise ParseError(f"variable count {n} out of range [0, {MAX_VARS}]", no)
     if "tt" not in fields:
         raise ParseError("missing tt= line", lines[-1][0])
-    no, digits = fields["tt"]
+    no, digits, col = fields["tt"]
     # int(digits, 16) would also take a 0x prefix, a sign and underscores
     bad = next((i for i, c in enumerate(digits) if c not in "0123456789abcdefABCDEF"), None)
     if bad is not None:
-        raise ParseError(f"bad hex digit {digits[bad]!r}", no, len("tt=") + 1 + bad)
+        raise ParseError(f"bad hex digit {digits[bad]!r}", no, col + bad)
     want = _hex_digits(n)
     if len(digits) != want:
         raise ParseError(
-            f"tt needs {want} hex digits for vars={n}, got {len(digits)}", no,
-            len("tt=") + 1,
+            f"tt needs {want} hex digits for vars={n}, got {len(digits)}", no, col
         )
     try:
         return TruthTable(n, int(digits, 16))
@@ -102,12 +102,11 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
         if line.startswith(".i "):
             if n is not None:
                 raise ParseError("repeated .i directive", no)
-            try:
-                n = int(line[3:])
-            except ValueError:
-                raise ParseError(f"bad .i count {line[3:]!r}", no, 4) from None
+            raw_n = line[3:].lstrip()
+            col = len(line) - len(raw_n) + 1
+            n = _parse_count(raw_n, ".i count", no, col)
             if not 0 <= n <= MAX_VARS:
-                raise ParseError(f".i {n} out of range [0, {MAX_VARS}]", no, 4)
+                raise ParseError(f".i {n} out of range [0, {MAX_VARS}]", no, col)
         elif line.startswith(".o "):
             if line[3:].strip() != "1":
                 raise ParseError("only single-output PLA is supported", no, 4)
@@ -119,6 +118,8 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
             if n is None:
                 raise ParseError("cover line before .i", no)
             parts = line.split()
+            if n == 0 and len(parts) == 1:
+                parts.insert(0, "")  # no inputs: the row is its output column
             if len(parts) != 2:
                 raise ParseError("cover line needs input and output columns", no)
             inp, out = parts
@@ -195,7 +196,7 @@ class BenchConfig:
             raise ValueError("pair count must be positive")
         if self.mode not in ("equiv", "nonequiv"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.kind not in _KIND_ALIASES:
+        if self.kind not in KIND_ALIASES:
             raise ValueError(f"unknown kind {self.kind!r}")
 
 
@@ -203,8 +204,8 @@ def _nonequivalent_pair(rng: random.Random, n: int, kind: str):
     """Independent random functions, rejection-sampled so the zeroth-order
     signatures are equal or complementary, and genuinely non-equivalent."""
     while True:
-        f = _random_table(rng, n, kind)
-        g = _random_table(rng, n, kind)
+        f = random_function(n, kind, rng.randrange(1 << 62))
+        g = random_function(n, kind, rng.randrange(1 << 62))
         cf, cg = count_minterms(f), count_minterms(g)
         if cf != cg and cf != (1 << n) - cg:
             continue
@@ -277,7 +278,8 @@ class TraceObserver(Observer):
     def on_commit(self, m):
         print(f"commit {m}", file=self.out)
 
-    def on_cubes(self, cube_f, cube_g):
+    def on_cubes(self, state):
+        cube_f, cube_g = state.cubes()
         print(f"cube_f={cube_f} cube_g={cube_g}", file=self.out)
 
     def on_branch(self, chosen, candidate):
@@ -343,13 +345,13 @@ def _cmd_oracle(args) -> int:
 def _cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     for _ in range(args.count):
+        seed = rng.randrange(1 << 62)
         if args.equivalent_pair:
-            f = _random_table(rng, args.vars, args.kind)
-            g = apply_np_transform(f, _random_np_transform(rng, args.vars))
+            f, g, _ = random_equivalent_pair(args.vars, args.kind, seed)
             print(serialize_function(f), end="")
             print(serialize_function(g), end="")
         else:
-            print(serialize_function(_random_table(rng, args.vars, args.kind)), end="")
+            print(serialize_function(random_function(args.vars, args.kind, seed)), end="")
         print()
     return 0
 

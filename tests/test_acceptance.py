@@ -7,7 +7,6 @@ import random
 import time
 
 from npnmatch.boolfn import (
-    Cube,
     TruthTable,
     apply_np_transform,
     count_minterms,
@@ -94,7 +93,7 @@ def test_criterion_3_golden_examples():
     ok &= dump_first_order(first_order_pairs(TRIO_C)) == "{(3,1),(1,3),(3,1)}"
 
     def initial_dump(f):
-        return compute_ss_vector(f, Cube(), build_symmetry_classes(f)).dump()
+        return compute_ss_vector(f, build_symmetry_classes(f)).dump()
 
     # four-variable pair: initial and post-update vectors
     ok &= initial_dump(CASE4_F) == (

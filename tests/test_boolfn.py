@@ -19,7 +19,7 @@ from npnmatch.boolfn import (
     negate,
     var_mask,
 )
-from npnmatch.signature import compute_ss_vector, first_order_value
+from npnmatch.signature import compute_ss_vector
 from npnmatch.symmetry import build_symmetry_classes, complement_pairs, first_order_pairs
 
 from cases import CASE3_F, CASE3_G, CASE7_F, CASE7_G, TRIO_A
@@ -209,12 +209,16 @@ class TestRootFirstOrderPairs:
             for _ in range(4):
                 f = random_table(rng, n)
                 pairs = first_order_pairs(f)
-                assert pairs == [first_order_value(f, Cube(), i) for i in range(n)]
+                assert pairs == [
+                    (
+                        count_minterms(cofactor(f, cube_of((i, True)))),
+                        count_minterms(cofactor(f, cube_of((i, False)))),
+                    )
+                    for i in range(n)
+                ]
                 sym = build_symmetry_classes(f, pairs)
                 assert sym == build_symmetry_classes(f)
-                assert compute_ss_vector(f, Cube(), sym, pairs=pairs) == compute_ss_vector(
-                    f, Cube(), sym
-                )
+                assert compute_ss_vector(f, sym, pairs=pairs) == compute_ss_vector(f, sym)
 
     def test_fold_matches_masked_popcount(self):
         # n = 15..18 take the bit-sliced fold; constant 1 carries into a
@@ -237,9 +241,7 @@ class TestRootFirstOrderPairs:
                 if n in (15, 16):
                     sym = build_symmetry_classes(f, pairs)
                     assert sym == build_symmetry_classes(f)
-                    assert compute_ss_vector(f, Cube(), sym, pairs=pairs) == compute_ss_vector(
-                        f, Cube(), sym
-                    )
+                    assert compute_ss_vector(f, sym, pairs=pairs) == compute_ss_vector(f, sym)
 
     def test_negated_arm_pairs(self):
         rng = random.Random(14)

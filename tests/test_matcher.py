@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from npnmatch import matcher
 from npnmatch.boolfn import (
     NPTransformation,
     TruthTable,
@@ -69,7 +70,8 @@ class RecordingObserver(Observer):
     def on_commit(self, m):
         self.events.append(("commit", str(m)))
 
-    def on_cubes(self, cube_f, cube_g):
+    def on_cubes(self, state):
+        cube_f, cube_g = state.cubes()
         self.events.append(("cubes", str(cube_f), str(cube_g)))
 
     def on_branch(self, chosen, candidate):
@@ -460,6 +462,42 @@ class TestBacktrackingIntegrity:
             before = copy.deepcopy(state.snapshot())
             detect(state)
             assert state.snapshot() == before
+
+    def test_state_restored_mid_search(self):
+        # snapshot keeps only the length of map_list, so a wrong truncation
+        # shows only when the list is not empty on entry
+        def observed(state):
+            return (
+                list(state.map_list),
+                state.splits,
+                state.fc,
+                state.gc,
+                list(state.phase_record_f),
+                list(state.phase_record_g),
+                state.identified_f,
+                state.identified_g,
+                tuple(str(c) for c in state.cubes()),
+            )
+
+        state = fresh_state(CASE7_F, CASE7_G)
+        assert update(state)
+        commit_mapping(state, VarMapping(2, 5, 1))
+        extend_cubes(state)
+        before = observed(state)
+        assert before[-1] == ("x2", "~x5")
+        assert detect(state) is not None
+        assert observed(state) == before
+
+    def test_null_observer_builds_no_cubes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cube built with no observer asking")
+
+        monkeypatch.setattr(MatchState, "cubes", refuse)
+        monkeypatch.setattr(matcher, "Cube", refuse)
+        monkeypatch.setattr(matcher, "Literal", refuse)
+        result = match_npn(CASE7_F, CASE7_G)
+        assert result.equivalent
+        assert equal(apply_np_transform(CASE7_F, result.witness), CASE7_G)
 
 
 def test_transformation_from_map_list_conventions():

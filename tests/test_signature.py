@@ -1,8 +1,6 @@
 import random
 
-import pytest
-
-from npnmatch.boolfn import Cube, TruthTable, apply_np_transform, cube_of
+from npnmatch.boolfn import Cube, TruthTable, apply_np_transform, cofactor, cube_of
 from npnmatch.signature import (
     PHASE_NEGATIVE,
     PHASE_POSITIVE,
@@ -11,7 +9,6 @@ from npnmatch.signature import (
     compute_ss_vector,
     determine_phases,
     dump_first_order,
-    first_order_value,
     vectors_compatible,
 )
 from npnmatch.symmetry import build_symmetry_classes, first_order_pairs
@@ -30,10 +27,10 @@ from cases import (
 from test_boolfn import random_table, random_transform
 
 
-def ss(f, cube=Cube(), sym=None, identified=None, prev=None):
+def ss(f, cube=Cube(), sym=None, identified=0, prev=None):
     if sym is None:
         sym = build_symmetry_classes(f)
-    return compute_ss_vector(f, cube, sym, identified, prev)
+    return compute_ss_vector(cofactor(f, cube), sym, identified, prev)
 
 
 class TestFirstOrderValue:
@@ -43,16 +40,12 @@ class TestFirstOrderValue:
         assert dump_first_order(first_order_pairs(TRIO_C)) == "{(3,1),(1,3),(3,1)}"
 
     def test_restricted_value(self):
-        assert first_order_value(CASE5_F, cube_of((0, True)), 1) == (5, 6)
+        assert first_order_pairs(cofactor(CASE5_F, cube_of((0, True))))[1] == (5, 6)
 
     def test_constant_true(self):
         f = TruthTable.constant(3, True)
         for i in range(3):
-            assert first_order_value(f, Cube(), i) == (4, 4)
-
-    def test_variable_in_cube_rejected(self):
-        with pytest.raises(ValueError):
-            first_order_value(TRIO_A, cube_of((1, True)), 1)
+            assert first_order_pairs(f)[i] == (4, 4)
 
 
 class TestComputeSSVector:
@@ -76,7 +69,7 @@ class TestComputeSSVector:
 
     def test_case5_refined_after_split(self):
         prev = ss(CASE5_F)
-        identified = [True, False, True, False, False]
+        identified = 0b00101  # x0 and x2
         v = ss(CASE5_F, cube_of((0, True)), identified=identified, prev=prev)
         assert v.dump() == (
             "{(0, 0, -1, -1, 0),(5, 6, -1, -1, 3),(0, 0, -1, -1, 1),"
@@ -99,12 +92,11 @@ class TestComputeSSVector:
             n = rng.randint(2, 6)
             f = random_table(rng, n)
             sym = build_symmetry_classes(f)
-            prev = compute_ss_vector(f, Cube(), sym)
+            prev = compute_ss_vector(f, sym)
             i = rng.randrange(n)
-            identified = [False] * n
-            identified[i] = True
+            identified = 1 << i
             cur = compute_ss_vector(
-                f, cube_of((i, rng.random() < 0.5)), sym, identified, prev
+                cofactor(f, cube_of((i, rng.random() < 0.5))), sym, identified, prev
             )
             for a in range(n):
                 for b in range(a + 1, n):
@@ -132,10 +124,10 @@ class TestDeterminePhases:
         assert determine_phases(v) == [PHASE_UNDETERMINED, PHASE_UNDETERMINED]
 
     def test_identified_keeps_record(self):
-        identified = [True, False, False, False]
+        identified = 0b0001  # x0
         v = ss(CASE4_F, identified=identified, prev=ss(CASE4_F))
         rec = [PHASE_NEGATIVE, -1, -1, -1]
-        assert determine_phases(v, rec)[0] == PHASE_NEGATIVE
+        assert determine_phases(v, identified, rec)[0] == PHASE_NEGATIVE
 
 
 class TestVectorsCompatible:

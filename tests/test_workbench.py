@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 from pathlib import Path
@@ -52,6 +53,22 @@ class TestHexFormat:
                 parse_function(f"vars=4\ntt={tt}\n")
             assert (err.value.line, err.value.col) == (2, col), tt
 
+    @pytest.mark.parametrize(
+        "raw, col",
+        [("+2", 6), ("0_2", 7), ("\uff12", 6), (" +2", 7)],
+        ids=["sign", "underscore", "fullwidth", "blank"],
+    )
+    def test_vars_takes_ascii_digits_only(self, raw, col):
+        # int() reads each of these as 2
+        with pytest.raises(ParseError, match="bad variable count") as err:
+            parse_function(f"vars={raw}\ntt=8\n")
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_repeated_field(self):
+        with pytest.raises(ParseError, match="repeated vars=") as err:
+            parse_function("vars=2\nvars=3\ntt=00\n")
+        assert err.value.line == 2
+
     def test_bad_vars(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_function("vars=23\ntt=00\n")
@@ -77,6 +94,15 @@ class TestPLAFormat:
         for n in (1, 2, 4, 6):
             f = random_table(rng, n)
             assert parse_function(serialize_function(f, "pla")) == f
+        # at n = 0 the constant-1 row is the output column alone
+        for f in (TruthTable.constant(0, False), TruthTable.constant(0, True)):
+            assert parse_function(serialize_function(f, "pla")) == f
+
+    @pytest.mark.parametrize("raw, col", [("+2", 4), ("0_2", 5)], ids=["sign", "underscore"])
+    def test_i_takes_ascii_digits_only(self, raw, col):
+        with pytest.raises(ParseError, match="bad .i count") as err:
+            parse_function(f".i {raw}\n.o 1\n10 1\n.e\n")
+        assert (err.value.line, err.value.col) == (1, col)
 
     def test_column_convention(self):
         # leftmost input column is x0
@@ -280,3 +306,18 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert npnmatch.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_no_private_names_imported_across_modules():
+    package = Path(__file__).resolve().parent.parent / "src" / "npnmatch"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names for part in alias.name.split(".")]
+            else:
+                continue
+            offenders += [f"{path.name}: {name}" for name in names if name.startswith("_")]
+    assert offenders == []
