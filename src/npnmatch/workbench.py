@@ -99,21 +99,25 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
     n: Optional[int] = None
     cover: list[Sequence[tuple[int, bool]]] = []
     for no, line in lines:
-        if line.startswith(".i "):
+        # a directive is the first blank-separated token; its value follows
+        directive = line.split()[0]
+        value = line[len(directive):].lstrip()
+        col = len(line) - len(value) + 1
+        if directive in (".i", ".o", ".p") and not value:
+            raise ParseError(f"missing {directive} count", no, col)
+        if directive == ".i":
             if n is not None:
                 raise ParseError("repeated .i directive", no)
-            raw_n = line[3:].lstrip()
-            col = len(line) - len(raw_n) + 1
-            n = _parse_count(raw_n, ".i count", no, col)
+            n = _parse_count(value, ".i count", no, col)
             if not 0 <= n <= MAX_VARS:
                 raise ParseError(f".i {n} out of range [0, {MAX_VARS}]", no, col)
-        elif line.startswith(".o "):
-            if line[3:].strip() != "1":
-                raise ParseError("only single-output PLA is supported", no, 4)
-        elif line.startswith(".p ") or line == ".e":
+        elif directive == ".o":
+            if value != "1":
+                raise ParseError("only single-output PLA is supported", no, col)
+        elif directive == ".p" or line == ".e":
             continue
-        elif line.startswith("."):
-            raise ParseError(f"unsupported directive {line.split()[0]!r}", no)
+        elif directive.startswith("."):
+            raise ParseError(f"unsupported directive {directive!r}", no)
         else:
             if n is None:
                 raise ParseError("cover line before .i", no)

@@ -224,6 +224,7 @@ class TestRootFirstOrderPairs:
         # n = 15..18 take the bit-sliced fold; constant 1 carries into a
         # new plane at every fold level
         rng = random.Random(15)
+        skips = random.Random(16)  # own stream: the tables stay as they were
         for n in range(0, 19):
             vacuous = rng.getrandbits(1 << max(n - 3, 0))
             for v in range(max(n - 3, 0), n):
@@ -238,6 +239,10 @@ class TestRootFirstOrderPairs:
                 total = bits.bit_count()
                 want = [(bits & var_mask(n, i)).bit_count() for i in range(n)]
                 assert pairs == [(p, total - p) for p in want], (n, bits.bit_count())
+                for skip in (skips.getrandbits(n), skips.getrandbits(n) & skips.getrandbits(n)):
+                    assert first_order_pairs(f, skip) == [
+                        (0, 0) if skip >> i & 1 else (p, total - p) for i, p in enumerate(want)
+                    ], (n, skip)
                 if n in (15, 16):
                     sym = build_symmetry_classes(f, pairs)
                     assert sym == build_symmetry_classes(f)

@@ -144,8 +144,8 @@ class TestBuildMappingSets:
 
     def test_select_min_prefers_lowest_subject(self):
         sets = [
-            MappingSet(2, False, ((VarMapping(2, 0, 0),), (VarMapping(2, 1, 0),))),
-            MappingSet(1, False, ((VarMapping(1, 0, 0),), (VarMapping(1, 1, 0),))),
+            MappingSet(2, ((VarMapping(2, 0, 0),), (VarMapping(2, 1, 0),))),
+            MappingSet(1, ((VarMapping(1, 0, 0),), (VarMapping(1, 1, 0),))),
         ]
         assert select_min_set(sets).subject == 1
 

@@ -14,8 +14,9 @@ from cases import CASE4_F, CASE4_G, CASE7_F, CASE7_G
 from test_boolfn import random_table, random_transform
 
 
-def brute_symmetric(f, i, j):
-    """Reference check by explicit truth-table enumeration."""
+def brute_flags(f, i, j):
+    """(identical, opposite) swap invariance by explicit truth-table
+    enumeration."""
 
     def swap_bits(m):
         bi, bj = (m >> i) & 1, (m >> j) & 1
@@ -28,6 +29,12 @@ def brute_symmetric(f, i, j):
             identical = False
         if f.evaluate(m) != f.evaluate(swap_bits(m) ^ (1 << i) ^ (1 << j)):
             opposite = False
+    return identical, opposite
+
+
+def brute_symmetric(f, i, j):
+    """Reference check by explicit truth-table enumeration."""
+    identical, opposite = brute_flags(f, i, j)
     if identical:
         return SymmetryKind.IDENTICAL
     if opposite:
@@ -136,3 +143,65 @@ class TestBuildSymmetryClasses:
                         is not SymmetryKind.NOT_SYMMETRIC
                     )
                     assert sym_f == sym_h
+
+
+def block_function(rng, n):
+    """Random blocks of inputs with random literal polarities, each read
+    through its weight or its parity, combined by a random table."""
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        size = min(len(order), rng.randint(1, 4))
+        blocks.append((order[:size], rng.random() < 0.4))
+        order = order[size:]
+    flip = rng.getrandbits(n)
+    top: dict[tuple, int] = {}
+    bits = 0
+    for m in range(1 << n):
+        x = m ^ flip
+        key = []
+        for block, parity in blocks:
+            weight = sum((x >> i) & 1 for i in block)
+            key.append(weight & 1 if parity else weight)
+        bits |= top.setdefault(tuple(key), rng.getrandbits(1)) << m
+    return TruthTable(n, bits)
+
+
+class TestBuildAgainstBruteForce:
+    """The classes against explicit enumeration of both swap conditions
+    for every pair of variables."""
+
+    @staticmethod
+    def check(f):
+        n = f.n
+        flags = {
+            (i, j): brute_flags(f, i, j) for i in range(n) for j in range(i + 1, n)
+        }
+        owner = {}
+        for c in build_symmetry_classes(f):
+            assert c.size >= 2 and list(c.members) == sorted(c.members)
+            assert c.relative_pol[0] == 0
+            both = True
+            for m, p in zip(c.members[1:], c.relative_pol[1:]):
+                identical, opposite = flags[c.first, m]
+                assert (identical, opposite)[p], (f, c)
+                assert p == 0 or not identical, (f, c)
+                both &= identical and opposite
+            assert c.double == both, (f, c)
+            for m in c.members:
+                owner[m] = c.first
+        for (i, j), (identical, opposite) in flags.items():
+            if i not in owner or owner.get(i) != owner.get(j):
+                assert not identical and not opposite, (f, i, j)
+
+    def test_every_function_up_to_three_inputs(self):
+        for n in range(4):
+            for bits in range(1 << (1 << n)):
+                self.check(TruthTable(n, bits))
+
+    def test_seeded_block_functions(self):
+        rng = random.Random(41)
+        for n in range(4, 8):
+            for _ in range(25):
+                self.check(block_function(rng, n))

@@ -104,6 +104,25 @@ class TestPLAFormat:
             parse_function(f".i {raw}\n.o 1\n10 1\n.e\n")
         assert (err.value.line, err.value.col) == (1, col)
 
+    @pytest.mark.parametrize(
+        "text",
+        [".i\t2\n.o 1\n10 1\n.e\n", ".i 2\n.o\t1\n10 1\n.e\n", ".i 2\n.o 1\n.p\t1\n10 1\n.e\n"],
+        ids=["i", "o", "p"],
+    )
+    def test_directive_takes_tab_before_value(self, text):
+        assert parse_function(text) == TruthTable.from_minterms(2, [1])
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [(".i\n.o 1\n.e\n", 1), (".i 2\n.o\n10 1\n.e\n", 2), (".i 2\n.p\n10 1\n.e\n", 2)],
+        ids=["i", "o", "p"],
+    )
+    def test_bare_directive_reports_missing_count(self, text, line):
+        directive = text.splitlines()[line - 1]
+        with pytest.raises(ParseError, match=f"missing {directive} count") as err:
+            parse_function(text)
+        assert (err.value.line, err.value.col) == (line, 3)
+
     def test_column_convention(self):
         # leftmost input column is x0
         f = parse_function(".i 3\n.o 1\n100 1\n.e\n")
