@@ -30,22 +30,17 @@ from .oracle import (
     random_function,
 )
 from .signature import SSValue, SSVector, compute_ss_vector
-from .symmetry import SymmetryClass, SymmetryKind, are_symmetric, build_symmetry_classes
+from .symmetry import SymmetryClass, build_symmetry_classes
 from .workbench import (
-    BenchConfig,
-    BenchReport,
     ParseError,
     cli_dispatch,
     parse_function,
-    run_benchmark,
     serialize_function,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchConfig",
-    "BenchReport",
     "BudgetExceededError",
     "Cube",
     "Literal",
@@ -57,12 +52,10 @@ __all__ = [
     "SSValue",
     "SSVector",
     "SymmetryClass",
-    "SymmetryKind",
     "TruthTable",
     "VarMapping",
     "Verdict",
     "apply_np_transform",
-    "are_symmetric",
     "build_symmetry_classes",
     "cli_dispatch",
     "cofactor",
@@ -79,6 +72,5 @@ __all__ = [
     "parse_function",
     "random_equivalent_pair",
     "random_function",
-    "run_benchmark",
     "serialize_function",
 ]

@@ -121,16 +121,11 @@ def compute_ss_vector(
     return SSVector(values)
 
 
-def determine_phases(
-    v: SSVector, identified: int = 0, recorded: Optional[Sequence[int]] = None
-) -> list[int]:
-    """Three-way phase per variable; identified variables (a bit mask) keep
-    their record."""
+def determine_phases(v: SSVector) -> list[int]:
+    """Three-way phase per variable, from its first-order value."""
     phases = []
-    for i, val in enumerate(v.values):
-        if identified >> i & 1:
-            phases.append(recorded[i] if recorded is not None else PHASE_UNDETERMINED)
-        elif val.pos_count > val.neg_count:
+    for val in v.values:
+        if val.pos_count > val.neg_count:
             phases.append(PHASE_POSITIVE)
         elif val.pos_count < val.neg_count:
             phases.append(PHASE_NEGATIVE)
@@ -146,20 +141,19 @@ def vectors_compatible(
 
     Per group, the multisets of (canonical first-order pair, symmetry size)
     over unidentified variables must agree; the canonical pair admits the
-    opposite-phase mapping. Identified counts per group must agree too.
+    opposite-phase mapping. Identified variables are skipped: every
+    committed mapping pairs variables of equal group, and an identified
+    variable keeps its group, so their per-group counts always agree.
     """
     if len(vf) != len(vg):
         raise ValueError("arity mismatch")
 
     def profile(v: SSVector, identified: int):
         live: dict[int, list] = {}
-        frozen: dict[int, int] = {}
         for i, val in enumerate(v.values):
-            if identified >> i & 1:
-                frozen[val.group] = frozen.get(val.group, 0) + 1
-            else:
+            if not identified >> i & 1:
                 live.setdefault(val.group, []).append((val.canonical, val.sym_size))
-        return {g: sorted(items) for g, items in live.items()}, frozen
+        return {g: sorted(items) for g, items in live.items()}
 
     return profile(vf, identified_f) == profile(vg, identified_g)
 
@@ -186,7 +180,7 @@ def update(state) -> bool:
         (state.vf, state.identified_f, state.phase_record_f),
         (state.vg, state.identified_g, state.phase_record_g),
     ):
-        fresh = determine_phases(v, identified, record)
+        fresh = determine_phases(v)
         for i, ph in enumerate(fresh):
             if not identified >> i & 1 and record[i] == PHASE_UNDETERMINED:
                 record[i] = ph

@@ -15,12 +15,10 @@ member, so one test against that member decides membership.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
 from .boolfn import (
-    NPTransformation,
     TruthTable,
     apply_np_transform,  # patched by the benchmark's tracer (npnbench/tracer.py)
     full_mask,
@@ -29,25 +27,24 @@ from .boolfn import (
 )
 
 
-class SymmetryKind(enum.Enum):
-    NOT_SYMMETRIC = 0
-    IDENTICAL = 1
-    OPPOSITE = 2
-
-
 @dataclass(frozen=True)
 class SymmetryClass:
     """A maximal set of mutually swappable variables.
 
-    relative_pol[m] is 0 when member m swaps with the first member in
-    identical phase and 1 when it swaps with the first member complemented.
+    relative_pol[t] belongs to members[t]: 0 when that member swaps with the
+    first member in identical phase and 1 when it swaps with the first
+    member complemented.
     """
 
     members: tuple[int, ...]
     relative_pol: tuple[int, ...]
     # True when every member pair satisfies both swap conditions. The function
     # is then invariant under jointly negating any two members, so mapping
-    # polarities matter only through their parity.
+    # polarities matter only through their parity. One pair decides it: if
+    # both swaps of a and b hold, f is invariant under negating a and b
+    # together; conjugating that by the swap of b and any other member c
+    # gives the same for a and c, which turns either swap of a and c into
+    # the other.
     double: bool = False
 
     @property
@@ -72,27 +69,6 @@ def symmetry_flags(f: TruthTable, i: int, j: int) -> tuple[bool, bool]:
     # swap x_i <-> complement of x_j: (x_i=1, x_j=1) equals (x_i=0, x_j=0)
     opposite = (f.bits & mi & mj) >> (si + sj) == f.bits & li & lj
     return identical, opposite
-
-
-def are_symmetric(f: TruthTable, i: int, j: int) -> SymmetryKind:
-    """Symmetry kind of a pair; IDENTICAL is reported when both swap
-    conditions hold (degenerate variables)."""
-    identical, opposite = symmetry_flags(f, i, j)
-    if identical:
-        return SymmetryKind.IDENTICAL
-    if opposite:
-        return SymmetryKind.OPPOSITE
-    return SymmetryKind.NOT_SYMMETRIC
-
-
-def swap_transform(n: int, i: int, j: int, opposite: bool) -> NPTransformation:
-    """The NP transformation exchanging x_i and x_j (complemented if opposite)."""
-    perm = list(range(n))
-    perm[i], perm[j] = j, i
-    pol = [1] * n
-    if opposite:
-        pol[i] = pol[j] = 0
-    return NPTransformation(tuple(perm), tuple(pol))
 
 
 # Variables below this one are counted by masked popcounts over the folded
@@ -163,21 +139,23 @@ def build_symmetry_classes(
     n = f.n
     if sig is None:
         sig = first_order_pairs(f)
-    # per class: members, relative polarities, and whether each member
-    # after the first satisfies both swaps
-    classes: list[tuple[list[int], list[int], list[bool]]] = []
+    # per class: members, relative polarities, and the double flag, which
+    # the second member decides for all (see SymmetryClass)
+    classes: list[list] = []
     buckets: dict[tuple[int, int], list] = {}
     for i in range(n):
         p, q = sig[i]
         opened = buckets.setdefault((max(p, q), min(p, q)), [])
-        for members, pols, doubles in opened:
+        for cls in opened:
+            members, pols, _ = cls
             identical, opposite = symmetry_flags(f, members[0], i)
             if identical or opposite:
+                if len(members) == 1:
+                    cls[2] = identical and opposite
                 members.append(i)
                 pols.append(0 if identical else 1)
-                doubles.append(identical and opposite)
                 break
         else:
-            opened.append(([i], [0], []))
+            opened.append([[i], [0], False])
             classes.append(opened[-1])
-    return [SymmetryClass(tuple(m), tuple(p), all(d)) for m, p, d in classes if len(m) > 1]
+    return [SymmetryClass(tuple(m), tuple(p), d) for m, p, d in classes if len(m) > 1]

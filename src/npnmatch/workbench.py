@@ -1,4 +1,4 @@
-"""Function file formats, benchmark harness, and command-line front end."""
+"""Function file formats and the command-line front end."""
 
 from __future__ import annotations
 
@@ -7,14 +7,11 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .boolfn import MAX_VARS, TruthTable, count_minterms
+from .boolfn import MAX_VARS, TruthTable
 from .matcher import BudgetExceededError, Observer, match_npn
 from .oracle import (
-    EXHAUSTIVE_MAX_VARS,
-    KIND_ALIASES,
     enumerate_npn_classes,
     exhaustive_match,
     random_equivalent_pair,
@@ -34,7 +31,7 @@ def _hex_digits(n: int) -> int:
 
 
 def _parse_count(raw: str, what: str, no: int, col: int) -> int:
-    """A variable count of ASCII digits; col is where raw starts. int() alone
+    """A count of ASCII digits; col is where raw starts. int() alone
     would also take a sign, underscores and non-ASCII digits."""
     bad = next((k for k, c in enumerate(raw) if c not in "0123456789"), None)
     if bad is not None or not raw:
@@ -98,7 +95,7 @@ def _parse_hex(lines: list[tuple[int, str]]) -> TruthTable:
 def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
     n: Optional[int] = None
     cover: list[Sequence[tuple[int, bool]]] = []
-    for no, line in lines:
+    for k, (no, line) in enumerate(lines):
         # a directive is the first blank-separated token; its value follows
         directive = line.split()[0]
         value = line[len(directive):].lstrip()
@@ -114,8 +111,14 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
         elif directive == ".o":
             if value != "1":
                 raise ParseError("only single-output PLA is supported", no, col)
-        elif directive == ".p" or line == ".e":
-            continue
+        elif directive == ".p":
+            _parse_count(value, ".p count", no, col)
+        elif directive == ".e":
+            if value:
+                raise ParseError("text after .e", no, col)
+            if k + 1 < len(lines):
+                raise ParseError("text after .e", lines[k + 1][0])
+            break
         elif directive.startswith("."):
             raise ParseError(f"unsupported directive {directive!r}", no)
         else:
@@ -157,106 +160,6 @@ def serialize_function(f: TruthTable, form: str = "hex") -> str:
         body = "\n".join(rows)
         return f".i {f.n}\n.o 1\n.p {len(rows)}\n{body}\n.e\n"
     raise ValueError(f"unknown form {form!r}")
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    n: int
-    mode: str
-    kind: str
-    pairs: int
-    min_s: float
-    max_s: float
-    avg_s: float
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-
-    def to_csv(self) -> str:
-        out = ["n,mode,kind,pairs,min_s,max_s,avg_s"]
-        for r in sorted(self.rows, key=lambda r: r.n):
-            out.append(
-                f"{r.n},{r.mode},{r.kind},{r.pairs},"
-                f"{r.min_s:.6f},{r.max_s:.6f},{r.avg_s:.6f}"
-            )
-        return "\n".join(out) + "\n"
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    vars_lo: int
-    vars_hi: int
-    pairs: int
-    mode: str  # "equiv" | "nonequiv"
-    kind: str
-    seed: int
-
-    def __post_init__(self):
-        if not 2 <= self.vars_lo <= self.vars_hi <= MAX_VARS:
-            raise ValueError(f"variable range {self.vars_lo}..{self.vars_hi} invalid")
-        if self.pairs < 1:
-            raise ValueError("pair count must be positive")
-        if self.mode not in ("equiv", "nonequiv"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.kind not in KIND_ALIASES:
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-
-def _nonequivalent_pair(rng: random.Random, n: int, kind: str):
-    """Independent random functions, rejection-sampled so the zeroth-order
-    signatures are equal or complementary, and genuinely non-equivalent."""
-    while True:
-        f = random_function(n, kind, rng.randrange(1 << 62))
-        g = random_function(n, kind, rng.randrange(1 << 62))
-        cf, cg = count_minterms(f), count_minterms(g)
-        if cf != cg and cf != (1 << n) - cg:
-            continue
-        if n <= EXHAUSTIVE_MAX_VARS:
-            if exhaustive_match(f, g) is None:
-                return f, g
-        elif not match_npn(f, g).equivalent:
-            return f, g
-
-
-def generate_bench_pairs(config: BenchConfig, n: int) -> list:
-    rng = random.Random(config.seed * 1_000_003 + n)
-    out = []
-    for i in range(config.pairs + 1):  # extra pair used as warm-up
-        if config.mode == "equiv":
-            f, g, _ = random_equivalent_pair(
-                n, config.kind, rng.randrange(1 << 62)
-            )
-        else:
-            f, g = _nonequivalent_pair(rng, n, config.kind)
-        out.append((f, g))
-    return out
-
-
-def run_benchmark(config: BenchConfig) -> BenchReport:
-    rows = []
-    for n in range(config.vars_lo, config.vars_hi + 1):
-        pairs = generate_bench_pairs(config, n)
-        times = []
-        for i, (f, g) in enumerate(pairs):
-            start = time.perf_counter()
-            match_npn(f, g)
-            elapsed = time.perf_counter() - start
-            if i > 0:  # first pair warms caches; excluded from stats
-                times.append(elapsed)
-        rows.append(
-            BenchRow(
-                n,
-                config.mode,
-                config.kind,
-                len(times),
-                min(times),
-                max(times),
-                sum(times) / len(times),
-            )
-        )
-    return BenchReport(tuple(rows))
 
 
 class TraceObserver(Observer):
@@ -360,26 +263,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    lo, _, hi = args.vars.partition("..")
-    config = BenchConfig(
-        vars_lo=int(lo),
-        vars_hi=int(hi) if hi else int(lo),
-        pairs=args.pairs,
-        mode=args.mode,
-        kind=args.kind,
-        seed=args.seed,
-    )
-    report = run_benchmark(config)
-    csv = report.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
-    else:
-        print(csv, end="")
-    return 0
-
-
 def _cmd_classify(args) -> int:
     print(f"{enumerate_npn_classes(args.vars).count} classes")
     return 0
@@ -417,15 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--equivalent-pair", action="store_true")
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="timing harness over random pairs")
-    p.add_argument("--vars", required=True, metavar="LO..HI")
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--mode", choices=["equiv", "nonequiv"], required=True)
-    p.add_argument("--kind", choices=["type1", "type2"], required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("classify", help="count NPN classes (n <= 4)")
     p.add_argument("--vars", type=int, required=True)

@@ -1,8 +1,8 @@
 import random
+from collections import Counter
 
 from npnmatch.boolfn import Cube, TruthTable, apply_np_transform, cofactor, cube_of
 from npnmatch.signature import (
-    PHASE_NEGATIVE,
     PHASE_POSITIVE,
     PHASE_UNDETERMINED,
     SSValue,
@@ -11,6 +11,7 @@ from npnmatch.signature import (
     dump_first_order,
     vectors_compatible,
 )
+from npnmatch.matcher import Observer, match_npn
 from npnmatch.symmetry import build_symmetry_classes, first_order_pairs
 
 from cases import (
@@ -25,6 +26,7 @@ from cases import (
     TRIO_C,
 )
 from test_boolfn import random_table, random_transform
+from test_golden import _block, _family_pairs, _other_reweighted, _parity, _symmetric
 
 
 def ss(f, cube=Cube(), sym=None, identified=0, prev=None):
@@ -123,12 +125,6 @@ class TestDeterminePhases:
         v = ss(TruthTable.constant(2, True))
         assert determine_phases(v) == [PHASE_UNDETERMINED, PHASE_UNDETERMINED]
 
-    def test_identified_keeps_record(self):
-        identified = 0b0001  # x0
-        v = ss(CASE4_F, identified=identified, prev=ss(CASE4_F))
-        rec = [PHASE_NEGATIVE, -1, -1, -1]
-        assert determine_phases(v, identified, rec)[0] == PHASE_NEGATIVE
-
 
 class TestVectorsCompatible:
     def test_case4_pair(self):
@@ -159,6 +155,34 @@ class TestVectorsCompatible:
             mf = sorted(v.canonical for v in ss(f).values)
             mh = sorted(v.canonical for v in ss(h).values)
             assert mf == mh
+
+    def test_identified_counts_agree_at_every_node(self):
+        # vectors_compatible skips identified variables because their
+        # per-group counts cannot differ between f and g; check that claim
+        # on every node of searches that reach symmetry classes and phases
+        class IdentifiedCounts(Observer):
+            nodes = identified_nodes = 0
+
+            def on_vectors(self, depth, state):
+                self.nodes += 1
+                cf = counts(state.vf, state.identified_f)
+                assert cf == counts(state.vg, state.identified_g), (depth, state.map_list)
+                self.identified_nodes += bool(cf)
+
+            on_incompatible = on_vectors
+
+        def counts(v, identified):
+            return Counter(val.group for i, val in enumerate(v.values) if identified >> i & 1)
+
+        families = (
+            ("symmetric", _symmetric, range(1, 9), 16, 16, _other_reweighted),
+            ("block", _block, range(4, 9), 16, 16, _other_reweighted),
+            ("parity", _parity, range(1, 9), 16, 16, _other_reweighted),
+        )
+        observer = IdentifiedCounts()
+        for _, f, g in _family_pairs(random.Random(47), families):
+            match_npn(f, g, observer=observer)
+        assert observer.identified_nodes > 100, observer.nodes
 
 
 def test_ss_value_canonical():

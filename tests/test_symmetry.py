@@ -1,14 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from npnmatch.boolfn import TruthTable, apply_np_transform, equal
-from npnmatch.symmetry import (
-    SymmetryKind,
-    are_symmetric,
-    build_symmetry_classes,
-    swap_transform,
-)
+from npnmatch.boolfn import NPTransformation, TruthTable, apply_np_transform, equal
+from npnmatch.symmetry import build_symmetry_classes, symmetry_flags
 
 from cases import CASE4_F, CASE4_G, CASE7_F, CASE7_G
 from test_boolfn import random_table, random_transform
@@ -32,53 +28,20 @@ def brute_flags(f, i, j):
     return identical, opposite
 
 
-def brute_symmetric(f, i, j):
-    """Reference check by explicit truth-table enumeration."""
-    identical, opposite = brute_flags(f, i, j)
-    if identical:
-        return SymmetryKind.IDENTICAL
-    if opposite:
-        return SymmetryKind.OPPOSITE
-    return SymmetryKind.NOT_SYMMETRIC
-
-
-class TestAreSymmetric:
-    def test_conjunction_is_identical(self):
-        f = TruthTable.from_cover(3, [[(0, True), (1, True)], [(2, True)]])
-        assert are_symmetric(f, 0, 1) is SymmetryKind.IDENTICAL
-
-    def test_opposite_pair(self):
-        f = TruthTable.from_cover(2, [[(0, True), (1, False)]])
-        assert are_symmetric(f, 0, 1) is SymmetryKind.OPPOSITE
-
-    def test_xor_reports_identical_when_both_conditions_hold(self):
-        f = TruthTable(2, 0b0110)
-        assert are_symmetric(f, 0, 1) is SymmetryKind.IDENTICAL
-
-    def test_case4_pair(self):
-        assert are_symmetric(CASE4_F, 0, 1) is not SymmetryKind.NOT_SYMMETRIC
-
-    def test_symmetric_relation(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            f = random_table(rng, 4)
-            i, j = rng.sample(range(4), 2)
-            assert are_symmetric(f, i, j) == are_symmetric(f, j, i)
-
+class TestSymmetryFlags:
     def test_matches_brute_reference(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            n = rng.randint(2, 4)
-            f = random_table(rng, n)
-            i, j = rng.sample(range(n), 2)
-            assert are_symmetric(f, i, j) == brute_symmetric(f, i, j)
+        for n in range(2, 4):
+            for bits in range(1 << (1 << n)):
+                f = TruthTable(n, bits)
+                for i, j in itertools.permutations(range(n), 2):
+                    assert symmetry_flags(f, i, j) == brute_flags(f, i, j), (f, i, j)
 
     def test_bad_indices(self):
         f = TruthTable.constant(3, True)
         with pytest.raises(ValueError):
-            are_symmetric(f, 0, 0)
+            symmetry_flags(f, 0, 0)
         with pytest.raises(ValueError):
-            are_symmetric(f, 0, 3)
+            symmetry_flags(f, 0, 3)
 
 
 class TestBuildSymmetryClasses:
@@ -99,7 +62,7 @@ class TestBuildSymmetryClasses:
         f = TruthTable(3, 0b10010110)
         for i in range(3):
             for j in range(i + 1, 3):
-                assert brute_symmetric(f, i, j) is not SymmetryKind.NOT_SYMMETRIC
+                assert any(brute_flags(f, i, j))
         classes = build_symmetry_classes(f)
         assert [c.members for c in classes] == [(0, 1, 2)]
 
@@ -115,7 +78,13 @@ class TestBuildSymmetryClasses:
             f = random_table(rng, n)
             for c in build_symmetry_classes(f):
                 for m, p in zip(c.members[1:], c.relative_pol[1:]):
-                    t = swap_transform(n, c.first, m, bool(p))
+                    # exchange the first member and m, complemented if p
+                    perm = list(range(n))
+                    perm[c.first], perm[m] = m, c.first
+                    pol = [1] * n
+                    if p:
+                        pol[c.first] = pol[m] = 0
+                    t = NPTransformation(tuple(perm), tuple(pol))
                     assert equal(apply_np_transform(f, t), f)
 
     def test_double_symmetry_flag(self):
@@ -137,11 +106,8 @@ class TestBuildSymmetryClasses:
             h = apply_np_transform(f, t)
             for i in range(n):
                 for j in range(i + 1, n):
-                    sym_f = are_symmetric(f, i, j) is not SymmetryKind.NOT_SYMMETRIC
-                    sym_h = (
-                        are_symmetric(h, t.perm[i], t.perm[j])
-                        is not SymmetryKind.NOT_SYMMETRIC
-                    )
+                    sym_f = any(symmetry_flags(f, i, j))
+                    sym_h = any(symmetry_flags(h, t.perm[i], t.perm[j]))
                     assert sym_f == sym_h
 
 

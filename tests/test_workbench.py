@@ -8,12 +8,9 @@ import pytest
 from npnmatch.boolfn import TruthTable, count_minterms, equal, negate
 from npnmatch.matcher import match_npn
 from npnmatch.workbench import (
-    BenchConfig,
     ParseError,
     cli_dispatch,
-    generate_bench_pairs,
     parse_function,
-    run_benchmark,
     serialize_function,
 )
 
@@ -123,6 +120,28 @@ class TestPLAFormat:
             parse_function(text)
         assert (err.value.line, err.value.col) == (line, 3)
 
+    @pytest.mark.parametrize(
+        "raw, col", [("abc", 4), ("-3", 4), ("1x", 5)], ids=["word", "sign", "tail"]
+    )
+    def test_p_takes_ascii_digits_only(self, raw, col):
+        with pytest.raises(ParseError, match="bad .p count") as err:
+            parse_function(f".i 2\n.o 1\n.p {raw}\n10 1\n.e\n")
+        assert (err.value.line, err.value.col) == (3, col)
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [(".i 2\n.o 1\n11 1\n.e\n10 1\n", 5, 1), (".i 2\n.o 1\n11 1\n.e extra\n", 4, 4)],
+        ids=["later-line", "same-line"],
+    )
+    def test_text_after_e(self, text, line, col):
+        with pytest.raises(ParseError, match="text after .e") as err:
+            parse_function(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_comments_after_e(self):
+        f = parse_function(".i 2\n.o 1\n11 1\n.e\n# end\n\n")
+        assert f == TruthTable.from_minterms(2, [3])
+
     def test_column_convention(self):
         # leftmost input column is x0
         f = parse_function(".i 3\n.o 1\n100 1\n.e\n")
@@ -153,40 +172,6 @@ class TestPLAFormat:
     def test_cover_before_declaration(self):
         with pytest.raises(ParseError, match="before .i"):
             parse_function(".o 1\n10 1\n.i 2\n.e\n")
-
-
-class TestBenchmark:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BenchConfig(1, 4, 3, "equiv", "type1", 0)
-        with pytest.raises(ValueError):
-            BenchConfig(4, 5, 0, "equiv", "type1", 0)
-        with pytest.raises(ValueError):
-            BenchConfig(4, 5, 3, "sideways", "type1", 0)
-        with pytest.raises(ValueError):
-            BenchConfig(4, 5, 3, "equiv", "type9", 0)
-
-    def test_equiv_report_shape(self):
-        config = BenchConfig(4, 6, 3, "equiv", "type2", 7)
-        report = run_benchmark(config)
-        assert [r.n for r in report.rows] == [4, 5, 6]
-        for row in report.rows:
-            assert row.pairs == 3
-            assert row.min_s <= row.avg_s <= row.max_s
-        csv = report.to_csv()
-        assert csv.splitlines()[0] == "n,mode,kind,pairs,min_s,max_s,avg_s"
-        assert len(csv.splitlines()) == 4
-
-    def test_nonequiv_pairs_share_zeroth_order(self):
-        config = BenchConfig(5, 5, 4, "nonequiv", "type1", 3)
-        for f, g in generate_bench_pairs(config, 5):
-            cf, cg = count_minterms(f), count_minterms(g)
-            assert cf == cg or cf == 32 - cg
-            assert not match_npn(f, g).equivalent
-
-    def test_pair_generation_deterministic(self):
-        config = BenchConfig(6, 6, 5, "equiv", "type1", 11)
-        assert generate_bench_pairs(config, 6) == generate_bench_pairs(config, 6)
 
 
 @pytest.fixture
@@ -281,17 +266,6 @@ class TestCLI:
             f = parse_function("\n".join(lines[:2]))
             g = parse_function("\n".join(lines[2:]))
             assert match_npn(f, g).equivalent
-
-    def test_bench_csv_file(self, tmp_path, capsys):
-        out = tmp_path / "report.csv"
-        argv = [
-            "bench", "--vars", "4..5", "--pairs", "2", "--mode", "equiv",
-            "--kind", "type1", "--seed", "1", "--out", str(out),
-        ]
-        assert cli_dispatch(argv) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "n,mode,kind,pairs,min_s,max_s,avg_s"
-        assert [ln.split(",")[0] for ln in lines[1:]] == ["4", "5"]
 
     def test_trace_reproduces_vector_dumps(self, files, capsys):
         assert cli_dispatch(["trace", files("f.tt", CASE7_F), files("g.tt", CASE7_G)]) == 0
