@@ -1,16 +1,12 @@
 """NPN Boolean matching: signature-guided search with a brute-force oracle."""
 
 from .boolfn import (
-    Cube,
-    Literal,
     MAX_VARS,
     NPTransformation,
     TruthTable,
     apply_np_transform,
-    cofactor,
     compose,
     count_minterms,
-    cube_of,
     equal,
     negate,
 )
@@ -42,8 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "Cube",
-    "Literal",
     "MAX_VARS",
     "MatchResult",
     "NPTransformation",
@@ -58,11 +52,9 @@ __all__ = [
     "apply_np_transform",
     "build_symmetry_classes",
     "cli_dispatch",
-    "cofactor",
     "compose",
     "compute_ss_vector",
     "count_minterms",
-    "cube_of",
     "enumerate_complete_transformations",
     "enumerate_npn_classes",
     "equal",

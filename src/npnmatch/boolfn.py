@@ -37,47 +37,6 @@ def low_mask(n: int, i: int) -> int:
 
 
 @dataclass(frozen=True)
-class Literal:
-    var: int
-    positive: bool
-
-    def __str__(self):
-        return f"x{self.var}" if self.positive else f"~x{self.var}"
-
-
-@dataclass(frozen=True)
-class Cube:
-    """Conjunction of literals over distinct variables.
-
-    The empty cube is the constant-true restriction.
-    """
-
-    literals: tuple[Literal, ...] = ()
-
-    def __post_init__(self):
-        seen = set()
-        for lit in self.literals:
-            if lit.var in seen:
-                raise ValueError(f"duplicate variable x{lit.var} in cube")
-            seen.add(lit.var)
-
-    def mask(self, n: int) -> int:
-        m = full_mask(n)
-        for lit in self.literals:
-            m &= var_mask(n, lit.var) if lit.positive else low_mask(n, lit.var)
-        return m
-
-    def __str__(self):
-        if not self.literals:
-            return "true"
-        return "".join(str(lit) for lit in self.literals)
-
-
-def cube_of(*lits: tuple[int, bool]) -> Cube:
-    return Cube(tuple(Literal(v, p) for v, p in lits))
-
-
-@dataclass(frozen=True)
 class NPTransformation:
     """Input permutation + per-input polarity + output polarity.
 
@@ -138,10 +97,17 @@ class TruthTable:
 
     @staticmethod
     def from_cover(n: int, cover: Sequence[Sequence[tuple[int, bool]]]) -> "TruthTable":
-        """Disjunction of cubes, each cube a sequence of (var, positive)."""
+        """Disjunction of cubes, each cube a sequence of (var, positive)
+        over distinct variables."""
         bits = 0
         for cube in cover:
-            bits |= Cube(tuple(Literal(v, p) for v, p in cube)).mask(n)
+            row, seen = full_mask(n), 0
+            for v, positive in cube:
+                if seen >> v & 1:
+                    raise ValueError(f"duplicate variable x{v} in cube")
+                seen |= 1 << v
+                row &= var_mask(n, v) if positive else low_mask(n, v)
+            bits |= row
         return TruthTable(n, bits)
 
     def evaluate(self, minterm: int) -> int:
@@ -153,20 +119,6 @@ class TruthTable:
 
 def count_minterms(f: TruthTable) -> int:
     return f.bits.bit_count()
-
-
-def cofactor(f: TruthTable, c: Cube) -> TruthTable:
-    """Restriction of f to the cube: the product c*f over the same n variables.
-
-    Minterm positions stay stable across recursions, and counting the result
-    counts each surviving minterm once.
-    """
-    for lit in c.literals:
-        if lit.var >= f.n:
-            raise ValueError(f"cube variable x{lit.var} out of range for n={f.n}")
-    if not c.literals:
-        return f
-    return TruthTable(f.n, f.bits & c.mask(f.n))
 
 
 def negate(f: TruthTable) -> TruthTable:

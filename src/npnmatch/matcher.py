@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 
 from . import signature as sig
 from .boolfn import (
-    Cube,
-    Literal,
     NPTransformation,
     TruthTable,
     apply_np_transform,
@@ -166,14 +164,15 @@ class MatchState:
         side_f = self.phase_record_f[m.frm] != PHASE_NEGATIVE
         return side_f, side_f ^ (m.pol == 1)
 
-    def cubes(self) -> tuple[Cube, Cube]:
-        """The cubes that fc and gc are restricted to, for display."""
-        lits_f, lits_g = [], []
+    def cubes(self) -> tuple[str, str]:
+        """The cubes that fc and gc are restricted to, for display: x2~x0
+        style, "true" when empty."""
+        cube_f, cube_g = "", ""
         for m in self.map_list[: self.splits]:
             side_f, side_g = self.split_sides(m)
-            lits_f.append(Literal(m.frm, side_f))
-            lits_g.append(Literal(m.to, side_g))
-        return Cube(tuple(lits_f)), Cube(tuple(lits_g))
+            cube_f += f"x{m.frm}" if side_f else f"~x{m.frm}"
+            cube_g += f"x{m.to}" if side_g else f"~x{m.to}"
+        return cube_f or "true", cube_g or "true"
 
     def snapshot(self):
         # map_list only grows between a snapshot and its restore
@@ -209,7 +208,7 @@ class MatchState:
 
 
 def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
-    """Mapping sets for every unidentified variable and live symmetry class.
+    """Mapping sets for every unidentified variable and symmetry class.
 
     Candidates must agree on group mark and symmetry marks and satisfy one of
     the two first-order cases; candidates contradicting the phase records are
@@ -257,37 +256,27 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
                 cands.append((VarMapping(i, j, k),))
         sets.append(MappingSet(i, tuple(cands)))
 
-    def live(cls: SymmetryClass, identified: int):
-        """Unidentified members of cls and their polarities relative to the
-        first of them."""
-        kept = [(m, p) for m, p in zip(cls.members, cls.relative_pol) if not identified >> m & 1]
-        base = kept[0][1] if kept else 0
-        return [m for m, _ in kept], [p ^ base for _, p in kept]
-
-    live_g = []
-    for cls in state.sym_g:
-        active, rel = live(cls, idg)
-        if active:
-            live_g.append((cls, active, rel))
+    # a class's members enter no plain set and every class candidate maps
+    # all of them, so a class is either wholly identified or wholly free
+    free_g = [cls for cls in state.sym_g if not idg >> cls.first & 1]
 
     for cls_f in state.sym_f:
-        active_f, rel_f = live(cls_f, idf)
-        if not active_f:
+        if idf >> cls_f.first & 1:
             continue
         cands = []
-        for cls_g, active_g, rel_g in live_g:
-            if cls_g.size != cls_f.size or len(active_g) != len(active_f):
+        for cls_g in free_g:
+            if cls_g.size != cls_f.size:
                 continue
             member_pols: list[tuple[int, ...]] = []
-            for a, b in zip(active_f, active_g):
+            for a, b in zip(cls_f.members, cls_g.members):
                 pols = pair_pols(a, b)
                 if not pols:
                     break
                 member_pols.append(pols)
-            if len(member_pols) < len(active_f):
+            if len(member_pols) < cls_f.size:
                 continue
-            pairs = list(zip(active_f, active_g))
-            if cls_f.double and cls_g.double and len(pairs) > 1:
+            pairs = list(zip(cls_f.members, cls_g.members))
+            if cls_f.double and cls_g.double:
                 # jointly negating two members is an invariance of both
                 # functions, so only the polarity parity matters: one
                 # candidate per achievable parity
@@ -305,6 +294,7 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
                         )
                     )
             else:
+                rel_f, rel_g = cls_f.relative_pol, cls_g.relative_pol
                 base_pols = {0, 1}
                 for t, pols in enumerate(member_pols):
                     base_pols &= {p ^ rel_f[t] ^ rel_g[t] for p in pols}
@@ -421,7 +411,8 @@ def detect(
             if chosen is not None:
                 observer.on_branch(chosen, cand)
             for m in cand:
-                if state.identified_f >> m.frm & 1 or state.identified_g >> m.to & 1:
+                # two forced subjects can claim the same variable of g
+                if state.identified_g >> m.to & 1:
                     break
                 commit_mapping(state, m)
                 observer.on_commit(m)

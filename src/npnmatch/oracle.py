@@ -16,6 +16,7 @@ from .boolfn import (
     NPTransformation,
     TruthTable,
     apply_np_transform,
+    count_minterms,
     equal,
     full_mask,
 )
@@ -50,8 +51,14 @@ def exhaustive_match(f: TruthTable, g: TruthTable) -> Optional[NPTransformation]
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
     if f.n > EXHAUSTIVE_MAX_VARS:
         raise ValueError(f"n={f.n} exceeds brute-force budget (n <= {EXHAUSTIVE_MAX_VARS})")
+    # an input transform keeps the minterm count and an output negation
+    # complements it, so the counts rule out one output polarity or both
+    cf, cg = count_minterms(f), count_minterms(g)
+    outputs = {neg for neg, target in ((False, cg), (True, (1 << f.n) - cg)) if cf == target}
+    if not outputs:
+        return None
     for t in all_transformations(f.n):
-        if equal(apply_np_transform(f, t), g):
+        if t.output_negated in outputs and equal(apply_np_transform(f, t), g):
             return t
     return None
 

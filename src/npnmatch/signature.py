@@ -64,8 +64,10 @@ def compute_ss_vector(
 ) -> SSVector:
     """Fill first-order values, frozen symmetry marks, and group marks.
 
-    f is counted as given; to read the vector under a cube, pass the
-    restriction cofactor(f, c). identified is a bit mask over the variables.
+    f is counted as given; to read the vector under a cube, pass f with its
+    bits ANDed with var_mask(n, i) for each positive literal x_i and
+    low_mask(n, i) for each negative one. identified is a bit mask over the
+    variables.
 
     Without a previous vector, group serials are assigned by canonical
     first-order pair (max, min) in descending order. With one, each previous

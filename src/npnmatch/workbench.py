@@ -43,17 +43,17 @@ def parse_function(text: str) -> TruthTable:
     """Read either the hex form (vars=N / tt=HEX) or the PLA subset
     (.i/.o/.p/.e directives plus cover lines; leftmost input column is x0,
     '1' outputs only)."""
-    lines = text.splitlines()
-    stripped = [
-        (no, raw.strip())
-        for no, raw in enumerate(lines, start=1)
+    # lines keep their indent, so columns count from the line's first character
+    lines = [
+        (no, raw.rstrip())
+        for no, raw in enumerate(text.splitlines(), start=1)
         if raw.strip() and not raw.strip().startswith("#")
     ]
-    if not stripped:
+    if not lines:
         raise ParseError("empty function file", 1)
-    if stripped[0][1].startswith(".i") or stripped[0][1].startswith(".o"):
-        return _parse_pla(stripped)
-    return _parse_hex(stripped)
+    if lines[0][1].lstrip().startswith((".i", ".o")):
+        return _parse_pla(lines)
+    return _parse_hex(lines)
 
 
 def _parse_hex(lines: list[tuple[int, str]]) -> TruthTable:
@@ -98,7 +98,7 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
     for k, (no, line) in enumerate(lines):
         # a directive is the first blank-separated token; its value follows
         directive = line.split()[0]
-        value = line[len(directive):].lstrip()
+        value = line.lstrip()[len(directive):].lstrip()
         col = len(line) - len(value) + 1
         if directive in (".i", ".o", ".p") and not value:
             raise ParseError(f"missing {directive} count", no, col)
@@ -133,7 +133,9 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
             if len(inp) != n:
                 raise ParseError(f"expected {n} input columns, got {len(inp)}", no)
             if out != "1":
-                raise ParseError("only '1' output rows are supported", no, len(inp) + 2)
+                col = len(line) - len(out) + 1
+                raise ParseError("only '1' output rows are supported", no, col)
+            indent = len(line) - len(line.lstrip())
             cube = []
             for col, ch in enumerate(inp):  # leftmost column is x0
                 if ch == "1":
@@ -141,7 +143,7 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
                 elif ch == "0":
                     cube.append((col, False))
                 elif ch != "-":
-                    raise ParseError(f"bad input character {ch!r}", no, col + 1)
+                    raise ParseError(f"bad input character {ch!r}", no, indent + col + 1)
             cover.append(cube)
     if n is None:
         raise ParseError("missing .i directive", lines[0][0])

@@ -3,19 +3,16 @@ import random
 import pytest
 
 from npnmatch.boolfn import (
-    Cube,
-    Literal,
     NPTransformation,
     TruthTable,
     _negate_var,
     _swap_vars,
     apply_np_transform,
-    cofactor,
     compose,
     count_minterms,
-    cube_of,
     equal,
     full_mask,
+    low_mask,
     negate,
     var_mask,
 )
@@ -74,31 +71,17 @@ class TestCountMinterms:
 
 
 class TestCofactor:
-    def test_restriction_counts_each_minterm_once(self):
-        c = cube_of((1, True))
-        res = cofactor(TRIO_A, c)
-        assert count_minterms(res) == 1
-        # the lone surviving minterm is x1=1, x0=0, x2=0
-        assert res.minterms() == [0b010]
-
-    def test_empty_cube_is_identity(self):
-        assert cofactor(TRIO_A, Cube()) == TRIO_A
-
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError):
-            Cube((Literal(1, True), Literal(1, False)))
-
-    def test_out_of_range_variable(self):
-        with pytest.raises(ValueError):
-            cofactor(TRIO_A, cube_of((5, True)))
+            TruthTable.from_cover(3, [[(1, True), (1, False)]])
 
     def test_shannon_recombination(self):
         rng = random.Random(7)
         for n in (1, 3, 5):
             f = random_table(rng, n)
             for i in range(n):
-                pos = cofactor(f, cube_of((i, True)))
-                neg = cofactor(f, cube_of((i, False)))
+                pos = TruthTable(n, f.bits & var_mask(n, i))
+                neg = TruthTable(n, f.bits & low_mask(n, i))
                 assert pos.bits | neg.bits == f.bits
                 assert pos.bits & neg.bits == 0
                 assert count_minterms(pos) + count_minterms(neg) == count_minterms(f)
@@ -211,8 +194,8 @@ class TestRootFirstOrderPairs:
                 pairs = first_order_pairs(f)
                 assert pairs == [
                     (
-                        count_minterms(cofactor(f, cube_of((i, True)))),
-                        count_minterms(cofactor(f, cube_of((i, False)))),
+                        sum(f.evaluate(m) for m in range(1 << n) if m >> i & 1),
+                        sum(f.evaluate(m) for m in range(1 << n) if not m >> i & 1),
                     )
                     for i in range(n)
                 ]

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from npnmatch import matcher
 from npnmatch.boolfn import (
     NPTransformation,
     TruthTable,
@@ -47,6 +46,7 @@ from cases import (
     TRIO_C,
 )
 from test_boolfn import random_table, random_transform
+from test_golden import _block, _family_pairs, _other_reweighted, _parity, _symmetric, _transform
 
 
 class RecordingObserver(Observer):
@@ -148,6 +148,84 @@ class TestBuildMappingSets:
             MappingSet(1, ((VarMapping(1, 0, 0),), (VarMapping(1, 1, 0),))),
         ]
         assert select_min_set(sets).subject == 1
+
+
+def maiorana_mcfarland(rng, n, inner=False):
+    """Bent function x . pi(y) xor h(y) of n = 2k inputs, x the low k and y
+    the high k, with pi a random permutation of the k-bit words and h a
+    random function of y; or, when inner, the inner product x . y, where
+    x_i and y_i are symmetric for every i."""
+    k = n // 2
+    pi = list(range(1 << k))
+    h = [0] * (1 << k)
+    if not inner:
+        rng.shuffle(pi)
+        h = [rng.getrandbits(1) for _ in h]
+    bits = 0
+    for m in range(1 << n):
+        x, y = m & ((1 << k) - 1), m >> k
+        bits |= ((x & pi[y]).bit_count() & 1 ^ h[y]) << m
+    return TruthTable(n, bits)
+
+
+class TestWholeClasses:
+    """build_mapping_sets tests only the first member of a symmetry class:
+    class members enter no plain mapping set and every class candidate maps
+    all of them, so at every node a class is wholly identified or wholly
+    free."""
+
+    class WholeClasses(Observer):
+        nodes = whole_nodes = 0
+
+        def on_vectors(self, depth, state):
+            self.nodes += 1
+            for classes, identified in (
+                (state.sym_f, state.identified_f),
+                (state.sym_g, state.identified_g),
+            ):
+                for cls in classes:
+                    hits = sum(identified >> m & 1 for m in cls.members)
+                    assert hits in (0, cls.size), (depth, cls, state.map_list)
+                    self.whole_nodes += hits == cls.size
+
+        on_incompatible = on_vectors
+
+    def test_maiorana_mcfarland_is_bent(self):
+        # every Walsh coefficient has magnitude 2^(n/2)
+        rng = random.Random(61)
+        for n, inner in [(n, i) for n in (2, 4, 6, 8) for i in (True, False)]:
+            f = maiorana_mcfarland(rng, n, inner)
+            w = [1 - 2 * f.evaluate(m) for m in range(1 << n)]
+            step = 1
+            while step < len(w):
+                for a in range(0, len(w), 2 * step):
+                    for b in range(a, a + step):
+                        w[b], w[b + step] = w[b] + w[b + step], w[b] - w[b + step]
+                step *= 2
+            assert {abs(c) for c in w} == {1 << (n // 2)}, n
+
+    def test_symmetric_block_and_parity_families(self):
+        families = (
+            ("symmetric", _symmetric, range(1, 9), 16, 16, _other_reweighted),
+            ("block", _block, range(4, 9), 16, 16, _other_reweighted),
+            ("parity", _parity, range(1, 9), 16, 16, _other_reweighted),
+        )
+        observer = self.WholeClasses()
+        for _, f, g in _family_pairs(random.Random(53), families):
+            match_npn(f, g, observer=observer)
+        assert observer.whole_nodes > 100, observer.nodes
+
+    def test_bent_pairs_under_hidden_transform(self):
+        rng = random.Random(59)
+        observer = self.WholeClasses()
+        for n in (6, 8, 10):
+            for k in range(5):
+                f = maiorana_mcfarland(rng, n, inner=k == 0)
+                g = apply_np_transform(f, _transform(rng, n))
+                result = match_npn(f, g, observer=observer)
+                assert result.equivalent, n
+                assert equal(apply_np_transform(f, result.witness), g)
+        assert observer.whole_nodes > 0, observer.nodes
 
 
 class TestCase4Walkthrough:
@@ -493,8 +571,6 @@ class TestBacktrackingIntegrity:
             raise AssertionError("cube built with no observer asking")
 
         monkeypatch.setattr(MatchState, "cubes", refuse)
-        monkeypatch.setattr(matcher, "Cube", refuse)
-        monkeypatch.setattr(matcher, "Literal", refuse)
         result = match_npn(CASE7_F, CASE7_G)
         assert result.equivalent
         assert equal(apply_np_transform(CASE7_F, result.witness), CASE7_G)

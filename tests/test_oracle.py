@@ -49,6 +49,28 @@ class TestExhaustiveMatch:
                 break
             assert not equal(apply_np_transform(f, cand), f)
 
+    def test_same_first_transform_as_plain_scan(self):
+        # the minterm counts skip only transforms that cannot match
+        def plain_scan(f, g):
+            for t in all_transformations(f.n):
+                if equal(apply_np_transform(f, t), g):
+                    return t
+            return None
+
+        pairs = [
+            (TruthTable(n, a), TruthTable(n, b))
+            for n in (0, 1, 2)
+            for a in range(1 << (1 << n))
+            for b in range(1 << (1 << n))
+        ]
+        rng = random.Random(71)
+        for k in range(60):
+            f = random_table(rng, 3)
+            g = apply_np_transform(f, random_transform(rng, 3)) if k % 2 else random_table(rng, 3)
+            pairs.append((f, g))
+        for f, g in pairs:
+            assert exhaustive_match(f, g) == plain_scan(f, g), (f, g)
+
     def test_budget_guard(self):
         big = TruthTable.constant(9, True)
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 
-from npnmatch.boolfn import Cube, TruthTable, apply_np_transform, cofactor, cube_of
+from npnmatch.boolfn import TruthTable, apply_np_transform, low_mask, var_mask
 from npnmatch.signature import (
     PHASE_POSITIVE,
     PHASE_UNDETERMINED,
@@ -29,10 +29,12 @@ from test_boolfn import random_table, random_transform
 from test_golden import _block, _family_pairs, _other_reweighted, _parity, _symmetric
 
 
-def ss(f, cube=Cube(), sym=None, identified=0, prev=None):
+def ss(f, cube=None, sym=None, identified=0, prev=None):
+    """Vector of f restricted by the bit mask cube (unrestricted when None)."""
     if sym is None:
         sym = build_symmetry_classes(f)
-    return compute_ss_vector(cofactor(f, cube), sym, identified, prev)
+    restricted = f if cube is None else TruthTable(f.n, f.bits & cube)
+    return compute_ss_vector(restricted, sym, identified, prev)
 
 
 class TestFirstOrderValue:
@@ -42,7 +44,7 @@ class TestFirstOrderValue:
         assert dump_first_order(first_order_pairs(TRIO_C)) == "{(3,1),(1,3),(3,1)}"
 
     def test_restricted_value(self):
-        assert first_order_pairs(cofactor(CASE5_F, cube_of((0, True))))[1] == (5, 6)
+        assert first_order_pairs(TruthTable(5, CASE5_F.bits & var_mask(5, 0)))[1] == (5, 6)
 
     def test_constant_true(self):
         f = TruthTable.constant(3, True)
@@ -72,7 +74,7 @@ class TestComputeSSVector:
     def test_case5_refined_after_split(self):
         prev = ss(CASE5_F)
         identified = 0b00101  # x0 and x2
-        v = ss(CASE5_F, cube_of((0, True)), identified=identified, prev=prev)
+        v = ss(CASE5_F, var_mask(5, 0), identified=identified, prev=prev)
         assert v.dump() == (
             "{(0, 0, -1, -1, 0),(5, 6, -1, -1, 3),(0, 0, -1, -1, 1),"
             "(6, 5, -1, -1, 2),(6, 5, -1, -1, 2)}"
@@ -97,9 +99,8 @@ class TestComputeSSVector:
             prev = compute_ss_vector(f, sym)
             i = rng.randrange(n)
             identified = 1 << i
-            cur = compute_ss_vector(
-                cofactor(f, cube_of((i, rng.random() < 0.5))), sym, identified, prev
-            )
+            mask = var_mask(n, i) if rng.random() < 0.5 else low_mask(n, i)
+            cur = compute_ss_vector(TruthTable(n, f.bits & mask), sym, identified, prev)
             for a in range(n):
                 for b in range(a + 1, n):
                     if prev[a].group != prev[b].group:
@@ -108,9 +109,9 @@ class TestComputeSSVector:
     def test_counts_sum_to_restricted_size(self):
         rng = random.Random(29)
         f = random_table(rng, 5)
-        cube = cube_of((2, True))
+        cube = var_mask(5, 2)
         v = ss(f, cube)
-        restricted = f.bits & cube.mask(5)
+        restricted = f.bits & cube
         for i in range(5):
             if i != 2:
                 assert v[i].pos_count + v[i].neg_count == restricted.bit_count()

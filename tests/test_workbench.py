@@ -43,6 +43,16 @@ class TestHexFormat:
         assert err.value.line == 2
         assert err.value.col == 5
 
+    def test_indented_vars_column(self):
+        with pytest.raises(ParseError, match="bad variable count") as err:
+            parse_function("  vars=+2\ntt=0\n")
+        assert (err.value.line, err.value.col) == (1, 8)
+
+    def test_indented_tt_column(self):
+        with pytest.raises(ParseError, match="bad hex digit") as err:
+            parse_function("vars=2\n  tt=0g\n")
+        assert (err.value.line, err.value.col) == (2, 7)
+
     def test_rejects_int_literal_syntax(self):
         # int(..., 16) accepts all of these, and each has the expected length
         for tt, col in (("0x12", 5), ("1_23", 5), ("+123", 4), ("-123", 4)):
@@ -155,6 +165,21 @@ class TestPLAFormat:
         with pytest.raises(ParseError) as err:
             parse_function(".i 3\n.o 1\n1x0 1\n.e\n")
         assert (err.value.line, err.value.col) == (3, 2)
+
+    def test_indented_directive_column(self):
+        with pytest.raises(ParseError, match="bad .i count") as err:
+            parse_function("   .i x\n")
+        assert (err.value.line, err.value.col) == (1, 7)
+
+    def test_indented_row_column(self):
+        with pytest.raises(ParseError, match="bad input character") as err:
+            parse_function(".i 3\n.o 1\n   1x0 1\n.e\n")
+        assert (err.value.line, err.value.col) == (3, 5)
+
+    def test_indented_output_column(self):
+        with pytest.raises(ParseError, match="'1' output") as err:
+            parse_function(".i 2\n.o 1\n  10 0\n.e\n")
+        assert (err.value.line, err.value.col) == (3, 6)
 
     def test_rejects_zero_output_rows(self):
         with pytest.raises(ParseError, match="'1' output"):
