@@ -7,13 +7,15 @@ an equivalent pair (a hidden NP transform) and as a pair of equal or
 complementary weight that may or may not be equivalent. A second corpus,
 n = 15..18 from its own seed, adds type1, type2 and block-symmetric pairs
 built without a loop over all 2^n minterms, so the kernels that only run
-above 14 inputs are pinned too. For every pair
+above 14 inputs are pinned too. A third seed adds Maiorana-McFarland bent
+pairs at n = 6..12. For every pair
 the fixture tests/golden_matches.json holds match_npn's verdict, witness
-(perm, input polarity, output polarity), nodes_visited and verify_calls.
-A change to the search that is meant to keep its outputs must keep this
-file byte-identical.
+(perm, input polarity, output polarity), nodes_visited and verify_calls,
+and for every pair with n <= 10 tests/golden_traces.json holds the sha256
+of its TraceObserver text. A change to the search that is meant to keep its
+outputs must keep both files byte-identical.
 
-Regenerate the fixture (only when the search is meant to change) with
+Regenerate the fixtures (only when the search is meant to change) with
 
     PYTHONPATH=src python3 tests/test_golden.py --write
 """
@@ -21,18 +23,24 @@ Regenerate the fixture (only when the search is meant to change) with
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
 import sys
 import time
 from pathlib import Path
 
-from npnmatch import NPTransformation, TruthTable, apply_np_transform, match_npn
-from npnmatch.boolfn import full_mask, var_mask
+from npnmatch import NPTransformation, TruthTable, apply_np_transform, match_npn, negate
+from npnmatch.boolfn import full_mask, low_mask, var_mask
+from npnmatch.workbench import TraceObserver
 
 FIXTURE = Path(__file__).resolve().parent / "golden_matches.json"
+TRACE_FIXTURE = Path(__file__).resolve().parent / "golden_traces.json"
 SEED = 20261018
 WIDE_SEED = 20261019
+BENT_SEED = 20261020
+# pairs up to this size also have their trace text pinned
+TRACE_MAX_N = 10
 
 
 def _transform(rng, n):
@@ -230,10 +238,77 @@ def _family_pairs(rng, families):
     return out
 
 
+def maiorana_mcfarland(rng, n, inner=False):
+    """Bent function x . pi(y) xor h(y) of n = 2k inputs, x the low k and y
+    the high k, with pi a random permutation of the k-bit words and h a
+    random function of y; or, when inner, the inner product x . y, where
+    x_i and y_i are symmetric for every i."""
+    k = n // 2
+    pi = list(range(1 << k))
+    h = [0] * (1 << k)
+    if not inner:
+        rng.shuffle(pi)
+        h = [rng.getrandbits(1) for _ in h]
+    bits = 0
+    for m in range(1 << n):
+        x, y = m & ((1 << k) - 1), m >> k
+        bits |= ((x & pi[y]).bit_count() & 1 ^ h[y]) << m
+    return TruthTable(n, bits)
+
+
+def _second_order(f):
+    """Sorted canonical 2x2 cofactor tables over every input pair. An NP
+    transform without output negation permutes the pairs and flips or
+    transposes each table, so NP-equivalent functions of equal weight agree."""
+    n, bits = f.n, f.bits
+    tables = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = [
+                [(bits & side_i & side_j).bit_count() for side_j in (low_mask(n, j), var_mask(n, j))]
+                for side_i in (low_mask(n, i), var_mask(n, i))
+            ]
+            variants = []
+            for a in (0, 1):
+                for b in (0, 1):
+                    t = (c[a][b], c[a][1 - b], c[1 - a][b], c[1 - a][1 - b])
+                    variants += [t, (t[0], t[2], t[1], t[3])]
+            tables.append(min(variants))
+    return sorted(tables)
+
+
+def _bent_pairs(rng):
+    """Maiorana-McFarland bent pairs: every input has the same cofactor
+    counts up to phase, the case first-order signatures cannot split. The
+    eq pairs hide an NP transform, the first of each size in the inner
+    product x . y, which has n/2 symmetry classes; each neq pair is two draws of equal
+    weight whose second-order tables differ, so neither maps to the other
+    (a bent weight is never its complement's, so output negation cannot
+    help either)."""
+    out = []
+    for n in (6, 8, 10, 12):
+        for k in range(3):
+            f = maiorana_mcfarland(rng, n, inner=k == 0)
+            out.append((f"bent-n{n}-eq{k}", f, apply_np_transform(f, _transform(rng, n))))
+        for k in range(2):
+            f = maiorana_mcfarland(rng, n)
+            key = _second_order(f)
+            while True:
+                g = maiorana_mcfarland(rng, n)
+                if g.bits.bit_count() != f.bits.bit_count():
+                    g = negate(g)
+                if _second_order(g) != key:
+                    break
+            out.append((f"bent-n{n}-neq{k}", f, g))
+    return out
+
+
 def corpus():
     """(id, f, g) for every pair of the corpus, in a fixed order."""
-    return _family_pairs(random.Random(SEED), FAMILIES) + _family_pairs(
-        random.Random(WIDE_SEED), WIDE_FAMILIES
+    return (
+        _family_pairs(random.Random(SEED), FAMILIES)
+        + _family_pairs(random.Random(WIDE_SEED), WIDE_FAMILIES)
+        + _bent_pairs(random.Random(BENT_SEED))
     )
 
 
@@ -248,6 +323,8 @@ def record(pair_id, f, g):
     w = r.witness
     if w is not None:
         assert apply_np_transform(f, w) == g, f"{pair_id}: witness does not reproduce g"
+        if "-neq" in pair_id:
+            raise AssertionError(f"{pair_id}: certified non-equivalent pair matched")
     elif "-eq" in pair_id:
         raise AssertionError(f"{pair_id}: hidden-transform pair reported non-equivalent")
     return {
@@ -260,6 +337,16 @@ def record(pair_id, f, g):
         "nodes": r.stats.nodes_visited,
         "verify_calls": r.stats.verify_calls,
     }
+
+
+def trace_record(pair_id, f, g):
+    out = io.StringIO()
+    match_npn(f, g, observer=TraceObserver(out))
+    return {"id": pair_id, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def traced_corpus():
+    return [p for p in corpus() if p[1].n <= TRACE_MAX_N]
 
 
 def render(records):
@@ -278,8 +365,33 @@ def test_golden_corpus_matches_fixture():
     assert elapsed < 5.0, f"golden corpus took {elapsed:.2f} s"
 
 
+def test_trace_text_matches_fixture():
+    want = json.loads(TRACE_FIXTURE.read_text())
+    got = [trace_record(*p) for p in traced_corpus()]
+    assert [r["id"] for r in got] == [r["id"] for r in want]
+    for g, w in zip(got, want):
+        assert g == w, g["id"]
+
+
+def test_bent_identity_pi_search_size():
+    """x . y xor h(y) at n = 10 (pi the identity) under one fixed NP
+    transform: the costliest bent pair seen, pinned at its node count."""
+    h = "10111111110000011110101000010010"  # h(y) for y = 0..31
+    bits = 0
+    for m in range(1 << 10):
+        x, y = m & 31, m >> 5
+        bits |= ((x & y).bit_count() & 1 ^ int(h[y])) << m
+    f = TruthTable(10, bits)
+    t = NPTransformation((9, 3, 8, 4, 2, 6, 1, 5, 7, 0), (0, 1, 1, 1, 1, 0, 1, 1, 0, 1), True)
+    g = apply_np_transform(f, t)
+    r = match_npn(f, g)
+    assert r.equivalent and apply_np_transform(f, r.witness) == g
+    assert (r.stats.nodes_visited, r.stats.verify_calls) == (10950, 4005)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     FIXTURE.write_text(render([record(*p) for p in corpus()]))
-    print(f"wrote {FIXTURE}")
+    TRACE_FIXTURE.write_text(render([trace_record(*p) for p in traced_corpus()]))
+    print(f"wrote {FIXTURE} and {TRACE_FIXTURE}")

@@ -46,7 +46,15 @@ from cases import (
     TRIO_C,
 )
 from test_boolfn import random_table, random_transform
-from test_golden import _block, _family_pairs, _other_reweighted, _parity, _symmetric, _transform
+from test_golden import (
+    _block,
+    _family_pairs,
+    _other_reweighted,
+    _parity,
+    _symmetric,
+    _transform,
+    maiorana_mcfarland,
+)
 
 
 class RecordingObserver(Observer):
@@ -148,24 +156,6 @@ class TestBuildMappingSets:
             MappingSet(1, ((VarMapping(1, 0, 0),), (VarMapping(1, 1, 0),))),
         ]
         assert select_min_set(sets).subject == 1
-
-
-def maiorana_mcfarland(rng, n, inner=False):
-    """Bent function x . pi(y) xor h(y) of n = 2k inputs, x the low k and y
-    the high k, with pi a random permutation of the k-bit words and h a
-    random function of y; or, when inner, the inner product x . y, where
-    x_i and y_i are symmetric for every i."""
-    k = n // 2
-    pi = list(range(1 << k))
-    h = [0] * (1 << k)
-    if not inner:
-        rng.shuffle(pi)
-        h = [rng.getrandbits(1) for _ in h]
-    bits = 0
-    for m in range(1 << n):
-        x, y = m & ((1 << k) - 1), m >> k
-        bits |= ((x & pi[y]).bit_count() & 1 ^ h[y]) << m
-    return TruthTable(n, bits)
 
 
 class TestWholeClasses:
