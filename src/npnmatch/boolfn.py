@@ -54,8 +54,8 @@ class NPTransformation:
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)):
             raise ValueError("perm is not a permutation")
-        if len(self.input_pol) != n:
-            raise ValueError("input_pol length mismatch")
+        if len(self.input_pol) != n or not set(self.input_pol) <= {0, 1}:
+            raise ValueError(f"input_pol must be {n} entries of 0 or 1, got {self.input_pol}")
 
     @staticmethod
     def identity(n: int) -> "NPTransformation":
@@ -103,6 +103,8 @@ class TruthTable:
         for cube in cover:
             row, seen = full_mask(n), 0
             for v, positive in cube:
+                if not 0 <= v < n:
+                    raise ValueError(f"variable x{v} out of range for n={n}")
                 if seen >> v & 1:
                     raise ValueError(f"duplicate variable x{v} in cube")
                 seen |= 1 << v
@@ -177,6 +179,8 @@ def apply_np_transform(f: TruthTable, t: NPTransformation) -> TruthTable:
 def compose(first: NPTransformation, second: NPTransformation) -> NPTransformation:
     """Transformation t with apply(f, t) = apply(apply(f, first), second)."""
     n = len(first.perm)
+    if len(second.perm) != n:
+        raise ValueError(f"arity mismatch: {n} vs {len(second.perm)}")
     perm = tuple(second.perm[first.perm[i]] for i in range(n))
     pol = tuple(
         1 ^ first.input_pol[i] ^ second.input_pol[first.perm[i]] for i in range(n)

@@ -75,6 +75,16 @@ class TestCofactor:
         with pytest.raises(ValueError):
             TruthTable.from_cover(3, [[(1, True), (1, False)]])
 
+    def test_variable_past_n_rejected(self):
+        # used to give the constant 1: a mask past 2^n bits ANDs to the row
+        with pytest.raises(ValueError, match=r"x5 .*n=3"):
+            TruthTable.from_cover(3, [[(5, False)]])
+
+    def test_negative_variable_rejected(self):
+        # used to fail inside var_mask with "negative shift count"
+        with pytest.raises(ValueError, match=r"x-1 .*n=3"):
+            TruthTable.from_cover(3, [[(-1, True)]])
+
     def test_shannon_recombination(self):
         rng = random.Random(7)
         for n in (1, 3, 5):
@@ -150,6 +160,16 @@ class TestApplyNPTransform:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             apply_np_transform(TRIO_A, NPTransformation.identity(4))
+
+    def test_polarity_other_than_0_or_1_rejected(self):
+        # a 2 used to be applied as a positive literal
+        with pytest.raises(ValueError, match="0 or 1"):
+            NPTransformation((0, 1), (2, 1))
+
+    def test_compose_arity_mismatch(self):
+        # used to return a 2-input transform
+        with pytest.raises(ValueError, match="arity"):
+            compose(NPTransformation.identity(2), NPTransformation.identity(3))
 
 
 def _bits_of(bits, n):
