@@ -137,12 +137,14 @@ class MatchState:
     # first-order pairs of the unrestricted f and g, counted once per match
     root_pairs_f: Optional[list[tuple[int, int]]] = None
     root_pairs_g: Optional[list[tuple[int, int]]] = None
+    # symmetry marks of f and g (signature.symmetry_marks), fixed for the match
+    marks_f: Optional[sig.SymmetryMarks] = None
+    marks_g: Optional[sig.SymmetryMarks] = None
 
     @staticmethod
     def initial(
         f, g, sym_f, sym_g, stats=None, node_cap=None, root_pairs_f=None, root_pairs_g=None
     ) -> "MatchState":
-        n = f.n
         return MatchState(
             f=f,
             g=g,
@@ -150,12 +152,14 @@ class MatchState:
             sym_g=sym_g,
             fc=f,
             gc=g,
-            phase_record_f=[PHASE_UNDETERMINED] * n,
-            phase_record_g=[PHASE_UNDETERMINED] * n,
+            phase_record_f=[PHASE_UNDETERMINED] * f.n,
+            phase_record_g=[PHASE_UNDETERMINED] * f.n,
             stats=stats or SearchStats(),
             node_cap=node_cap,
             root_pairs_f=root_pairs_f,
             root_pairs_g=root_pairs_g,
+            marks_f=sig.symmetry_marks(sym_f, f.n),
+            marks_g=sig.symmetry_marks(sym_g, f.n),
         )
 
     def split_sides(self, m: VarMapping) -> tuple[bool, bool]:
@@ -214,24 +218,21 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     the two first-order cases; candidates contradicting the phase records are
     excluded here (a collision the observer gets to see).
     """
-    vf, vg = state.vf.values, state.vg.values
+    pos_f, neg_f, group_f = state.vf.pos, state.vf.neg, state.vf.group
+    pos_g, neg_g, group_g = state.vg.pos, state.vg.neg, state.vg.group
     rec_f, rec_g = state.phase_record_f, state.phase_record_g
     idf, idg = state.identified_f, state.identified_g
     n = state.f.n
-    in_class_f = {m for cls in state.sym_f for m in cls.members}
-    in_class_g = {m for cls in state.sym_g for m in cls.members}
 
     def pair_pols(i: int, j: int) -> tuple[int, ...]:
         """Polarities k for which i -> j - k passes the group mark, one of the
         first-order cases and the phase records; a case the records rule out
         is reported as a collision."""
-        a, b = vf[i], vg[j]
-        if a.group != b.group:
+        if group_f[i] != group_g[j]:
             return ()
-        pols = ()
-        if a.pos_count == b.pos_count and a.neg_count == b.neg_count:
-            pols = (0,)
-        if a.pos_count == b.neg_count and a.neg_count == b.pos_count:
+        p, q, a, b = pos_f[i], neg_f[i], pos_g[j], neg_g[j]
+        pols = (0,) if p == a and q == b else ()
+        if p == b and q == a:
             pols += (1,)
         rf, rg = rec_f[i], rec_g[j]
         if not pols or rf == PHASE_UNDETERMINED or rg == PHASE_UNDETERMINED:
@@ -245,16 +246,20 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
 
     sets: list[MappingSet] = []
 
+    # free plain variables of g by group; a variable of f meets only its own
+    peers: dict[int, list[int]] = {}
+    skip_g = idg | state.marks_g.members
+    for j in range(n):
+        if not skip_g >> j & 1:
+            peers.setdefault(group_g[j], []).append(j)
+    skip_f = idf | state.marks_f.members
     for i in range(n):
-        if idf >> i & 1 or i in in_class_f:
+        if skip_f >> i & 1:
             continue
-        cands = []
-        for j in range(n):
-            if idg >> j & 1 or j in in_class_g:
-                continue
-            for k in pair_pols(i, j):
-                cands.append((VarMapping(i, j, k),))
-        sets.append(MappingSet(i, tuple(cands)))
+        cands = tuple(
+            (VarMapping(i, j, k),) for j in peers.get(group_f[i], ()) for k in pair_pols(i, j)
+        )
+        sets.append(MappingSet(i, cands))
 
     # a class's members enter no plain set and every class candidate maps
     # all of them, so a class is either wholly identified or wholly free
@@ -275,36 +280,23 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
                 member_pols.append(pols)
             if len(member_pols) < cls_f.size:
                 continue
-            pairs = list(zip(cls_f.members, cls_g.members))
             if cls_f.double and cls_g.double:
                 # jointly negating two members is an invariance of both
                 # functions, so only the polarity parity matters: one
                 # candidate per achievable parity
                 base = [p[0] for p in member_pols]
                 patterns = [base]
-                free = [t for t, p in enumerate(member_pols) if len(p) == 2]
-                if free:
-                    other = base.copy()
-                    other[free[0]] ^= 1
-                    patterns.append(other)
-                for ks in patterns:
-                    cands.append(
-                        tuple(
-                            VarMapping(a, b, k) for (a, b), k in zip(pairs, ks)
-                        )
-                    )
+                free = next((t for t, p in enumerate(member_pols) if len(p) == 2), None)
+                if free is not None:
+                    patterns.append([k ^ (t == free) for t, k in enumerate(base)])
             else:
-                rel_f, rel_g = cls_f.relative_pol, cls_g.relative_pol
+                rel = [a ^ b for a, b in zip(cls_f.relative_pol, cls_g.relative_pol)]
                 base_pols = {0, 1}
-                for t, pols in enumerate(member_pols):
-                    base_pols &= {p ^ rel_f[t] ^ rel_g[t] for p in pols}
-                for base in sorted(base_pols):
-                    cands.append(
-                        tuple(
-                            VarMapping(a, b, base ^ rel_f[t] ^ rel_g[t])
-                            for t, (a, b) in enumerate(pairs)
-                        )
-                    )
+                for r, pols in zip(rel, member_pols):
+                    base_pols &= {p ^ r for p in pols}
+                patterns = [[base ^ r for r in rel] for base in sorted(base_pols)]
+            for ks in patterns:
+                cands.append(tuple(map(VarMapping, cls_f.members, cls_g.members, ks)))
         sets.append(MappingSet(cls_f.first, tuple(cands)))
 
     sets.sort(key=lambda s: s.subject)

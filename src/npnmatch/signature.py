@@ -9,10 +9,9 @@ mappings are ruled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .boolfn import TruthTable
+from .boolfn import MAX_VARS, TruthTable
 from .symmetry import SymmetryClass, first_order_pairs
 
 PHASE_POSITIVE = 0
@@ -33,22 +32,48 @@ class SSValue(NamedTuple):
         return (p, q) if p >= q else (q, p)
 
 
-@dataclass(frozen=True)
+class SymmetryMarks(NamedTuple):
+    size: list[int]  # per variable its class size, -1 outside every class
+    first: list[int]  # per variable its class's first member, -1 outside
+    members: int  # bit mask of the class members
+
+
+def symmetry_marks(sym: Sequence[SymmetryClass], n: int) -> SymmetryMarks:
+    """Marks of the classes sym over n variables, fixed for a match."""
+    size, first = [-1] * n, [-1] * n
+    for cls in sym:
+        for m in cls.members:
+            size[m], first[m] = cls.size, cls.first
+    return SymmetryMarks(size, first, sum(1 << m for cls in sym for m in cls.members))
+
+
 class SSVector:
-    values: tuple[SSValue, ...]
+    """Per-variable lists: cofactor counts pos and neg, group serial and
+    packed canonical pair key, plus the match's symmetry marks. The SSValue
+    views (values, v[i], ==, dump) are built on demand."""
+
+    __slots__ = ("pos", "neg", "group", "key", "marks")
+
+    def __init__(self, pos, neg, group, key, marks):
+        self.pos, self.neg, self.group, self.key, self.marks = pos, neg, group, key, marks
+
+    @property
+    def values(self) -> tuple[SSValue, ...]:
+        m = self.marks
+        return tuple(map(SSValue, self.pos, self.neg, m.size, m.first, self.group))
 
     def __len__(self):
-        return len(self.values)
+        return len(self.pos)
 
     def __getitem__(self, i) -> SSValue:
         return self.values[i]
 
+    def __eq__(self, other):
+        return isinstance(other, SSVector) and self.values == other.values
+
     def dump(self) -> str:
         """Debug rendering: one (pos, neg, symSize, symFirst, group) per variable."""
-        return "{" + ",".join(
-            f"({v.pos_count}, {v.neg_count}, {v.sym_size}, {v.sym_first}, {v.group})"
-            for v in self.values
-        ) + "}"
+        return "{" + ",".join(str(tuple(v)) for v in self.values) + "}"
 
 
 def dump_first_order(pairs: Sequence[tuple[int, int]]) -> str:
@@ -78,62 +103,47 @@ def compute_ss_vector(
     pairs, when given, are f's first-order pairs (the matcher passes the
     root pairs it already counted); the count pass is then skipped.
     """
-    n = f.n
+    return _vector(f, identified, prev, pairs, symmetry_marks(sym, f.n))
+
+
+def _vector(f, identified, prev, pairs, marks) -> SSVector:
     if pairs is None:
         pairs = first_order_pairs(f, identified)
-    else:
-        pairs = [(0, 0) if identified >> i & 1 else pairs[i] for i in range(n)]
+    elif identified:
+        pairs = [(0, 0) if identified >> i & 1 else pq for i, pq in enumerate(pairs)]
+    # the canonical pair (max, min) packed as max << MAX_VARS | min orders
+    # like the tuple: a count never exceeds 2^(MAX_VARS - 1)
+    key = [p << MAX_VARS | q if p >= q else q << MAX_VARS | p for p, q in pairs]
+    # a first vector refines one group that holds every variable
+    old, skip = (prev.group, identified) if prev is not None else ([0] * len(key), 0)
+    group = _refine(old, key, skip)
+    return SSVector([p for p, _ in pairs], [q for _, q in pairs], group, key, marks)
 
-    sym_size = [-1] * n
-    sym_first = [-1] * n
-    for cls in sym:
-        for m in cls.members:
-            sym_size[m] = cls.size
-            sym_first[m] = cls.first
 
-    canon = [(max(p, q), min(p, q)) for p, q in pairs]
-    group = [0] * n
-    if prev is None:
-        order = sorted({canon[i] for i in range(n)}, reverse=True)
-        rank = {key: g for g, key in enumerate(order)}
-        for i in range(n):
-            group[i] = rank[canon[i]]
-    else:
-        next_id = max((v.group for v in prev.values), default=-1) + 1
-        old_groups: dict[int, list[int]] = {}
-        for i in range(n):
-            if identified >> i & 1:
-                group[i] = prev[i].group
-            else:
-                old_groups.setdefault(prev[i].group, []).append(i)
-        for gid in sorted(old_groups):
-            members = old_groups[gid]
-            keys = sorted({canon[i] for i in members}, reverse=True)
-            assign = {keys[0]: gid}
-            for key in keys[1:]:
-                assign[key] = next_id
-                next_id += 1
-            for i in members:
-                group[i] = assign[canon[i]]
-
-    values = tuple(
-        SSValue(pairs[i][0], pairs[i][1], sym_size[i], sym_first[i], group[i])
-        for i in range(n)
-    )
-    return SSVector(values)
+def _refine(old: list[int], key: list[int], skip: int) -> list[int]:
+    """old with each group split by the keys of its members outside skip
+    (see compute_ss_vector); old itself when no group splits."""
+    # distinct (group, -key) pairs: groups in ascending serial order, each
+    # group's keys in descending order
+    splits = sorted({(g, -key[i]) for i, g in enumerate(old) if not skip >> i & 1})
+    top = fresh = max(old, default=0) + 1
+    serial, last = {}, None
+    for g, k in splits:
+        if g == last:
+            serial[g, k], fresh = fresh, fresh + 1
+        else:
+            serial[g, k] = last = g
+    if fresh == top:
+        return old
+    return [g if skip >> i & 1 else serial[g, -key[i]] for i, g in enumerate(old)]
 
 
 def determine_phases(v: SSVector) -> list[int]:
     """Three-way phase per variable, from its first-order value."""
-    phases = []
-    for val in v.values:
-        if val.pos_count > val.neg_count:
-            phases.append(PHASE_POSITIVE)
-        elif val.pos_count < val.neg_count:
-            phases.append(PHASE_NEGATIVE)
-        else:
-            phases.append(PHASE_UNDETERMINED)
-    return phases
+    return [
+        PHASE_POSITIVE if p > q else PHASE_NEGATIVE if p < q else PHASE_UNDETERMINED
+        for p, q in zip(v.pos, v.neg)
+    ]
 
 
 def vectors_compatible(
@@ -151,11 +161,8 @@ def vectors_compatible(
         raise ValueError("arity mismatch")
 
     def profile(v: SSVector, identified: int):
-        live: dict[int, list] = {}
-        for i, val in enumerate(v.values):
-            if not identified >> i & 1:
-                live.setdefault(val.group, []).append((val.canonical, val.sym_size))
-        return {g: sorted(items) for g, items in live.items()}
+        live = zip(v.group, v.key, v.marks.size)
+        return sorted([t for i, t in enumerate(live) if not identified >> i & 1])
 
     return profile(vf, identified_f) == profile(vg, identified_g)
 
@@ -166,24 +173,19 @@ def update(state) -> bool:
     compatibility.
 
     ``state`` carries fc and gc (f and g restricted to the current cubes),
-    symmetry classes, identification masks, vectors, phase records, and
+    symmetry marks, identification masks, vectors, phase records, and
     optionally the root first-order pairs used for the first vectors (see
     the matcher's MatchState).
     """
-    state.vf = compute_ss_vector(
-        state.fc, state.sym_f, state.identified_f, prev=state.vf,
-        pairs=state.root_pairs_f if state.vf is None else None,
-    )
-    state.vg = compute_ss_vector(
-        state.gc, state.sym_g, state.identified_g, prev=state.vg,
-        pairs=state.root_pairs_g if state.vg is None else None,
-    )
+    vf, vg = state.vf, state.vg
+    root_f, root_g = (state.root_pairs_f, state.root_pairs_g) if vf is None else (None, None)
+    state.vf = _vector(state.fc, state.identified_f, vf, root_f, state.marks_f)
+    state.vg = _vector(state.gc, state.identified_g, vg, root_g, state.marks_g)
     for v, identified, record in (
         (state.vf, state.identified_f, state.phase_record_f),
         (state.vg, state.identified_g, state.phase_record_g),
     ):
-        fresh = determine_phases(v)
-        for i, ph in enumerate(fresh):
-            if not identified >> i & 1 and record[i] == PHASE_UNDETERMINED:
-                record[i] = ph
+        for i, (p, q) in enumerate(zip(v.pos, v.neg)):
+            if p != q and record[i] == PHASE_UNDETERMINED and not identified >> i & 1:
+                record[i] = PHASE_POSITIVE if p > q else PHASE_NEGATIVE
     return vectors_compatible(state.vf, state.vg, state.identified_f, state.identified_g)
