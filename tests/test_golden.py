@@ -259,7 +259,7 @@ def maiorana_mcfarland(rng, n, inner=False):
 def _second_order(f):
     """Sorted canonical 2x2 cofactor tables over every input pair. An NP
     transform without output negation permutes the pairs and flips or
-    transposes each table, so NP-equivalent functions of equal weight agree."""
+    transposes each table, so functions related by one agree."""
     n, bits = f.n, f.bits
     tables = []
     for i in range(n):
