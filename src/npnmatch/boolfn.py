@@ -138,16 +138,24 @@ def _negate_var(bits: int, n: int, i: int) -> int:
     return ((bits & var_mask(n, i)) >> shift) | ((bits & low_mask(n, i)) << shift)
 
 
+def _delta_swap(bits: int, d: int, mask: int) -> int:
+    """Exchange the bits under mask with those d places up (Knuth, TAOCP 4A 7.1.3)."""
+    t = ((bits >> d) ^ bits) & mask
+    return bits ^ t ^ (t << d)
+
+
 def _swap_vars(bits: int, n: int, i: int, j: int) -> int:
-    """Exchange x_i and x_j by one delta swap (Knuth, TAOCP 4A 7.1.3): the
-    minterms with x_j = 1, x_i = 0 trade places with those d positions up."""
+    """Exchange x_i and x_j: minterms with x_j = 1, x_i = 0 trade with x_j = 0, x_i = 1."""
     if i == j:
         return bits
     if i < j:
         i, j = j, i
-    d = (1 << i) - (1 << j)
-    t = ((bits >> d) ^ bits) & var_mask(n, j) & low_mask(n, i)
-    return bits ^ t ^ (t << d)
+    return _delta_swap(bits, (1 << i) - (1 << j), var_mask(n, j) & low_mask(n, i))
+
+
+def _antiswap_vars(bits: int, n: int, i: int, j: int) -> int:
+    """Exchange x_i and x_j, negating both: x_i = x_j = 0 trades with x_i = x_j = 1."""
+    return _delta_swap(bits, (1 << i) + (1 << j), low_mask(n, i) & low_mask(n, j))
 
 
 def apply_np_transform(f: TruthTable, t: NPTransformation) -> TruthTable:
@@ -160,17 +168,19 @@ def apply_np_transform(f: TruthTable, t: NPTransformation) -> TruthTable:
     if len(t.perm) != n:
         raise ValueError(f"permutation length {len(t.perm)} != n={n}")
     bits = f.bits
-    # h(m) = f(a) with a_i = m[perm[i]] xor (1 - pol[i]): first fold the
-    # negations into f, then relabel variable i of the result as perm[i].
-    for i in range(n):
-        if t.input_pol[i] == 0:
-            bits = _negate_var(bits, n, i)
-    perm = list(t.perm)
+    # h(m) = b(a), a_k = m[perm[k]] xor neg[k], from b = f and neg[k] = 1 - pol[k].
+    # A cycle is walked from its smallest slot i, and each swap settles slot j.
+    # An anti-swap toggles both flags: it clears the flag moving into j, and
+    # slot i keeps the cycle's negation parity, negated once when i settles.
+    perm, neg = list(t.perm), [1 - p for p in t.input_pol]
     for i in range(n):
         while perm[i] != i:
             j = perm[i]
-            bits = _swap_vars(bits, n, i, j)
-            perm[i], perm[j] = perm[j], perm[i]
+            bits = (_antiswap_vars if neg[i] else _swap_vars)(bits, n, i, j)
+            neg[i], neg[j] = neg[i] ^ neg[j], 0
+            perm[i], perm[j] = perm[j], j
+        if neg[i]:
+            bits = _negate_var(bits, n, i)
     if t.output_negated:
         bits ^= full_mask(n)
     return TruthTable(n, bits)

@@ -17,8 +17,9 @@ from .boolfn import (
     TruthTable,
     apply_np_transform,
     count_minterms,
-    equal,
     full_mask,
+    low_mask,
+    var_mask,
 )
 
 EXHAUSTIVE_MAX_VARS = 8
@@ -51,15 +52,25 @@ def exhaustive_match(f: TruthTable, g: TruthTable) -> Optional[NPTransformation]
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
     if f.n > EXHAUSTIVE_MAX_VARS:
         raise ValueError(f"n={f.n} exceeds brute-force budget (n <= {EXHAUSTIVE_MAX_VARS})")
+    n, cf = f.n, count_minterms(f)
     # an input transform keeps the minterm count and an output negation
     # complements it, so the counts rule out one output polarity or both
-    cf, cg = count_minterms(f), count_minterms(g)
-    outputs = {neg for neg, target in ((False, cg), (True, (1 << f.n) - cg)) if cf == target}
-    if not outputs:
+    images = ((False, g.bits), (True, g.bits ^ full_mask(n)))
+    targets = {h: neg for neg, h in images if h.bit_count() == cf}
+    if not targets:
         return None
-    for t in all_transformations(f.n):
-        if t.output_negated in outputs and equal(apply_np_transform(f, t), g):
-            return t
+    # Per permutation, walk the polarities in reference order on one image:
+    # from pol_bits - 1 to pol_bits the inputs up to its lowest set bit
+    # flip, and flipping input i negates variable perm[i] of the image.
+    for perm in itertools.permutations(range(n)):
+        bits = apply_np_transform(f, NPTransformation(perm, (0,) * n)).bits
+        flips = [(var_mask(n, k), low_mask(n, k), 1 << k) for k in perm]
+        for pol_bits in range(1 << n):
+            for hi, lo, shift in flips[: (pol_bits & -pol_bits).bit_length()]:
+                bits = (bits & hi) >> shift | (bits & lo) << shift
+            if bits in targets:
+                pol = tuple((pol_bits >> i) & 1 for i in range(n))
+                return NPTransformation(perm, pol, targets[bits])
     return None
 
 

@@ -71,13 +71,17 @@ def symmetry_flags(f: TruthTable, i: int, j: int) -> tuple[bool, bool]:
     return identical, opposite
 
 
-# Variables below this one are counted by masked popcounts over the folded
-# planes (2^14 bits each). Measured per function on a 2-vCPU Xeon, Python
-# 3.11: at n = 20, stops of 11 to 14 take 0.72-0.83 ms (15 and 16 more)
-# against 3.5 ms for one full-width popcount per variable; at n = 14 a fold
-# is slower than none (0.062 ms with a stop of 12 against 0.051 ms), so
-# every table with n <= 14 keeps the plain loop.
-_FOLD_STOP = 14
+# Tables above _FOLD_ABOVE inputs fold down to _FOLD_STOP inputs; the
+# variables below the stop are counted by masked popcounts over the folded
+# planes. Median us per function over 21 interleaved rounds, 2-vCPU Xeon,
+# Python 3.11 (with no fold: 20 us at n = 12, 29 us at n = 14):
+#   n          12   14   15   16   18   20    22
+#   stop 10    29   34   37   51  110  302  1628
+#   stop 11              36   56  113  304  1610
+#   stop 12              42   57  118  315  1606
+#   stop 14              47   83  144  351  1686
+_FOLD_ABOVE = 14
+_FOLD_STOP = 10
 
 
 def first_order_pairs(f: TruthTable, skip: int = 0) -> list[tuple[int, int]]:
@@ -93,7 +97,8 @@ def first_order_pairs(f: TruthTable, skip: int = 0) -> list[tuple[int, int]]:
     n = f.n
     pos = [0] * n
     planes = [f.bits]
-    for v in range(n - 1, _FOLD_STOP - 1, -1):
+    width = _FOLD_STOP if n > _FOLD_ABOVE else n
+    for v in range(n - 1, width - 1, -1):
         shift, low = 1 << v, full_mask(v)
         folded, carry = [], 0
         for b, p in enumerate(planes):
@@ -107,7 +112,6 @@ def first_order_pairs(f: TruthTable, skip: int = 0) -> list[tuple[int, int]]:
         if carry:
             folded.append(carry)
         planes = folded
-    width = min(n, _FOLD_STOP)
     live = [i for i in range(width) if not skip >> i & 1]
     total = 0
     for b, p in enumerate(planes):

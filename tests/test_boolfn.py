@@ -5,6 +5,7 @@ import pytest
 from npnmatch.boolfn import (
     NPTransformation,
     TruthTable,
+    _antiswap_vars,
     _negate_var,
     _swap_vars,
     apply_np_transform,
@@ -16,6 +17,7 @@ from npnmatch.boolfn import (
     negate,
     var_mask,
 )
+from npnmatch.oracle import all_transformations
 from npnmatch.signature import compute_ss_vector
 from npnmatch.symmetry import build_symmetry_classes, complement_pairs, first_order_pairs
 
@@ -138,6 +140,29 @@ class TestApplyNPTransform:
                 t = random_transform(rng, n)
                 assert apply_np_transform(f, t) == brute_apply(f, t)
 
+    def test_every_transform_n4(self):
+        # 24 permutations x 16 polarities x 2 outputs: every cycle type, each
+        # with odd and even negation parity, and negated fixed points
+        rng = random.Random(17)
+        f = random_table(rng, 4)
+        for t in all_transformations(4):
+            assert apply_np_transform(f, t) == brute_apply(f, t), t
+
+    def test_n20_round_trip_compose_and_sampled_minterms(self):
+        rng = random.Random(19)
+        n = 20
+        f = random_table(rng, n)
+        ts = [random_transform(rng, n) for _ in range(3)]
+        for t in ts:
+            h = apply_np_transform(f, t)
+            assert apply_np_transform(h, t.inverse()) == f
+            for m in (rng.getrandbits(n) for _ in range(64)):
+                a = sum(((m >> t.perm[i] & 1) ^ 1 ^ t.input_pol[i]) << i for i in range(n))
+                assert h.evaluate(m) == f.evaluate(a) ^ t.output_negated, (t, m)
+        for t1, t2 in zip(ts, ts[1:]):
+            seq = apply_np_transform(apply_np_transform(f, t1), t2)
+            assert apply_np_transform(f, compose(t1, t2)) == seq
+
     def test_group_action(self):
         rng = random.Random(9)
         for _ in range(12):
@@ -192,6 +217,21 @@ class TestVariableKernels:
                     src = m & ~((1 << i) | (1 << j)) | (bi << j) | (bj << i)
                     assert after[m] == before[src], (i, j, m)
 
+    def test_antiswap_vars_every_pair_n7(self):
+        n = 7
+        rng = random.Random(18)
+        bits = rng.getrandbits(1 << n)
+        before = _bits_of(bits, n)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                after = _bits_of(_antiswap_vars(bits, n, i, j), n)
+                for m in range(1 << n):
+                    bi, bj = (m >> i) & 1, (m >> j) & 1
+                    src = m & ~((1 << i) | (1 << j)) | ((bi ^ 1) << j) | ((bj ^ 1) << i)
+                    assert after[m] == before[src], (i, j, m)
+
     def test_negate_var_every_variable_n7(self):
         n = 7
         rng = random.Random(12)
@@ -224,11 +264,11 @@ class TestRootFirstOrderPairs:
                 assert compute_ss_vector(f, sym, pairs=pairs) == compute_ss_vector(f, sym)
 
     def test_fold_matches_masked_popcount(self):
-        # n = 15..18 take the bit-sliced fold; constant 1 carries into a
+        # n = 15..20 take the bit-sliced fold; constant 1 carries into a
         # new plane at every fold level
         rng = random.Random(15)
         skips = random.Random(16)  # own stream: the tables stay as they were
-        for n in range(0, 19):
+        for n in range(0, 21):
             vacuous = rng.getrandbits(1 << max(n - 3, 0))
             for v in range(max(n - 3, 0), n):
                 vacuous |= vacuous << (1 << v)

@@ -68,6 +68,20 @@ class TestExhaustiveMatch:
             f = random_table(rng, 3)
             g = apply_np_transform(f, random_transform(rng, 3)) if k % 2 else random_table(rng, 3)
             pairs.append((f, g))
+        # n = 4, 5: balanced pairs (both outputs pass the count filter),
+        # pairs matched only through the negated output, non-equivalent ones
+        for n in (4, 5):
+            for seed in range(3):
+                f = random_function(n, "type2", 100 * n + seed)
+                t = random_transform(rng, n)
+                pairs.append((f, apply_np_transform(f, t)))
+                pairs.append((f, negate(apply_np_transform(f, t))))
+                pairs.append((f, random_function(n, "type2", 100 * n + seed + 50)))
+                f = random_table(rng, n)
+                while 2 * count_minterms(f) == 1 << n:
+                    f = random_table(rng, n)
+                pairs.append((f, negate(apply_np_transform(f, random_transform(rng, n, False)))))
+                pairs.append((f, random_table(rng, n)))
         for f, g in pairs:
             assert exhaustive_match(f, g) == plain_scan(f, g), (f, g)
 
