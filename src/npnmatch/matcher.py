@@ -1,7 +1,8 @@
 """Transformation search: mapping sets, pruned DFS, and top-level matching.
 
-The search maintains a pair of cube-restricted functions, their structural
-signature vectors, and an ordered mapping list (one tree branch) whose first
+The search keeps one Side per function (its table restricted to the
+current cube, its structural signature vector, identified variables and
+phase record) and an ordered mapping list (one tree branch) whose first
 `splits` mappings define the cubes. Each recursion either commits every
 forced (singleton) mapping set, or branches over the smallest multiple set.
 Branches are pruned on vector incompatibility and on phase collisions. A
@@ -25,7 +26,7 @@ from .boolfn import (
     negate,
     var_mask,
 )
-from .signature import PHASE_NEGATIVE, PHASE_UNDETERMINED, SSVector
+from .signature import PHASE_NEGATIVE, PHASE_UNDETERMINED
 from .symmetry import (
     SymmetryClass,
     build_symmetry_classes,
@@ -107,69 +108,60 @@ class Observer:
 _NULL_OBSERVER = Observer()
 
 
+class Side:
+    """One function of a match. Fixed for the match: its table, symmetry
+    classes, their marks (signature.symmetry_marks) and its root first-order
+    pairs. Per node: the table restricted to the current cube, its SS vector
+    v, the identified bit mask and the phase record."""
+
+    __slots__ = (
+        "table", "sym", "marks", "root_pairs", "restricted", "v", "identified", "phase_record"
+    )
+
+    def __init__(self, table: TruthTable, sym: Sequence[SymmetryClass], root_pairs):
+        self.table, self.sym, self.root_pairs = table, sym, root_pairs
+        self.marks = sig.symmetry_marks(sym, table.n)
+        self.restricted, self.v, self.identified = table, None, 0
+        self.phase_record = [PHASE_UNDETERMINED] * table.n
+
+    def save(self):
+        return self.restricted, self.v, self.identified, tuple(self.phase_record)
+
+    def load(self, saved) -> None:
+        self.restricted, self.v, self.identified, record = saved
+        self.phase_record[:] = record
+
+    def narrow(self, i: int, positive: bool) -> None:
+        """Restrict to the literal x_i (positive) or ~x_i."""
+        n = self.table.n
+        cut = var_mask(n, i) if positive else low_mask(n, i)
+        self.restricted = TruthTable(n, self.restricted.bits & cut)
+
+
 @dataclass
 class MatchState:
-    """Live state of one transformation search.
+    """Live state of one transformation search: a Side for f and one for g.
 
-    fc and gc are f and g restricted to the current cubes; the cubes
-    themselves are the Shannon splits on map_list[:splits] (see cubes()).
-    The split that completes the map list leaves fc and gc as they are,
-    because the node below it only verifies. identified_f and identified_g
-    are bit masks over the variables.
+    The sides are restricted to the Shannon splits on map_list[:splits]
+    (see cubes()). The split that completes the map list leaves them as
+    they are, because the node below it only verifies.
     """
 
-    f: TruthTable
-    g: TruthTable
-    sym_f: Sequence[SymmetryClass]
-    sym_g: Sequence[SymmetryClass]
-    fc: TruthTable
-    gc: TruthTable
-    vf: Optional[SSVector] = None
-    vg: Optional[SSVector] = None
-    identified_f: int = 0
-    identified_g: int = 0
-    phase_record_f: list[int] = field(default_factory=list)
-    phase_record_g: list[int] = field(default_factory=list)
+    f: Side
+    g: Side
     map_list: list[VarMapping] = field(default_factory=list)
     splits: int = 0
     stats: SearchStats = field(default_factory=SearchStats)
     node_cap: Optional[int] = None
-    # first-order pairs of the unrestricted f and g, counted once per match
-    root_pairs_f: Optional[list[tuple[int, int]]] = None
-    root_pairs_g: Optional[list[tuple[int, int]]] = None
-    # symmetry marks of f and g (signature.symmetry_marks), fixed for the match
-    marks_f: Optional[sig.SymmetryMarks] = None
-    marks_g: Optional[sig.SymmetryMarks] = None
-
-    @staticmethod
-    def initial(
-        f, g, sym_f, sym_g, stats=None, node_cap=None, root_pairs_f=None, root_pairs_g=None
-    ) -> "MatchState":
-        return MatchState(
-            f=f,
-            g=g,
-            sym_f=sym_f,
-            sym_g=sym_g,
-            fc=f,
-            gc=g,
-            phase_record_f=[PHASE_UNDETERMINED] * f.n,
-            phase_record_g=[PHASE_UNDETERMINED] * f.n,
-            stats=stats or SearchStats(),
-            node_cap=node_cap,
-            root_pairs_f=root_pairs_f,
-            root_pairs_g=root_pairs_g,
-            marks_f=sig.symmetry_marks(sym_f, f.n),
-            marks_g=sig.symmetry_marks(sym_g, f.n),
-        )
 
     def split_sides(self, m: VarMapping) -> tuple[bool, bool]:
         """Literal phases of the split on m: f's variable takes its recorded
         phase (positive when undetermined), g's follows m's polarity."""
-        side_f = self.phase_record_f[m.frm] != PHASE_NEGATIVE
+        side_f = self.f.phase_record[m.frm] != PHASE_NEGATIVE
         return side_f, side_f ^ (m.pol == 1)
 
     def cubes(self) -> tuple[str, str]:
-        """The cubes that fc and gc are restricted to, for display: x2~x0
+        """The cubes that the sides are restricted to, for display: x2~x0
         style, "true" when empty."""
         cube_f, cube_g = "", ""
         for m in self.map_list[: self.splits]:
@@ -180,34 +172,12 @@ class MatchState:
 
     def snapshot(self):
         # map_list only grows between a snapshot and its restore
-        return (
-            self.fc,
-            self.gc,
-            self.vf,
-            self.vg,
-            self.identified_f,
-            self.identified_g,
-            tuple(self.phase_record_f),
-            tuple(self.phase_record_g),
-            len(self.map_list),
-            self.splits,
-        )
+        return self.f.save(), self.g.save(), len(self.map_list), self.splits
 
     def restore(self, snap):
-        (
-            self.fc,
-            self.gc,
-            self.vf,
-            self.vg,
-            self.identified_f,
-            self.identified_g,
-            prf,
-            prg,
-            length,
-            self.splits,
-        ) = snap
-        self.phase_record_f[:] = prf
-        self.phase_record_g[:] = prg
+        saved_f, saved_g, length, self.splits = snap
+        self.f.load(saved_f)
+        self.g.load(saved_g)
         del self.map_list[length:]
 
 
@@ -218,11 +188,12 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     the two first-order cases; candidates contradicting the phase records are
     excluded here (a collision the observer gets to see).
     """
-    pos_f, neg_f, group_f = state.vf.pos, state.vf.neg, state.vf.group
-    pos_g, neg_g, group_g = state.vg.pos, state.vg.neg, state.vg.group
-    rec_f, rec_g = state.phase_record_f, state.phase_record_g
-    idf, idg = state.identified_f, state.identified_g
-    n = state.f.n
+    f, g = state.f, state.g
+    pos_f, neg_f, group_f = f.v.pos, f.v.neg, f.v.group
+    pos_g, neg_g, group_g = g.v.pos, g.v.neg, g.v.group
+    rec_f, rec_g = f.phase_record, g.phase_record
+    idf, idg = f.identified, g.identified
+    n = f.table.n
 
     def pair_pols(i: int, j: int) -> tuple[int, ...]:
         """Polarities k for which i -> j - k passes the group mark, one of the
@@ -248,11 +219,11 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
 
     # free plain variables of g by group; a variable of f meets only its own
     peers: dict[int, list[int]] = {}
-    skip_g = idg | state.marks_g.members
+    skip_g = idg | g.marks.members
     for j in range(n):
         if not skip_g >> j & 1:
             peers.setdefault(group_g[j], []).append(j)
-    skip_f = idf | state.marks_f.members
+    skip_f = idf | f.marks.members
     for i in range(n):
         if skip_f >> i & 1:
             continue
@@ -263,9 +234,9 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
 
     # a class's members enter no plain set and every class candidate maps
     # all of them, so a class is either wholly identified or wholly free
-    free_g = [cls for cls in state.sym_g if not idg >> cls.first & 1]
+    free_g = [cls for cls in g.sym if not idg >> cls.first & 1]
 
-    for cls_f in state.sym_f:
+    for cls_f in f.sym:
         if idf >> cls_f.first & 1:
             continue
         cands = []
@@ -312,25 +283,20 @@ def select_min_set(sets: Sequence[MappingSet]) -> MappingSet:
 
 def commit_mapping(state: MatchState, m: VarMapping) -> None:
     state.map_list.append(m)
-    state.identified_f |= 1 << m.frm
-    state.identified_g |= 1 << m.to
+    state.f.identified |= 1 << m.frm
+    state.g.identified |= 1 << m.to
 
 
 def extend_cubes(state: MatchState) -> None:
-    """Shannon-split on the oldest committed mapping not yet used: narrow fc
-    and gc by one literal each."""
+    """Shannon-split on the oldest committed mapping not yet used: narrow
+    each side by one literal."""
     m = state.map_list[state.splits]
     state.splits += 1
-    n = state.f.n
-    if len(state.map_list) == n:
+    if len(state.map_list) == state.f.table.n:
         return  # the node below only verifies and reads neither table
     side_f, side_g = state.split_sides(m)
-    state.fc = TruthTable(
-        n, state.fc.bits & (var_mask(n, m.frm) if side_f else low_mask(n, m.frm))
-    )
-    state.gc = TruthTable(
-        n, state.gc.bits & (var_mask(n, m.to) if side_g else low_mask(n, m.to))
-    )
+    state.f.narrow(m.frm, side_f)
+    state.g.narrow(m.to, side_g)
 
 
 def transformation_from_map_list(
@@ -368,11 +334,10 @@ def detect(
     if state.node_cap is not None and state.stats.nodes_visited > state.node_cap:
         raise BudgetExceededError(state.stats.nodes_visited)
 
-    n = state.f.n
-    if len(state.map_list) == n:
+    if len(state.map_list) == state.f.table.n:
         state.stats.verify_calls += 1
         branch = tuple(state.map_list)
-        ok = verify(state.f, state.g, branch)
+        ok = verify(state.f.table, state.g.table, branch)
         observer.on_complete(branch, ok)
         if collect_all is not None:
             collect_all.append((branch, ok))
@@ -404,7 +369,7 @@ def detect(
                 observer.on_branch(chosen, cand)
             for m in cand:
                 # two forced subjects can claim the same variable of g
-                if state.identified_g >> m.to & 1:
+                if state.g.identified >> m.to & 1:
                     break
                 commit_mapping(state, m)
                 observer.on_commit(m)
@@ -444,7 +409,7 @@ class MatchResult:
         return f"T = {{{body}}}; output={out}"
 
 
-def _arm_states(f: TruthTable, g: TruthTable, stats=None, node_cap=None):
+def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None):
     """Yield (output_negated, fresh MatchState) for each output polarity the
     zeroth-order counts allow: against g when |f| = |g|, against its
     complement when |f| = 2^n - |g| (both for balanced functions).
@@ -470,9 +435,8 @@ def _arm_states(f: TruthTable, g: TruthTable, stats=None, node_cap=None):
             target, target_pairs = negate(g), complement_pairs(pairs_g, n)
         else:
             target, target_pairs = g, pairs_g
-        yield output_negated, MatchState.initial(
-            f, target, sym_f, sym_g, stats, node_cap, pairs_f, target_pairs
-        )
+        sides = Side(f, sym_f, pairs_f), Side(target, sym_g, target_pairs)
+        yield output_negated, MatchState(*sides, stats=stats, node_cap=node_cap)
 
 
 def match_npn(
@@ -502,7 +466,7 @@ def enumerate_complete_transformations(
     """Exhaust the search tree; each entry is (map_list, output_negated,
     verified). Diagnostic companion to match_npn."""
     out = []
-    for output_negated, state in _arm_states(f, g):
+    for output_negated, state in _arm_states(f, g, SearchStats()):
         collected: list = []
         detect(state, collect_all=collected)
         out.extend((ml, output_negated, ok) for ml, ok in collected)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .boolfn import (
+    MAX_VARS,
     NPTransformation,
     TruthTable,
     apply_np_transform,
@@ -108,15 +109,23 @@ def enumerate_npn_classes(n: int) -> NPNClasses:
     return NPNClasses(n, tuple(reps), tuple(canonical))
 
 
+def _check_draw(n: int, kind: str) -> None:
+    if kind not in KIND_ALIASES:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not 0 <= n <= MAX_VARS:
+        raise ValueError(f"n={n} out of range [0, {MAX_VARS}]")
+
+
 def _random_table(rng: random.Random, n: int, kind: str) -> TruthTable:
     kind = KIND_ALIASES[kind]
     size = 1 << n
     if kind == KIND_TYPE1:
         return TruthTable(n, rng.getrandbits(size) & full_mask(n))
-    bits = 0
+    # one byte per 8 minterms: OR-ing bits into a growing int is quadratic
+    buf = bytearray((size + 7) // 8)
     for m in rng.sample(range(size), size // 2):
-        bits |= 1 << m
-    return TruthTable(n, bits)
+        buf[m >> 3] |= 1 << (m & 7)
+    return TruthTable(n, int.from_bytes(buf, "little"))
 
 
 def _random_np_transform(rng: random.Random, n: int) -> NPTransformation:
@@ -129,8 +138,7 @@ def _random_np_transform(rng: random.Random, n: int) -> NPTransformation:
 def random_function(n: int, kind: str, seed: int) -> TruthTable:
     """type1_random: each minterm present with probability 1/2.
     type2_balanced: exactly 2^(n-1) minterms, uniformly chosen."""
-    if kind not in KIND_ALIASES:
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_draw(n, kind)
     return _random_table(random.Random(seed), n, kind)
 
 
@@ -138,8 +146,7 @@ def random_equivalent_pair(
     n: int, kind: str, seed: int
 ) -> tuple[TruthTable, TruthTable, NPTransformation]:
     """(f, g, t_hidden) with g = f transformed by a random t_hidden."""
-    if kind not in KIND_ALIASES:
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_draw(n, kind)
     rng = random.Random(seed)
     f = _random_table(rng, n, kind)
     t_hidden = _random_np_transform(rng, n)

@@ -168,24 +168,19 @@ def vectors_compatible(
 
 
 def update(state) -> bool:
-    """Recompute both SS vectors of the cube-restricted functions, refresh
-    phases and first-determination records, and report cross-function
-    compatibility.
+    """Recompute the SS vector of each side's cube-restricted table, record
+    first-determined phases, and report cross-function compatibility.
 
-    ``state`` carries fc and gc (f and g restricted to the current cubes),
-    symmetry marks, identification masks, vectors, phase records, and
-    optionally the root first-order pairs used for the first vectors (see
-    the matcher's MatchState).
+    ``state`` carries two sides f and g (see the matcher's Side): each holds
+    its restricted table, symmetry marks, identified mask, vector, phase
+    record, and the root first-order pairs used for its first vector.
     """
-    vf, vg = state.vf, state.vg
-    root_f, root_g = (state.root_pairs_f, state.root_pairs_g) if vf is None else (None, None)
-    state.vf = _vector(state.fc, state.identified_f, vf, root_f, state.marks_f)
-    state.vg = _vector(state.gc, state.identified_g, vg, root_g, state.marks_g)
-    for v, identified, record in (
-        (state.vf, state.identified_f, state.phase_record_f),
-        (state.vg, state.identified_g, state.phase_record_g),
-    ):
+    for side in (state.f, state.g):
+        root = side.root_pairs if side.v is None else None
+        side.v = v = _vector(side.restricted, side.identified, side.v, root, side.marks)
+        record = side.phase_record
+        # identified variables read (0, 0), so p != q leaves them alone
         for i, (p, q) in enumerate(zip(v.pos, v.neg)):
-            if p != q and record[i] == PHASE_UNDETERMINED and not identified >> i & 1:
+            if p != q and record[i] == PHASE_UNDETERMINED:
                 record[i] = PHASE_POSITIVE if p > q else PHASE_NEGATIVE
-    return vectors_compatible(state.vf, state.vg, state.identified_f, state.identified_g)
+    return vectors_compatible(state.f.v, state.g.v, state.f.identified, state.g.identified)

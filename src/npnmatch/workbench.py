@@ -63,6 +63,8 @@ def _parse_hex(lines: list[tuple[int, str]]) -> TruthTable:
             raise ParseError(f"expected key=value, got {line!r}", no)
         key, _, value = line.partition("=")
         key = key.strip()
+        if key not in ("vars", "tt"):
+            raise ParseError(f"unknown key {key!r}", no)
         if key in fields:
             raise ParseError(f"repeated {key}= line", no)
         # column of the value's first character
@@ -175,8 +177,8 @@ class TraceObserver(Observer):
         print(f"-- detecting against {which} target --", file=self.out)
 
     def on_vectors(self, depth, state):
-        print(f"[{depth}] V_f={state.vf.dump()}", file=self.out)
-        print(f"[{depth}] V_g={state.vg.dump()}", file=self.out)
+        print(f"[{depth}] V_f={state.f.v.dump()}", file=self.out)
+        print(f"[{depth}] V_g={state.g.v.dump()}", file=self.out)
 
     def on_incompatible(self, depth, state):
         print(f"[{depth}] vectors incompatible; prune", file=self.out)

@@ -16,6 +16,7 @@ from npnmatch.matcher import (
     MappingSet,
     MatchState,
     Observer,
+    Side,
     VarMapping,
     Verdict,
     build_mapping_sets,
@@ -30,7 +31,7 @@ from npnmatch.matcher import (
 )
 from npnmatch.oracle import exhaustive_match
 from npnmatch.signature import update
-from npnmatch.symmetry import build_symmetry_classes
+from npnmatch.symmetry import build_symmetry_classes, first_order_pairs
 
 from cases import (
     CASE3_F,
@@ -67,7 +68,7 @@ class RecordingObserver(Observer):
         self.events.append(("arm", output_negated))
 
     def on_vectors(self, depth, state):
-        self.events.append(("vec", depth, state.vf.dump(), state.vg.dump()))
+        self.events.append(("vec", depth, state.f.v.dump(), state.g.v.dump()))
 
     def on_incompatible(self, depth, state):
         self.events.append(("incompatible", depth))
@@ -95,7 +96,7 @@ class RecordingObserver(Observer):
 def fresh_state(f, g, ignore_symmetry=False):
     sym_f = [] if ignore_symmetry else build_symmetry_classes(f)
     sym_g = [] if ignore_symmetry else build_symmetry_classes(g)
-    return MatchState.initial(f, g, sym_f, sym_g)
+    return MatchState(Side(f, sym_f, first_order_pairs(f)), Side(g, sym_g, first_order_pairs(g)))
 
 
 def candidates_of(sets, subject):
@@ -170,8 +171,8 @@ class TestWholeClasses:
         def on_vectors(self, depth, state):
             self.nodes += 1
             for classes, identified in (
-                (state.sym_f, state.identified_f),
-                (state.sym_g, state.identified_g),
+                (state.f.sym, state.f.identified),
+                (state.g.sym, state.g.identified),
             ):
                 for cls in classes:
                     hits = sum(identified >> m & 1 for m in cls.members)
@@ -538,12 +539,12 @@ class TestBacktrackingIntegrity:
             return (
                 list(state.map_list),
                 state.splits,
-                state.fc,
-                state.gc,
-                list(state.phase_record_f),
-                list(state.phase_record_g),
-                state.identified_f,
-                state.identified_g,
+                state.f.restricted,
+                state.g.restricted,
+                list(state.f.phase_record),
+                list(state.g.phase_record),
+                state.f.identified,
+                state.g.identified,
                 tuple(str(c) for c in state.cubes()),
             )
 

@@ -1,9 +1,11 @@
+import hashlib
 import random
 import statistics
 
 import pytest
 
 from npnmatch.boolfn import (
+    MAX_VARS,
     NPTransformation,
     TruthTable,
     apply_np_transform,
@@ -19,6 +21,7 @@ from npnmatch.oracle import (
     random_equivalent_pair,
     random_function,
 )
+from npnmatch.workbench import serialize_function
 
 from cases import CASE3_F, CASE3_G, TRIO_A, TRIO_C
 from test_boolfn import random_table, random_transform
@@ -147,6 +150,33 @@ class TestRandomFunction:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             random_function(5, "type3", 1)
+
+    # checked before drawing: type2 above 22 inputs would build a
+    # 2^(n-1)-element sample before TruthTable could reject the table
+    @pytest.mark.parametrize(
+        "n, kind", [(-1, "type1"), (-1, "type2"), (40, "type1"), (40, "type2"), (23, "type1")]
+    )
+    def test_out_of_range_n_rejected(self, n, kind):
+        with pytest.raises(ValueError, match=rf"n={n} out of range \[0, {MAX_VARS}\]"):
+            random_function(n, kind, 1)
+        with pytest.raises(ValueError, match=rf"n={n} out of range \[0, {MAX_VARS}\]"):
+            random_equivalent_pair(n, kind, 1)
+
+    def test_type2_tables_are_pinned(self):
+        # sha256 of the hex form that `npnmatch gen` prints, so a faster
+        # draw cannot move the generated functions
+        pinned = {
+            (0, 1): "8cf717f707be23c73fdc95edd5e4a394b9d79ab37d918ff414b9f3fedb595273",
+            (1, 2): "d2d7a055a93c9cbdd61f007242a2ac92531351e017c4be3d30a1f4688ec38d2d",
+            (3, 7): "a2be3837d3b2ff292437b790e0ab26271429f521f998e317775d826f07de063c",
+            (6, 11): "a9bc43b04f8731dc878be7d4029f25aed4c80e50dde87206913ae0835b178b25",
+            (10, 3): "10448f0640c8761a067bcd022477526377e36e0ce35994ee7a74686b8dc2fa4a",
+            (16, 5): "ae3a0749b72e52e4c520a26a24d3d4ce1b883317664aed49c92272fd3f819fad",
+            (20, 1): "56847f56e98c27de0d30792f3532fded08115f40c8864eb8f624175b854f0a30",
+        }
+        for (n, seed), digest in pinned.items():
+            text = serialize_function(random_function(n, "type2", seed))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, seed)
 
 
 class TestRandomEquivalentPair:

@@ -166,8 +166,8 @@ class TestVectorsCompatible:
 
             def on_vectors(self, depth, state):
                 self.nodes += 1
-                cf = counts(state.vf, state.identified_f)
-                assert cf == counts(state.vg, state.identified_g), (depth, state.map_list)
+                cf = counts(state.f.v, state.f.identified)
+                assert cf == counts(state.g.v, state.g.identified), (depth, state.map_list)
                 self.identified_nodes += bool(cf)
 
             on_incompatible = on_vectors

@@ -82,6 +82,14 @@ class TestHexFormat:
         with pytest.raises(ParseError, match="variable count"):
             parse_function("vars=x\ntt=0\n")
 
+    @pytest.mark.parametrize(
+        "text, key, line", [("vars=2\ntt=6\nfoo=bar\n", "foo", 3), ("vars=2\n=x\ntt=6\n", "", 2)]
+    )
+    def test_unknown_key(self, text, key, line):
+        with pytest.raises(ParseError, match=f"unknown key {key!r}") as err:
+            parse_function(text)
+        assert err.value.line == line
+
     def test_missing_fields(self):
         with pytest.raises(ParseError, match="missing tt"):
             parse_function("vars=2\n")
