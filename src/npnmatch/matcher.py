@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import starmap
+from typing import NamedTuple, Optional, Sequence
 
 from . import signature as sig
 from .boolfn import (
@@ -43,8 +44,7 @@ class BudgetExceededError(RuntimeError):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class VarMapping:
+class VarMapping(NamedTuple):
     """Correspondence i -> j - k between a variable of f and one of g."""
 
     frm: int
@@ -61,6 +61,9 @@ class MappingSet:
 
     Each candidate is the tuple of variable mappings it would commit
     (a single mapping for plain variables, one per member for classes).
+    build_mapping_sets gives each mapping as a plain (frm, to, pol) triple;
+    the search names them as VarMappings only in the set it branches on and
+    in the forced mappings it commits.
     """
 
     subject: int
@@ -75,6 +78,7 @@ class MappingSet:
 class SearchStats:
     nodes_visited: int = 0
     verify_calls: int = 0
+    vectors_reused: int = 0  # side vectors a node took from a sibling
 
 
 class Observer:
@@ -111,29 +115,37 @@ _NULL_OBSERVER = Observer()
 class Side:
     """One function of a match. Fixed for the match: its table, symmetry
     classes, their marks (signature.symmetry_marks) and its root first-order
-    pairs. Per node: the table restricted to the current cube, its SS vector
-    v, the identified bit mask and the phase record."""
+    pairs. Per node: the current cube as two bit masks (its variables and
+    their values), the table restricted to it, its SS vector v, the
+    identified bit mask and the phase record."""
 
     __slots__ = (
-        "table", "sym", "marks", "root_pairs", "restricted", "v", "identified", "phase_record"
+        "table", "sym", "marks", "root_pairs",
+        "cube_vars", "cube_vals", "restricted", "v", "identified", "phase_record",
     )
 
     def __init__(self, table: TruthTable, sym: Sequence[SymmetryClass], root_pairs):
         self.table, self.sym, self.root_pairs = table, sym, root_pairs
         self.marks = sig.symmetry_marks(sym, table.n)
+        self.cube_vars = self.cube_vals = 0
         self.restricted, self.v, self.identified = table, None, 0
         self.phase_record = [PHASE_UNDETERMINED] * table.n
 
     def save(self):
-        return self.restricted, self.v, self.identified, tuple(self.phase_record)
+        return (
+            self.cube_vars, self.cube_vals, self.restricted, self.v, self.identified,
+            tuple(self.phase_record),
+        )
 
     def load(self, saved) -> None:
-        self.restricted, self.v, self.identified, record = saved
+        self.cube_vars, self.cube_vals, self.restricted, self.v, self.identified, record = saved
         self.phase_record[:] = record
 
     def narrow(self, i: int, positive: bool) -> None:
         """Restrict to the literal x_i (positive) or ~x_i."""
         n = self.table.n
+        self.cube_vars |= 1 << i
+        self.cube_vals |= positive << i
         cut = var_mask(n, i) if positive else low_mask(n, i)
         self.restricted = TruthTable(n, self.restricted.bits & cut)
 
@@ -227,9 +239,7 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     for i in range(n):
         if skip_f >> i & 1:
             continue
-        cands = tuple(
-            (VarMapping(i, j, k),) for j in peers.get(group_f[i], ()) for k in pair_pols(i, j)
-        )
+        cands = tuple(((i, j, k),) for j in peers.get(group_f[i], ()) for k in pair_pols(i, j))
         sets.append(MappingSet(i, cands))
 
     # a class's members enter no plain set and every class candidate maps
@@ -267,7 +277,7 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
                     base_pols &= {p ^ r for p in pols}
                 patterns = [[base ^ r for r in rel] for base in sorted(base_pols)]
             for ks in patterns:
-                cands.append(tuple(map(VarMapping, cls_f.members, cls_g.members, ks)))
+                cands.append(tuple(zip(cls_f.members, cls_g.members, ks)))
         sets.append(MappingSet(cls_f.first, tuple(cands)))
 
     sets.sort(key=lambda s: s.subject)
@@ -279,6 +289,10 @@ def select_min_set(sets: Sequence[MappingSet]) -> MappingSet:
     if not sets:
         raise ValueError("no mapping sets to select from")
     return min(sets, key=lambda s: (s.cardinality, s.subject))
+
+
+def _named(candidate) -> tuple[VarMapping, ...]:
+    return tuple(starmap(VarMapping, candidate))
 
 
 def commit_mapping(state: MatchState, m: VarMapping) -> None:
@@ -345,10 +359,12 @@ def detect(
         return branch if ok else None
 
     snap = state.snapshot()
+    owned = ()
     try:
         if not sig.update(state):
             observer.on_incompatible(_depth, state)
             return None
+        owned = state.f.v, state.g.v
         observer.on_vectors(_depth, state)
 
         sets = build_mapping_sets(state, observer)
@@ -360,9 +376,10 @@ def detect(
             # every forced mapping commits together as the one candidate;
             # nothing follows it, so the entry snapshot serves for its undo
             chosen, inner = None, snap
-            candidates = [tuple(m for s in singles for m in s.candidates[0])]
+            candidates = [_named(m for s in singles for m in s.candidates[0])]
         else:
-            chosen, inner = select_min_set(sets), state.snapshot()
+            best, inner = select_min_set(sets), state.snapshot()
+            chosen = MappingSet(best.subject, tuple(map(_named, best.candidates)))
             candidates = chosen.candidates
         for cand in candidates:
             if chosen is not None:
@@ -382,6 +399,10 @@ def detect(
             state.restore(inner)
         return None
     finally:
+        # the children's vectors stored on this node's ones serve no later
+        # node
+        for v in owned:
+            v.children = None
         state.restore(snap)
 
 

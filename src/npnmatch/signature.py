@@ -50,12 +50,18 @@ def symmetry_marks(sym: Sequence[SymmetryClass], n: int) -> SymmetryMarks:
 class SSVector:
     """Per-variable lists: cofactor counts pos and neg, group serial and
     packed canonical pair key, plus the match's symmetry marks. The SSValue
-    views (values, v[i], ==, dump) are built on demand."""
+    views (values, v[i], ==, dump) are built on demand.
 
-    __slots__ = ("pos", "neg", "group", "key", "marks")
+    children is update's store of the (vector, phase record) pairs already
+    refined from this vector, keyed by (identified, cube variables, cube
+    values); None until a child is refined, and dropped by the search when
+    the node that computed this vector returns."""
+
+    __slots__ = ("pos", "neg", "group", "key", "marks", "children")
 
     def __init__(self, pos, neg, group, key, marks):
         self.pos, self.neg, self.group, self.key, self.marks = pos, neg, group, key, marks
+        self.children = None
 
     @property
     def values(self) -> tuple[SSValue, ...]:
@@ -138,14 +144,6 @@ def _refine(old: list[int], key: list[int], skip: int) -> list[int]:
     return [g if skip >> i & 1 else serial[g, -key[i]] for i, g in enumerate(old)]
 
 
-def determine_phases(v: SSVector) -> list[int]:
-    """Three-way phase per variable, from its first-order value."""
-    return [
-        PHASE_POSITIVE if p > q else PHASE_NEGATIVE if p < q else PHASE_UNDETERMINED
-        for p, q in zip(v.pos, v.neg)
-    ]
-
-
 def vectors_compatible(
     vf: SSVector, vg: SSVector, identified_f: int = 0, identified_g: int = 0
 ) -> bool:
@@ -172,15 +170,37 @@ def update(state) -> bool:
     first-determined phases, and report cross-function compatibility.
 
     ``state`` carries two sides f and g (see the matcher's Side): each holds
-    its restricted table, symmetry marks, identified mask, vector, phase
-    record, and the root first-order pairs used for its first vector.
+    its restricted table and cube, symmetry marks, identified mask, vector,
+    phase record, and the root first-order pairs used for its first vector.
+
+    Below the root, a side's new vector and record depend only on its
+    restricted table (the table and its cube), its identified mask, its
+    previous vector and the record it enters with. The siblings below a
+    branch point enter with the parent's vector and its post-update record,
+    so the pair is stored on the previous vector under (identified, cube)
+    and a sibling with the same key takes it without recounting. The cube
+    belongs in the key: the candidates i -> j - 0 and i -> j - 1 identify the
+    same variables of g but may split g on opposite literals of x_j.
     """
     for side in (state.f, state.g):
-        root = side.root_pairs if side.v is None else None
-        side.v = v = _vector(side.restricted, side.identified, side.v, root, side.marks)
-        record = side.phase_record
+        prev, record = side.v, side.phase_record
+        if prev is None:
+            v = _vector(side.restricted, side.identified, None, side.root_pairs, side.marks)
+        else:
+            if prev.children is None:
+                prev.children = {}
+            key = side.identified, side.cube_vars, side.cube_vals
+            stored = prev.children.get(key)
+            if stored is not None:
+                side.v, record[:] = stored
+                state.stats.vectors_reused += 1
+                continue
+            v = _vector(side.restricted, side.identified, prev, None, side.marks)
+        side.v = v
         # identified variables read (0, 0), so p != q leaves them alone
         for i, (p, q) in enumerate(zip(v.pos, v.neg)):
             if p != q and record[i] == PHASE_UNDETERMINED:
                 record[i] = PHASE_POSITIVE if p > q else PHASE_NEGATIVE
+        if prev is not None:
+            prev.children[key] = v, tuple(record)
     return vectors_compatible(state.f.v, state.g.v, state.f.identified, state.g.identified)

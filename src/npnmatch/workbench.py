@@ -214,6 +214,7 @@ def _witness_json(result) -> dict:
         "witness": None,
         "nodes_visited": result.stats.nodes_visited,
         "verify_calls": result.stats.verify_calls,
+        "vectors_reused": result.stats.vectors_reused,
     }
     if result.witness is not None:
         payload["witness"] = {

@@ -28,6 +28,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from npnmatch import NPTransformation, TruthTable, apply_np_transform, match_npn, negate
@@ -384,9 +385,18 @@ def test_bent_identity_pi_search_size():
     f = TruthTable(10, bits)
     t = NPTransformation((9, 3, 8, 4, 2, 6, 1, 5, 7, 0), (0, 1, 1, 1, 1, 0, 1, 1, 0, 1), True)
     g = apply_np_transform(f, t)
-    r = match_npn(f, g)
+    # the sibling vector stores live only as long as their branch point,
+    # so the search holds O(depth x branching) vectors, not one per node
+    tracemalloc.start()
+    try:
+        r = match_npn(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert r.equivalent and apply_np_transform(f, r.witness) == g
     assert (r.stats.nodes_visited, r.stats.verify_calls) == (10950, 4005)
+    assert r.stats.vectors_reused == 4012
+    assert peak < 1 << 20, peak
 
 
 if __name__ == "__main__":

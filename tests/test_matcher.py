@@ -101,7 +101,7 @@ def fresh_state(f, g, ignore_symmetry=False):
 
 def candidates_of(sets, subject):
     (s,) = [s for s in sets if s.subject == subject]
-    return [tuple((m.frm, m.to, m.pol) for m in cand) for cand in s.candidates]
+    return [tuple(map(tuple, cand)) for cand in s.candidates]
 
 
 class TestBuildMappingSets:
@@ -147,7 +147,7 @@ class TestBuildMappingSets:
                 continue
             for s in build_mapping_sets(state):
                 assert any(
-                    all(m.frm == m.to and m.pol == 0 for m in cand)
+                    all(frm == to and pol == 0 for frm, to, pol in cand)
                     for cand in s.candidates
                 )
 

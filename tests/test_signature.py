@@ -3,11 +3,12 @@ from collections import Counter
 
 from npnmatch.boolfn import TruthTable, apply_np_transform, low_mask, var_mask
 from npnmatch.signature import (
+    PHASE_NEGATIVE,
     PHASE_POSITIVE,
     PHASE_UNDETERMINED,
     SSValue,
+    SSVector,
     compute_ss_vector,
-    determine_phases,
     dump_first_order,
     vectors_compatible,
 )
@@ -26,7 +27,17 @@ from cases import (
     TRIO_C,
 )
 from test_boolfn import random_table, random_transform
-from test_golden import _block, _family_pairs, _other_reweighted, _parity, _symmetric
+from test_golden import (
+    _block,
+    _family_pairs,
+    _other_reweighted,
+    _parity,
+    _rotation,
+    _symmetric,
+    _type1,
+    _type2,
+    maiorana_mcfarland,
+)
 
 
 def ss(f, cube=None, sym=None, identified=0, prev=None):
@@ -117,6 +128,14 @@ class TestComputeSSVector:
                 assert v[i].pos_count + v[i].neg_count == restricted.bit_count()
 
 
+def determine_phases(v: SSVector) -> list[int]:
+    """Three-way phase per variable, from its first-order value."""
+    return [
+        PHASE_POSITIVE if p > q else PHASE_NEGATIVE if p < q else PHASE_UNDETERMINED
+        for p, q in zip(v.pos, v.neg)
+    ]
+
+
 class TestDeterminePhases:
     def test_case4_phases(self):
         assert determine_phases(ss(CASE4_F)) == [-1, -1, -1, 0]
@@ -184,6 +203,55 @@ class TestVectorsCompatible:
         for _, f, g in _family_pairs(random.Random(47), families):
             match_npn(f, g, observer=observer)
         assert observer.identified_nodes > 100, observer.nodes
+
+
+class TestSiblingVectors:
+    def test_vectors_count_the_current_restricted_tables(self):
+        # update hands a node the vector a sibling computed when their keys
+        # agree; at every node, each side's restricted table must be its
+        # table under its cube, and its vector must count that table
+        class Recount(Observer):
+            nodes = 0
+
+            def on_vectors(self, depth, state):
+                self.nodes += 1
+                for side in (state.f, state.g):
+                    n, bits = side.table.n, side.table.bits
+                    for i in range(n):
+                        if side.cube_vars >> i & 1:
+                            bits &= var_mask(n, i) if side.cube_vals >> i & 1 else low_mask(n, i)
+                    assert side.restricted.bits == bits, (depth, state.map_list)
+                    for i in range(n):
+                        if not side.identified >> i & 1:
+                            pq = (bits & var_mask(n, i)).bit_count(), (bits & low_mask(n, i)).bit_count()
+                            assert (side.v.pos[i], side.v.neg[i]) == pq, (depth, state.map_list, i)
+
+            on_incompatible = on_vectors
+
+        def bent(rng, n):
+            return maiorana_mcfarland(rng, n).bits
+
+        def bent_identity_pi(rng, n):
+            # x . y xor h(y): the bent family whose searches branch most
+            k = n // 2
+            h = [rng.getrandbits(1) for _ in range(1 << k)]
+            return sum(((m & (m >> k) & ((1 << k) - 1)).bit_count() & 1 ^ h[m >> k]) << m
+                       for m in range(1 << n))
+
+        # small random tables branch on balanced variables, where the
+        # candidates i -> j - 0 and i -> j - 1 narrow g to opposite literals
+        families = (
+            ("type1", _type1, range(1, 7), 16, 16, _other_reweighted),
+            ("type2", _type2, range(1, 7), 16, 16, _other_reweighted),
+            ("bent", bent, (6, 8, 10), 4, 4, _other_reweighted),
+            ("bent-identity-pi", bent_identity_pi, (4, 6, 8, 10), 8, 8, _other_reweighted),
+            ("rotation", _rotation, range(3, 11), 8, 8, _other_reweighted),
+            ("block", _block, range(6, 11), 4, 4, _other_reweighted),
+        )
+        observer, reused = Recount(), 0
+        for _, f, g in _family_pairs(random.Random(53), families):
+            reused += match_npn(f, g, observer=observer).stats.vectors_reused
+        assert observer.nodes > 500 and reused > 250, (observer.nodes, reused)
 
 
 def test_ss_value_canonical():

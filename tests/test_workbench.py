@@ -14,7 +14,7 @@ from npnmatch.workbench import (
     serialize_function,
 )
 
-from cases import CASE7_F, CASE7_G, TRIO_A
+from cases import CASE5_F, CASE5_G, CASE7_F, CASE7_G, TRIO_A
 from test_boolfn import random_table
 
 
@@ -251,7 +251,16 @@ class TestCLI:
         assert payload["witness"]["output_pol"] == 0
         assert payload["nodes_visited"] > 0
         assert payload["verify_calls"] == 1
+        assert payload["vectors_reused"] == 0  # CASE7 never branches
         assert payload["elapsed_s"] >= 0
+
+    def test_match_json_counts_reused_vectors(self, files, capsys):
+        # CASE5 branches once; both candidates leave f with the same cube and
+        # identified variables, so the second takes f's vector from the first
+        code = cli_dispatch(["match", files("f.tt", CASE5_F), files("g.tt", CASE5_G), "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["nodes_visited"], payload["vectors_reused"]) == (6, 1)
 
     def test_node_cap_is_an_error_not_a_verdict(self, files, capsys):
         code = cli_dispatch(
