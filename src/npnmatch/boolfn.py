@@ -57,19 +57,6 @@ class NPTransformation:
         if len(self.input_pol) != n or not set(self.input_pol) <= {0, 1}:
             raise ValueError(f"input_pol must be {n} entries of 0 or 1, got {self.input_pol}")
 
-    @staticmethod
-    def identity(n: int) -> "NPTransformation":
-        return NPTransformation(tuple(range(n)), (1,) * n, False)
-
-    def inverse(self) -> "NPTransformation":
-        n = len(self.perm)
-        inv_perm = [0] * n
-        inv_pol = [1] * n
-        for i in range(n):
-            inv_perm[self.perm[i]] = i
-            inv_pol[self.perm[i]] = self.input_pol[i]
-        return NPTransformation(tuple(inv_perm), tuple(inv_pol), self.output_negated)
-
 
 @dataclass(frozen=True)
 class TruthTable:
@@ -111,9 +98,6 @@ class TruthTable:
                 row &= var_mask(n, v) if positive else low_mask(n, v)
             bits |= row
         return TruthTable(n, bits)
-
-    def evaluate(self, minterm: int) -> int:
-        return (self.bits >> minterm) & 1
 
     def minterms(self) -> list[int]:
         return [m for m in range(1 << self.n) if (self.bits >> m) & 1]

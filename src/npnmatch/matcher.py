@@ -2,19 +2,20 @@
 
 The search keeps one Side per function (its table restricted to the
 current cube, its structural signature vector, identified variables and
-phase record) and an ordered mapping list (one tree branch) whose first
+phase masks) and an ordered mapping list (one tree branch) whose first
 `splits` mappings define the cubes. Each recursion either commits every
 forced (singleton) mapping set, or branches over the smallest multiple set.
-Branches are pruned on vector incompatibility and on phase collisions. A
-complete branch is verified bit-exactly before it is reported.
+Branches are pruned on vector incompatibility and on phase collisions. Each
+complete branch is verified bit-exactly and reported with its verdict.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import starmap
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import signature as sig
 from .boolfn import (
@@ -27,7 +28,6 @@ from .boolfn import (
     negate,
     var_mask,
 )
-from .signature import PHASE_NEGATIVE, PHASE_UNDETERMINED
 from .symmetry import (
     SymmetryClass,
     build_symmetry_classes,
@@ -115,31 +115,34 @@ _NULL_OBSERVER = Observer()
 class Side:
     """One function of a match. Fixed for the match: its table, symmetry
     classes, their marks (signature.symmetry_marks) and its root first-order
-    pairs. Per node: the current cube as two bit masks (its variables and
-    their values), the table restricted to it, its SS vector v, the
-    identified bit mask and the phase record."""
+    pairs. Per node, each an immutable value: the current cube as two bit
+    masks (its variables and their values), the table restricted to it, its
+    SS vector v, the identified bit mask, and the phase record as two bit
+    masks: phase_known marks the variables whose phase is determined,
+    phase_neg those of them whose phase is negative."""
 
     __slots__ = (
-        "table", "sym", "marks", "root_pairs",
-        "cube_vars", "cube_vals", "restricted", "v", "identified", "phase_record",
+        "table", "sym", "marks", "root_pairs", "cube_vars", "cube_vals",
+        "restricted", "v", "identified", "phase_known", "phase_neg",
     )
 
     def __init__(self, table: TruthTable, sym: Sequence[SymmetryClass], root_pairs):
         self.table, self.sym, self.root_pairs = table, sym, root_pairs
         self.marks = sig.symmetry_marks(sym, table.n)
-        self.cube_vars = self.cube_vals = 0
-        self.restricted, self.v, self.identified = table, None, 0
-        self.phase_record = [PHASE_UNDETERMINED] * table.n
+        self.cube_vars = self.cube_vals = self.identified = self.phase_known = self.phase_neg = 0
+        self.restricted, self.v = table, None
 
     def save(self):
         return (
             self.cube_vars, self.cube_vals, self.restricted, self.v, self.identified,
-            tuple(self.phase_record),
+            self.phase_known, self.phase_neg,
         )
 
     def load(self, saved) -> None:
-        self.cube_vars, self.cube_vals, self.restricted, self.v, self.identified, record = saved
-        self.phase_record[:] = record
+        (
+            self.cube_vars, self.cube_vals, self.restricted, self.v, self.identified,
+            self.phase_known, self.phase_neg,
+        ) = saved
 
     def narrow(self, i: int, positive: bool) -> None:
         """Restrict to the literal x_i (positive) or ~x_i."""
@@ -169,7 +172,7 @@ class MatchState:
     def split_sides(self, m: VarMapping) -> tuple[bool, bool]:
         """Literal phases of the split on m: f's variable takes its recorded
         phase (positive when undetermined), g's follows m's polarity."""
-        side_f = self.f.phase_record[m.frm] != PHASE_NEGATIVE
+        side_f = not self.f.phase_neg >> m.frm & 1
         return side_f, side_f ^ (m.pol == 1)
 
     def cubes(self) -> tuple[str, str]:
@@ -203,7 +206,8 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     f, g = state.f, state.g
     pos_f, neg_f, group_f = f.v.pos, f.v.neg, f.v.group
     pos_g, neg_g, group_g = g.v.pos, g.v.neg, g.v.group
-    rec_f, rec_g = f.phase_record, g.phase_record
+    known_f, known_g = f.phase_known, g.phase_known
+    sign_f, sign_g = f.phase_neg, g.phase_neg
     idf, idg = f.identified, g.identified
     n = f.table.n
 
@@ -217,10 +221,9 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
         pols = (0,) if p == a and q == b else ()
         if p == b and q == a:
             pols += (1,)
-        rf, rg = rec_f[i], rec_g[j]
-        if not pols or rf == PHASE_UNDETERMINED or rg == PHASE_UNDETERMINED:
+        if not pols or not known_f >> i & known_g >> j & 1:
             return pols
-        need = 0 if rf == rg else 1
+        need = (sign_f >> i ^ sign_g >> j) & 1
         if need in pols:
             return (need,)
         for k in pols:
@@ -334,15 +337,15 @@ def verify(f: TruthTable, g: TruthTable, map_list: Sequence[VarMapping]) -> bool
 def detect(
     state: MatchState,
     observer: Observer = _NULL_OBSERVER,
-    collect_all: Optional[list] = None,
+    _siblings: Optional[dict] = None,
     _depth: int = 0,
-) -> Optional[tuple[VarMapping, ...]]:
-    """Procedure-2 style DFS. Returns a verified complete mapping list, or
-    None when no transformation exists on this branch. The state is restored
-    to its entry value before returning.
+) -> Iterator[tuple[tuple[VarMapping, ...], bool]]:
+    """Procedure-2 style DFS. Yields (map_list, verified) for each complete
+    branch, in search order. The state is back at its entry value once the
+    generator is exhausted or closed.
 
-    With collect_all, every complete branch is recorded as (map_list,
-    verified) and the search exhausts the whole tree.
+    _siblings is the store that the node above shares among its children
+    (see signature.update).
     """
     state.stats.nodes_visited += 1
     if state.node_cap is not None and state.stats.nodes_visited > state.node_cap:
@@ -353,23 +356,19 @@ def detect(
         branch = tuple(state.map_list)
         ok = verify(state.f.table, state.g.table, branch)
         observer.on_complete(branch, ok)
-        if collect_all is not None:
-            collect_all.append((branch, ok))
-            return None
-        return branch if ok else None
+        yield branch, ok
+        return
 
     snap = state.snapshot()
-    owned = ()
     try:
-        if not sig.update(state):
+        if not sig.update(state, {} if _siblings is None else _siblings):
             observer.on_incompatible(_depth, state)
-            return None
-        owned = state.f.v, state.g.v
+            return
         observer.on_vectors(_depth, state)
 
         sets = build_mapping_sets(state, observer)
         if any(s.cardinality == 0 for s in sets):
-            return None
+            return
 
         singles = [s for s in sets if s.cardinality == 1]
         if singles:
@@ -381,6 +380,7 @@ def detect(
             best, inner = select_min_set(sets), state.snapshot()
             chosen = MappingSet(best.subject, tuple(map(_named, best.candidates)))
             candidates = chosen.candidates
+        children: dict = {}
         for cand in candidates:
             if chosen is not None:
                 observer.on_branch(chosen, cand)
@@ -393,16 +393,9 @@ def detect(
             else:
                 extend_cubes(state)
                 observer.on_cubes(state)
-                found = detect(state, observer, collect_all, _depth + 1)
-                if found is not None:
-                    return found
+                yield from detect(state, observer, children, _depth + 1)
             state.restore(inner)
-        return None
     finally:
-        # the children's vectors stored on this node's ones serve no later
-        # node
-        for v in owned:
-            v.children = None
         state.restore(snap)
 
 
@@ -474,7 +467,9 @@ def match_npn(
     stats = SearchStats()
     for output_negated, state in _arm_states(f, g, stats, node_cap):
         observer.on_arm(output_negated)
-        found = detect(state, observer)
+        # closing the search runs the restores of the nodes it stopped in
+        with closing(detect(state, observer)) as search:
+            found = next((branch for branch, ok in search if ok), None)
         if found is not None:
             witness = transformation_from_map_list(found, f.n, output_negated)
             return MatchResult(Verdict.EQUIVALENT, witness, found, stats)
@@ -486,9 +481,8 @@ def enumerate_complete_transformations(
 ) -> list[tuple[tuple[VarMapping, ...], bool, bool]]:
     """Exhaust the search tree; each entry is (map_list, output_negated,
     verified). Diagnostic companion to match_npn."""
-    out = []
-    for output_negated, state in _arm_states(f, g, SearchStats()):
-        collected: list = []
-        detect(state, collect_all=collected)
-        out.extend((ml, output_negated, ok) for ml, ok in collected)
-    return out
+    return [
+        (ml, output_negated, ok)
+        for output_negated, state in _arm_states(f, g, SearchStats())
+        for ml, ok in detect(state)
+    ]

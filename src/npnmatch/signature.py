@@ -14,10 +14,6 @@ from typing import NamedTuple, Optional, Sequence
 from .boolfn import MAX_VARS, TruthTable
 from .symmetry import SymmetryClass, first_order_pairs
 
-PHASE_POSITIVE = 0
-PHASE_NEGATIVE = 1
-PHASE_UNDETERMINED = -1
-
 
 class SSValue(NamedTuple):
     pos_count: int
@@ -50,18 +46,12 @@ def symmetry_marks(sym: Sequence[SymmetryClass], n: int) -> SymmetryMarks:
 class SSVector:
     """Per-variable lists: cofactor counts pos and neg, group serial and
     packed canonical pair key, plus the match's symmetry marks. The SSValue
-    views (values, v[i], ==, dump) are built on demand.
+    views (values, v[i], ==, dump) are built on demand."""
 
-    children is update's store of the (vector, phase record) pairs already
-    refined from this vector, keyed by (identified, cube variables, cube
-    values); None until a child is refined, and dropped by the search when
-    the node that computed this vector returns."""
-
-    __slots__ = ("pos", "neg", "group", "key", "marks", "children")
+    __slots__ = ("pos", "neg", "group", "key", "marks")
 
     def __init__(self, pos, neg, group, key, marks):
         self.pos, self.neg, self.group, self.key, self.marks = pos, neg, group, key, marks
-        self.children = None
 
     @property
     def values(self) -> tuple[SSValue, ...]:
@@ -91,7 +81,6 @@ def compute_ss_vector(
     sym: Sequence[SymmetryClass],
     identified: int = 0,
     prev: Optional[SSVector] = None,
-    pairs: Optional[Sequence[tuple[int, int]]] = None,
 ) -> SSVector:
     """Fill first-order values, frozen symmetry marks, and group marks.
 
@@ -105,18 +94,13 @@ def compute_ss_vector(
     group is refined: the sub-group with the largest canonical pair keeps the
     old serial, the rest take fresh serials past the current maximum.
     Identified variables read (0, 0) and keep their frozen group.
-
-    pairs, when given, are f's first-order pairs (the matcher passes the
-    root pairs it already counted); the count pass is then skipped.
     """
-    return _vector(f, identified, prev, pairs, symmetry_marks(sym, f.n))
+    return _vector(first_order_pairs(f, identified), identified, prev, symmetry_marks(sym, f.n))
 
 
-def _vector(f, identified, prev, pairs, marks) -> SSVector:
-    if pairs is None:
-        pairs = first_order_pairs(f, identified)
-    elif identified:
-        pairs = [(0, 0) if identified >> i & 1 else pq for i, pq in enumerate(pairs)]
+def _vector(pairs, identified, prev, marks) -> SSVector:
+    """The vector of first-order pairs already counted with identified
+    variables at (0, 0); see compute_ss_vector."""
     # the canonical pair (max, min) packed as max << MAX_VARS | min orders
     # like the tuple: a count never exceeds 2^(MAX_VARS - 1)
     key = [p << MAX_VARS | q if p >= q else q << MAX_VARS | p for p, q in pairs]
@@ -165,42 +149,45 @@ def vectors_compatible(
     return profile(vf, identified_f) == profile(vg, identified_g)
 
 
-def update(state) -> bool:
+def update(state, siblings: dict) -> bool:
     """Recompute the SS vector of each side's cube-restricted table, record
     first-determined phases, and report cross-function compatibility.
 
     ``state`` carries two sides f and g (see the matcher's Side): each holds
     its restricted table and cube, symmetry marks, identified mask, vector,
-    phase record, and the root first-order pairs used for its first vector.
+    phase masks, and the root first-order pairs, from which the first
+    vector is built at the root (the node where the side has no vector).
 
-    Below the root, a side's new vector and record depend only on its
-    restricted table (the table and its cube), its identified mask, its
-    previous vector and the record it enters with. The siblings below a
-    branch point enter with the parent's vector and its post-update record,
-    so the pair is stored on the previous vector under (identified, cube)
-    and a sibling with the same key takes it without recounting. The cube
-    belongs in the key: the candidates i -> j - 0 and i -> j - 1 identify the
-    same variables of g but may split g on opposite literals of x_j.
+    siblings is the store that the node above shares among its children (a
+    fresh one at the root). Below the root, a side's new vector and phase
+    masks depend only on its restricted table (the table and its cube), its
+    identified mask, its previous vector and the masks it enters with. The
+    siblings below a branch point enter with the parent's vector and its
+    post-update masks, so the result is stored under (side index,
+    identified, cube) and a sibling with the same key takes it without
+    recounting. The cube belongs in the key: the candidates i -> j - 0 and
+    i -> j - 1 identify the same variables of g but may split g on opposite
+    literals of x_j.
     """
-    for side in (state.f, state.g):
-        prev, record = side.v, side.phase_record
+    for index, side in enumerate((state.f, state.g)):
+        key = index, side.identified, side.cube_vars, side.cube_vals
+        stored = siblings.get(key)
+        if stored is not None:
+            side.v, side.phase_known, side.phase_neg = stored
+            state.stats.vectors_reused += 1
+            continue
+        prev = side.v
         if prev is None:
-            v = _vector(side.restricted, side.identified, None, side.root_pairs, side.marks)
+            pairs = side.root_pairs
         else:
-            if prev.children is None:
-                prev.children = {}
-            key = side.identified, side.cube_vars, side.cube_vals
-            stored = prev.children.get(key)
-            if stored is not None:
-                side.v, record[:] = stored
-                state.stats.vectors_reused += 1
-                continue
-            v = _vector(side.restricted, side.identified, prev, None, side.marks)
-        side.v = v
+            pairs = first_order_pairs(side.restricted, side.identified)
+        v = side.v = _vector(pairs, side.identified, prev, side.marks)
+        known, neg = side.phase_known, side.phase_neg
         # identified variables read (0, 0), so p != q leaves them alone
-        for i, (p, q) in enumerate(zip(v.pos, v.neg)):
-            if p != q and record[i] == PHASE_UNDETERMINED:
-                record[i] = PHASE_POSITIVE if p > q else PHASE_NEGATIVE
-        if prev is not None:
-            prev.children[key] = v, tuple(record)
+        for i, (p, q) in enumerate(pairs):
+            if p != q and not known >> i & 1:
+                known |= 1 << i
+                neg |= (p < q) << i
+        side.phase_known, side.phase_neg = known, neg
+        siblings[key] = v, known, neg
     return vectors_compatible(state.f.v, state.g.v, state.f.identified, state.g.identified)

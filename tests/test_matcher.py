@@ -54,6 +54,8 @@ from test_golden import (
     _parity,
     _symmetric,
     _transform,
+    _type1,
+    _type2,
     maiorana_mcfarland,
 )
 
@@ -108,7 +110,7 @@ class TestBuildMappingSets:
     def test_trio_sets_without_symmetry(self):
         # symmetry ignored: every variable contributes a plain variable set
         state = fresh_state(TRIO_A, TRIO_B, ignore_symmetry=True)
-        assert update(state)
+        assert update(state, {})
         sets = build_mapping_sets(state)
         assert candidates_of(sets, 0) == [
             ((0, 1, 0),),
@@ -121,14 +123,14 @@ class TestBuildMappingSets:
 
     def test_trio_min_set(self):
         state = fresh_state(TRIO_A, TRIO_B, ignore_symmetry=True)
-        update(state)
+        update(state, {})
         chosen = select_min_set(build_mapping_sets(state))
         assert chosen.subject == 1
         assert chosen.cardinality == 1
 
     def test_case4_initial_sets(self):
         state = fresh_state(CASE4_F, CASE4_G)
-        assert update(state)
+        assert update(state, {})
         sets = build_mapping_sets(state)
         assert candidates_of(sets, 3) == [((3, 0, 1),)]
         # undetermined phases: the class maps with both uniform polarities
@@ -143,7 +145,7 @@ class TestBuildMappingSets:
         for _ in range(20):
             f = random_table(rng, rng.randint(1, 5))
             state = fresh_state(f, f)
-            if not update(state):
+            if not update(state, {}):
                 continue
             for s in build_mapping_sets(state):
                 assert any(
@@ -186,7 +188,7 @@ class TestWholeClasses:
         rng = random.Random(61)
         for n, inner in [(n, i) for n in (2, 4, 6, 8) for i in (True, False)]:
             f = maiorana_mcfarland(rng, n, inner)
-            w = [1 - 2 * f.evaluate(m) for m in range(1 << n)]
+            w = [1 - 2 * (f.bits >> m & 1) for m in range(1 << n)]
             step = 1
             while step < len(w):
                 for a in range(0, len(w), 2 * step):
@@ -332,10 +334,10 @@ class TestCase7Walkthrough:
 
     def test_recursion2_mapping_sets(self):
         state = fresh_state(CASE7_F, CASE7_G)
-        update(state)
+        update(state, {})
         commit_mapping(state, VarMapping(2, 5, 1))
         extend_cubes(state)
-        update(state)
+        update(state, {})
         sets = build_mapping_sets(state)
         assert [s.subject for s in sets] == [0, 1, 5, 6]
         assert all(s.cardinality == 2 for s in sets)
@@ -377,6 +379,27 @@ class TestCase7Walkthrough:
         assert all(ok for _, _, ok in complete)
         texts = [", ".join(str(m) for m in ml) for ml, _, _ in complete]
         assert texts[0] == "2->5-1, 0->0-1, 4->2-1, 1->3-0, 3->4-1, 5->6-0, 6->1-0"
+
+
+def test_first_verified_enumerated_branch_is_the_witness():
+    # the enumeration drains the search that match_npn stops at its first
+    # verified branch, arm by arm
+    families = (
+        ("type1", _type1, range(1, 7), 6, 6, _other_reweighted),
+        ("type2", _type2, range(2, 7), 6, 6, _other_reweighted),
+    )
+    verdicts, arms = set(), set()
+    for name, f, g in _family_pairs(random.Random(71), families):
+        result = match_npn(f, g)
+        complete = enumerate_complete_transformations(f, g)
+        first = next(((ml, neg) for ml, neg, ok in complete if ok), None)
+        if result.equivalent:
+            assert first == (result.witness_mappings, result.witness.output_negated), name
+            arms.add(first[1])
+        else:
+            assert first is None, name
+        verdicts.add(result.equivalent)
+    assert verdicts == arms == {False, True}
 
 
 class TestVerify:
@@ -518,7 +541,7 @@ class TestBacktrackingIntegrity:
         for f, g in [(CASE5_F, CASE5_G), (CASE7_F, CASE7_G), (TRIO_A, TRIO_C)]:
             state = fresh_state(f, g)
             before = copy.deepcopy(state.snapshot())
-            detect(state)
+            list(detect(state))
             assert state.snapshot() == before
 
     def test_state_restored_on_random_instances(self):
@@ -529,32 +552,37 @@ class TestBacktrackingIntegrity:
             g = random_table(rng, n)
             state = fresh_state(f, g)
             before = copy.deepcopy(state.snapshot())
-            detect(state)
+            list(detect(state))
             assert state.snapshot() == before
 
     def test_state_restored_mid_search(self):
         # snapshot keeps only the length of map_list, so a wrong truncation
-        # shows only when the list is not empty on entry
+        # shows only when the list is not empty on entry; the search stops
+        # at its first verified branch, as match_npn does
         def observed(state):
             return (
                 list(state.map_list),
                 state.splits,
                 state.f.restricted,
                 state.g.restricted,
-                list(state.f.phase_record),
-                list(state.g.phase_record),
+                state.f.phase_known,
+                state.f.phase_neg,
+                state.g.phase_known,
+                state.g.phase_neg,
                 state.f.identified,
                 state.g.identified,
                 tuple(str(c) for c in state.cubes()),
             )
 
         state = fresh_state(CASE7_F, CASE7_G)
-        assert update(state)
+        assert update(state, {})
         commit_mapping(state, VarMapping(2, 5, 1))
         extend_cubes(state)
         before = observed(state)
         assert before[-1] == ("x2", "~x5")
-        assert detect(state) is not None
+        search = detect(state)
+        assert any(ok for _, ok in search)
+        search.close()
         assert observed(state) == before
 
     def test_null_observer_builds_no_cubes(self, monkeypatch):

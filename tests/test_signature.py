@@ -3,16 +3,13 @@ from collections import Counter
 
 from npnmatch.boolfn import TruthTable, apply_np_transform, low_mask, var_mask
 from npnmatch.signature import (
-    PHASE_NEGATIVE,
-    PHASE_POSITIVE,
-    PHASE_UNDETERMINED,
     SSValue,
-    SSVector,
     compute_ss_vector,
     dump_first_order,
+    update,
     vectors_compatible,
 )
-from npnmatch.matcher import Observer, match_npn
+from npnmatch.matcher import MatchState, Observer, Side, match_npn
 from npnmatch.symmetry import build_symmetry_classes, first_order_pairs
 
 from cases import (
@@ -128,22 +125,22 @@ class TestComputeSSVector:
                 assert v[i].pos_count + v[i].neg_count == restricted.bit_count()
 
 
-def determine_phases(v: SSVector) -> list[int]:
-    """Three-way phase per variable, from its first-order value."""
-    return [
-        PHASE_POSITIVE if p > q else PHASE_NEGATIVE if p < q else PHASE_UNDETERMINED
-        for p, q in zip(v.pos, v.neg)
-    ]
+def root_phases(f, g):
+    """(phase_known, phase_neg) of each side after update at the root."""
+    sides = [Side(h, build_symmetry_classes(h), first_order_pairs(h)) for h in (f, g)]
+    state = MatchState(*sides)
+    update(state, {})
+    return [(side.phase_known, side.phase_neg) for side in sides]
 
 
 class TestDeterminePhases:
     def test_case4_phases(self):
-        assert determine_phases(ss(CASE4_F)) == [-1, -1, -1, 0]
-        assert determine_phases(ss(CASE4_G)) == [1, -1, -1, -1]
+        # f: x3 positive, the rest undetermined; g: x0 negative
+        assert root_phases(CASE4_F, CASE4_G) == [(0b1000, 0), (0b1, 0b1)]
 
     def test_balanced_is_undetermined(self):
-        v = ss(TruthTable.constant(2, True))
-        assert determine_phases(v) == [PHASE_UNDETERMINED, PHASE_UNDETERMINED]
+        f = TruthTable.constant(2, True)
+        assert root_phases(f, f) == [(0, 0), (0, 0)]
 
 
 class TestVectorsCompatible:

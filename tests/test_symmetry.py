@@ -21,9 +21,9 @@ def brute_flags(f, i, j):
     identical = True
     opposite = True
     for m in range(1 << f.n):
-        if f.evaluate(m) != f.evaluate(swap_bits(m)):
+        if (f.bits >> m & 1) != (f.bits >> swap_bits(m) & 1):
             identical = False
-        if f.evaluate(m) != f.evaluate(swap_bits(m) ^ (1 << i) ^ (1 << j)):
+        if (f.bits >> m & 1) != (f.bits >> (swap_bits(m) ^ (1 << i) ^ (1 << j)) & 1):
             opposite = False
     return identical, opposite
 
