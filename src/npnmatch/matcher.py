@@ -119,7 +119,9 @@ class Side:
     masks (its variables and their values), the table restricted to it, its
     SS vector v, the identified bit mask, and the phase record as two bit
     masks: phase_known marks the variables whose phase is determined,
-    phase_neg those of them whose phase is negative."""
+    phase_neg those of them whose phase is negative. On an arm whose root
+    first-order keys already differ, both sides hold no classes, so
+    observers at that root see no symmetry marks."""
 
     __slots__ = (
         "table", "sym", "marks", "root_pairs", "cube_vars", "cube_vals",
@@ -432,7 +434,9 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     the symmetry build and the first SS vector of every arm; the negated
     arm's pairs are derived from g's. Nothing past the zeroth-order counts
     is computed when no arm is possible, and the complement of g only when
-    its arm is reached.
+    its arm is reached. The classes are built once, for the first arm whose
+    sorted canonical pairs agree; an arm whose pairs differ gets sides with
+    no classes, and its root prunes on the keys alone.
     """
     if f.n != g.n:
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
@@ -442,13 +446,19 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     if not polarities:
         return
     pairs_f, pairs_g = first_order_pairs(f), first_order_pairs(g)
-    sym_f = build_symmetry_classes(f, pairs_f)
-    sym_g = build_symmetry_classes(g, pairs_g)
+    key_f = sorted(map(sorted, pairs_f))
+    built = None  # the classes of f and g, for the first arm whose keys agree
     for output_negated in polarities:
         if output_negated:
             target, target_pairs = negate(g), complement_pairs(pairs_g, n)
         else:
             target, target_pairs = g, pairs_g
+        if key_f != sorted(map(sorted, target_pairs)):
+            sym_f = sym_g = ()  # the root vectors differ in their keys whatever the classes
+        else:
+            if built is None:
+                built = build_symmetry_classes(f, pairs_f), build_symmetry_classes(g, pairs_g)
+            sym_f, sym_g = built
         sides = Side(f, sym_f, pairs_f), Side(target, sym_g, target_pairs)
         yield output_negated, MatchState(*sides, stats=stats, node_cap=node_cap)
 

@@ -56,19 +56,22 @@ class SymmetryClass:
         return len(self.members)
 
 
+def _swap_invariant(bits: int, n: int, i: int, j: int, opposite: bool) -> bool:
+    """f is invariant under the swap of x_i and x_j (i > j), with both
+    complemented when opposite: the delta swap of boolfn._swap_vars (or
+    _antiswap_vars) finds no differing bit to exchange under its mask."""
+    if opposite:
+        return not ((bits >> ((1 << i) + (1 << j))) ^ bits) & low_mask(n, i) & low_mask(n, j)
+    return not ((bits >> ((1 << i) - (1 << j))) ^ bits) & low_mask(n, i) & var_mask(n, j)
+
+
 def symmetry_flags(f: TruthTable, i: int, j: int) -> tuple[bool, bool]:
     """(identical, opposite) results of the two nonskew swap conditions."""
     n = f.n
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"bad variable pair ({i}, {j}) for n={n}")
-    mi, li = var_mask(n, i), low_mask(n, i)
-    mj, lj = var_mask(n, j), low_mask(n, j)
-    si, sj = 1 << i, 1 << j
-    # swap x_i <-> x_j: f restricted to (x_i=1, x_j=0) equals (x_i=0, x_j=1)
-    identical = (f.bits & mi & lj) >> si == (f.bits & mj & li) >> sj
-    # swap x_i <-> complement of x_j: (x_i=1, x_j=1) equals (x_i=0, x_j=0)
-    opposite = (f.bits & mi & mj) >> (si + sj) == f.bits & li & lj
-    return identical, opposite
+    i, j = max(i, j), min(i, j)
+    return _swap_invariant(f.bits, n, i, j, False), _swap_invariant(f.bits, n, i, j, True)
 
 
 # Tables above _FOLD_ABOVE inputs fold down to _FOLD_STOP inputs; the
@@ -139,6 +142,10 @@ def build_symmetry_classes(
     opened in its bucket and joins the first one it swaps with, at relative
     polarity 0 when the identical swap holds and 1 otherwise; by
     transitivity (module docstring) it swaps with no other class.
+
+    A swap condition is tested only where the counts allow it: the
+    identical swap of x_a and x_i maps f_{x_a} onto f_{x_i}, the opposite
+    one onto f_{~x_i}, so each needs |f_{x_a}| to equal that count.
     """
     n = f.n
     if sig is None:
@@ -152,7 +159,9 @@ def build_symmetry_classes(
         opened = buckets.setdefault((max(p, q), min(p, q)), [])
         for cls in opened:
             members, pols, _ = cls
-            identical, opposite = symmetry_flags(f, members[0], i)
+            a = members[0]
+            identical = sig[a][0] == p and _swap_invariant(f.bits, n, i, a, False)
+            opposite = sig[a][0] == q and _swap_invariant(f.bits, n, i, a, True)
             if identical or opposite:
                 if len(members) == 1:
                     cls[2] = identical and opposite

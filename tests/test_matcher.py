@@ -11,6 +11,7 @@ from npnmatch.boolfn import (
     equal,
     negate,
 )
+from npnmatch import matcher
 from npnmatch.matcher import (
     BudgetExceededError,
     MappingSet,
@@ -49,6 +50,7 @@ from cases import (
 from test_boolfn import random_table, random_transform
 from test_golden import (
     _block,
+    _with_weight,
     _family_pairs,
     _other_reweighted,
     _parity,
@@ -601,3 +603,73 @@ def test_transformation_from_map_list_conventions():
     assert t.perm == (1, 0)
     assert t.input_pol == (0, 1)
     assert t == NPTransformation((1, 0), (0, 1), False)
+
+
+class TestKeyRefutedArms:
+    """An arm whose sorted canonical first-order pairs differ from f's is
+    refuted at its root whatever the symmetry classes, so it builds none; a
+    function's classes are built at most once per match."""
+
+    @staticmethod
+    def run(monkeypatch, f, g):
+        """(result, arms run, build_symmetry_classes calls) of match_npn."""
+        calls = []
+        real = matcher.build_symmetry_classes
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        class Arms(Observer):
+            arms = 0
+
+            def on_arm(self, output_negated):
+                self.arms += 1
+
+        monkeypatch.setattr(matcher, "build_symmetry_classes", counted)
+        arms = Arms()
+        result = match_npn(f, g, observer=arms)
+        return result, arms.arms, len(calls)
+
+    @staticmethod
+    def keys(f):
+        return sorted(map(sorted, first_order_pairs(f)))
+
+    @pytest.mark.parametrize("kind", ["equal_weight", "complementary_weight", "type2"])
+    def test_refuted_pairs_build_no_classes(self, monkeypatch, kind):
+        rng = random.Random(61)
+        refuted = 0
+        for n in range(4, 11):
+            for _ in range(4):
+                while True:
+                    bits = _type2(rng, n) if kind == "type2" else _type1(rng, n)
+                    weight = bits.bit_count()
+                    if kind == "type2" or 2 * weight != 1 << n:
+                        break
+                f = TruthTable(n, bits)
+                g = TruthTable(n, _with_weight(rng, n, rng.getrandbits(1 << n), weight))
+                if kind == "complementary_weight":
+                    g = negate(g)
+                # both arms compare f's keys with g's and with ~g's, and
+                # the two agree on their canonical order
+                if self.keys(f) == self.keys(g):
+                    continue
+                result, arms, builds = self.run(monkeypatch, f, g)
+                assert not result.equivalent
+                assert arms == (2 if kind == "type2" else 1)
+                assert builds == 0
+                assert result.stats.nodes_visited == arms
+                refuted += 1
+        assert refuted >= 20
+
+    def test_agreeing_keys_build_each_function_once(self, monkeypatch):
+        result, arms, builds = self.run(monkeypatch, CASE7_F, CASE7_G)
+        assert result.equivalent and (arms, builds) == (1, 2)
+        # a balanced pair whose witness negates the output runs both arms,
+        # whose keys agree: the second arm reuses the first arm's classes
+        rng = random.Random(67)
+        f = TruthTable(8, _type2(rng, 8))
+        t = _transform(rng, 8)
+        t = NPTransformation(t.perm, t.input_pol, True)
+        result, arms, builds = self.run(monkeypatch, f, apply_np_transform(f, t))
+        assert result.equivalent and (arms, builds) == (2, 2)

@@ -3,11 +3,26 @@ import random
 
 import pytest
 
-from npnmatch.boolfn import NPTransformation, TruthTable, apply_np_transform, equal
-from npnmatch.symmetry import build_symmetry_classes, symmetry_flags
+from npnmatch.boolfn import (
+    NPTransformation,
+    TruthTable,
+    _antiswap_vars,
+    _swap_vars,
+    apply_np_transform,
+    equal,
+    full_mask,
+    var_mask,
+)
+from npnmatch.symmetry import (
+    SymmetryClass,
+    build_symmetry_classes,
+    first_order_pairs,
+    symmetry_flags,
+)
 
 from cases import CASE4_F, CASE4_G, CASE7_F, CASE7_G
 from test_boolfn import random_table, random_transform
+from test_golden import _wide_block, maiorana_mcfarland
 
 
 def brute_flags(f, i, j):
@@ -171,3 +186,147 @@ class TestBuildAgainstBruteForce:
         for n in range(4, 8):
             for _ in range(25):
                 self.check(block_function(rng, n))
+
+
+def plant(rng, n, kinds):
+    """A random table made invariant under one swap of a fresh variable pair
+    per entry of kinds: "identical", "opposite" or "double" (both). Each
+    minterm reads the base table at the representative of its orbit, which
+    only rewrites the pair's two bits, so pairs on disjoint variables keep
+    each other's symmetry. Returns the table and the planted pairs."""
+    free = list(range(n))
+    rng.shuffle(free)
+    pairs = [(free.pop(), free.pop(), kind) for kind in kinds]
+    base, bits = rng.getrandbits(1 << n), 0
+    for m in range(1 << n):
+        r = m
+        for i, j, kind in pairs:
+            a, b = r >> i & 1, r >> j & 1
+            if a > b and kind != "opposite" or a == b == 1 and kind != "identical":
+                r ^= (1 << i) | (1 << j)  # to x_i = 0, x_j = 1 or to 0, 0
+        bits |= (base >> r & 1) << m
+    return TruthTable(n, bits), pairs
+
+
+class TestCountGate:
+    """The build tests a swap condition only where the counts allow it, so
+    planted pairs whose cofactor counts differ (p != q) must still be found."""
+
+    def test_planted_pairs_against_brute_force(self):
+        rng = random.Random(43)
+        gated = {"identical": 0, "opposite": 0}
+        for n in range(4, 9):
+            for _ in range(12):
+                kinds = [rng.choice(("identical", "opposite", "double")) for _ in range(n // 2)]
+                f, pairs = plant(rng, n, kinds)
+                TestBuildAgainstBruteForce.check(f)
+                sig = first_order_pairs(f)
+                for i, j, kind in pairs:
+                    assert brute_flags(f, i, j)[kind == "opposite"] or kind == "double"
+                    if kind in gated and sig[i][0] != sig[i][1]:
+                        gated[kind] += 1
+        # the double swap forces p = q; the other two must reach p != q
+        assert min(gated.values()) >= 20, gated
+
+    def test_bent_members_against_brute_force(self):
+        # every variable of a bent function has the same cofactor counts,
+        # so every pair shares a bucket
+        rng = random.Random(47)
+        for n in (4, 6, 8):
+            for inner in (False, True):
+                for _ in range(4):
+                    TestBuildAgainstBruteForce.check(maiorana_mcfarland(rng, n, inner))
+
+
+def wide_bent(rng, n):
+    """maiorana_mcfarland built one 2^k-bit row per y: the row of x . pi(y)
+    is the parity of the x inputs that pi(y) selects."""
+    k = n // 2
+    pi = list(range(1 << k))
+    rng.shuffle(pi)
+    row_full = full_mask(k)
+    bits = 0
+    for y in range(1 << k):
+        row = 0
+        for i in range(k):
+            if pi[y] >> i & 1:
+                row ^= var_mask(k, i)
+        if rng.getrandbits(1):
+            row ^= row_full
+        bits |= row << (y << k)
+    return TruthTable(n, bits)
+
+
+class TestFullWidth:
+    """The bit-parallel swap conditions at n = 15..20, where the table is a
+    wide integer, against the swap kernels that test_boolfn checks minterm
+    by minterm."""
+
+    def test_planted_pairs_agree_with_swap_kernels(self):
+        rng = random.Random(53)
+        for n in range(15, 21):
+            for kind in ("identical", "opposite", "tie"):
+                i, j = rng.sample(range(n), 2)
+                bits = rng.getrandbits(1 << n)
+                kernel = _antiswap_vars if kind == "opposite" else _swap_vars
+                bits |= kernel(bits, n, i, j)
+                if kind == "tie":
+                    # set one minterm at x_i = 1, x_j = 0 and one at x_i = 0,
+                    # x_j = 1 with other inputs: the counts of x_i and x_j stay
+                    # tied, and the identical swap no longer holds
+                    hi, lo = max(i, j), min(i, j)
+                    rest = [m for m in range(64) if not m >> lo & 1 and not m >> hi & 1]
+                    zeros = [m for m in rest if not bits >> (m | 1 << i) & 1]
+                    a = zeros[0]
+                    b = next(m for m in zeros[1:] if not bits >> (m | 1 << j) & 1 and m != a)
+                    bits |= (1 << (a | 1 << i)) | (1 << (b | 1 << j))
+                f = TruthTable(n, bits)
+                if kind == "tie":
+                    sig = first_order_pairs(f)
+                    assert sorted(sig[i]) == sorted(sig[j])
+                others = [rng.sample(range(n), 2) for _ in range(2)]
+                for a, b in [(i, j), (j, i)] + others:
+                    expected = (
+                        _swap_vars(bits, n, a, b) == bits,
+                        _antiswap_vars(bits, n, a, b) == bits,
+                    )
+                    assert symmetry_flags(f, a, b) == expected, (n, kind, a, b)
+                    if (a, b) == (i, j):
+                        assert expected == (kind == "identical", kind == "opposite") or (
+                            kind != "tie" and all(expected)
+                        ), (n, kind, expected)
+
+
+def image_classes(classes, t):
+    """The classes of apply_np_transform(f, t) predicted from f's: variable
+    m of f becomes perm[m], and a swap's sign flips with each input that t
+    negates."""
+    neg = [1 - p for p in t.input_pol]
+    out = []
+    for c in classes:
+        rel = {t.perm[m]: r ^ neg[m] for m, r in zip(c.members, c.relative_pol)}
+        members = tuple(sorted(rel))
+        first = rel[members[0]]
+        pols = tuple(0 if c.double else rel[m] ^ first for m in members)
+        out.append(SymmetryClass(members, pols, c.double))
+    return sorted(out, key=lambda c: c.first)
+
+
+class TestTransformedClasses:
+    """Above the brute-force limit: the classes of f under an NP transform
+    are the image of f's classes, with the same sizes, double flags and
+    members, and relative polarities moved by the input negations."""
+
+    def test_bent_and_block_members(self):
+        rng = random.Random(59)
+        sizes = []
+        for n in range(12, 19):
+            members = [wide_bent(rng, n)] if n % 2 == 0 else []
+            members.append(TruthTable(n, _wide_block(rng, n)))
+            for f in members:
+                t = random_transform(rng, n)
+                h = apply_np_transform(f, t)
+                classes = build_symmetry_classes(f)
+                assert build_symmetry_classes(h) == image_classes(classes, t), (n, t)
+                sizes += [c.size for c in classes]
+        assert sizes and max(sizes) >= 3
