@@ -149,6 +149,26 @@ def block_function(rng, n):
     return TruthTable(n, bits)
 
 
+def plant(rng, n, kinds):
+    """A random table made invariant under one swap of a fresh variable pair
+    per entry of kinds: "identical", "opposite" or "double" (both). Each
+    minterm reads the base table at the representative of its orbit, which
+    only rewrites the pair's two bits, so pairs on disjoint variables keep
+    each other's symmetry. Returns the table and the planted pairs."""
+    free = list(range(n))
+    rng.shuffle(free)
+    pairs = [(free.pop(), free.pop(), kind) for kind in kinds]
+    base, bits = rng.getrandbits(1 << n), 0
+    for m in range(1 << n):
+        r = m
+        for i, j, kind in pairs:
+            a, b = r >> i & 1, r >> j & 1
+            if a > b and kind != "opposite" or a == b == 1 and kind != "identical":
+                r ^= (1 << i) | (1 << j)  # to x_i = 0, x_j = 1 or to 0, 0
+        bits |= (base >> r & 1) << m
+    return TruthTable(n, bits), pairs
+
+
 class TestBuildAgainstBruteForce:
     """The classes against explicit enumeration of both swap conditions
     for every pair of variables."""
@@ -187,55 +207,34 @@ class TestBuildAgainstBruteForce:
             for _ in range(25):
                 self.check(block_function(rng, n))
 
-
-def plant(rng, n, kinds):
-    """A random table made invariant under one swap of a fresh variable pair
-    per entry of kinds: "identical", "opposite" or "double" (both). Each
-    minterm reads the base table at the representative of its orbit, which
-    only rewrites the pair's two bits, so pairs on disjoint variables keep
-    each other's symmetry. Returns the table and the planted pairs."""
-    free = list(range(n))
-    rng.shuffle(free)
-    pairs = [(free.pop(), free.pop(), kind) for kind in kinds]
-    base, bits = rng.getrandbits(1 << n), 0
-    for m in range(1 << n):
-        r = m
-        for i, j, kind in pairs:
-            a, b = r >> i & 1, r >> j & 1
-            if a > b and kind != "opposite" or a == b == 1 and kind != "identical":
-                r ^= (1 << i) | (1 << j)  # to x_i = 0, x_j = 1 or to 0, 0
-        bits |= (base >> r & 1) << m
-    return TruthTable(n, bits), pairs
-
-
-class TestCountGate:
-    """The build tests a swap condition only where the counts allow it, so
-    planted pairs whose cofactor counts differ (p != q) must still be found."""
-
-    def test_planted_pairs_against_brute_force(self):
+    def test_planted_pairs_with_unequal_counts(self):
+        # the build tests a swap condition only where the counts allow it,
+        # so planted pairs whose cofactor counts differ (p != q) must still
+        # be found
         rng = random.Random(43)
         gated = {"identical": 0, "opposite": 0}
         for n in range(4, 9):
             for _ in range(12):
                 kinds = [rng.choice(("identical", "opposite", "double")) for _ in range(n // 2)]
                 f, pairs = plant(rng, n, kinds)
-                TestBuildAgainstBruteForce.check(f)
+                self.check(f)
                 sig = first_order_pairs(f)
                 for i, j, kind in pairs:
-                    assert brute_flags(f, i, j)[kind == "opposite"] or kind == "double"
+                    identical, opposite = brute_flags(f, i, j)
+                    assert (identical or kind == "opposite") and (opposite or kind == "identical")
                     if kind in gated and sig[i][0] != sig[i][1]:
                         gated[kind] += 1
         # the double swap forces p = q; the other two must reach p != q
         assert min(gated.values()) >= 20, gated
 
-    def test_bent_members_against_brute_force(self):
-        # every variable of a bent function has the same cofactor counts,
-        # so every pair shares a bucket
+    def test_bent_members(self):
+        # every variable of a bent function has the same canonical cofactor
+        # counts, with p != q, so every pair shares a bucket and runs one test
         rng = random.Random(47)
         for n in (4, 6, 8):
             for inner in (False, True):
                 for _ in range(4):
-                    TestBuildAgainstBruteForce.check(maiorana_mcfarland(rng, n, inner))
+                    self.check(maiorana_mcfarland(rng, n, inner))
 
 
 def wide_bent(rng, n):
