@@ -121,7 +121,10 @@ class Side:
     masks: phase_known marks the variables whose phase is determined,
     phase_neg those of them whose phase is negative. On an arm whose root
     first-order keys already differ, both sides hold no classes, so
-    observers at that root see no symmetry marks."""
+    observers at that root see no symmetry marks. When the target's top
+    input alone refutes the arm (see _arm_states), the target also has
+    root_pairs None, and observers at that root see no vectors (v None on
+    both sides)."""
 
     __slots__ = (
         "table", "sym", "marks", "root_pairs", "cube_vars", "cube_vals",
@@ -430,13 +433,19 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     zeroth-order counts allow: against g when |f| = |g|, against its
     complement when |f| = 2^n - |g| (both for balanced functions).
 
-    The root first-order pairs of f and g are counted once and shared with
-    the symmetry build and the first SS vector of every arm; the negated
-    arm's pairs are derived from g's. Nothing past the zeroth-order counts
-    is computed when no arm is possible, and the complement of g only when
-    its arm is reached. The classes are built once, for the first arm whose
-    sorted canonical pairs agree; an arm whose pairs differ gets sides with
-    no classes, and its root prunes on the keys alone.
+    The root first-order pairs of f are counted first; of g, only its top
+    input x_{n-1}, by one half-width popcount. An arm whose target's
+    canonical pair of x_{n-1} is missing from f's canonical pairs has
+    sorted canonical pairs unlike f's whatever the rest of g holds: it gets
+    sides with no classes and a target with root_pairs None, and its root
+    prunes before it builds a vector (n = 0 has no top input and skips this
+    check). g's pairs are counted at most once, for the first arm that
+    passes, and shared with the symmetry build and the first SS vector of
+    every such arm; the negated arm's pairs are derived from g's. The
+    complement of g is built only when its arm is reached. The classes are
+    built once, for the first arm whose sorted canonical pairs agree; an
+    arm whose pairs differ gets sides with no classes, and its root prunes
+    on the keys alone.
     """
     if f.n != g.n:
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
@@ -445,20 +454,26 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     polarities = [neg for neg, target in ((False, cg), (True, (1 << n) - cg)) if cf == target]
     if not polarities:
         return
-    pairs_f, pairs_g = first_order_pairs(f), first_order_pairs(g)
+    pairs_f = first_order_pairs(f)
     key_f = sorted(map(sorted, pairs_f))
-    built = None  # the classes of f and g, for the first arm whose keys agree
+    half = (1 << n) >> 1
+    p = (g.bits >> half).bit_count()  # |g_{x_{n-1}}|
+    pairs_g = built = None  # built: the classes of f and g, for the first arm whose keys agree
     for output_negated in polarities:
         if output_negated:
-            target, target_pairs = negate(g), complement_pairs(pairs_g, n)
+            target, top = negate(g), (half - p, half - cg + p)
         else:
-            target, target_pairs = g, pairs_g
-        if key_f != sorted(map(sorted, target_pairs)):
-            sym_f = sym_g = ()  # the root vectors differ in their keys whatever the classes
-        else:
-            if built is None:
-                built = build_symmetry_classes(f, pairs_f), build_symmetry_classes(g, pairs_g)
-            sym_f, sym_g = built
+            target, top = g, (p, cg - p)
+        target_pairs, sym_f, sym_g = None, (), ()
+        if not n or sorted(top) in key_f:
+            if pairs_g is None:
+                pairs_g = first_order_pairs(g)
+            target_pairs = complement_pairs(pairs_g, n) if output_negated else pairs_g
+            # when the keys differ, the root vectors differ whatever the classes
+            if key_f == sorted(map(sorted, target_pairs)):
+                if built is None:
+                    built = build_symmetry_classes(f, pairs_f), build_symmetry_classes(g, pairs_g)
+                sym_f, sym_g = built
         sides = Side(f, sym_f, pairs_f), Side(target, sym_g, target_pairs)
         yield output_negated, MatchState(*sides, stats=stats, node_cap=node_cap)
 

@@ -157,6 +157,9 @@ def update(state, siblings: dict) -> bool:
     its restricted table and cube, symmetry marks, identified mask, vector,
     phase masks, and the root first-order pairs, from which the first
     vector is built at the root (the node where the side has no vector).
+    A target g with no root pairs (root_pairs None) marks an arm already
+    refuted by its root first-order keys: update reports it incompatible
+    before it builds either vector, so both sides keep v None.
 
     siblings is the store that the node above shares among its children (a
     fresh one at the root). Below the root, a side's new vector and phase
@@ -169,6 +172,8 @@ def update(state, siblings: dict) -> bool:
     i -> j - 1 identify the same variables of g but may split g on opposite
     literals of x_j.
     """
+    if state.g.root_pairs is None:
+        return False
     for index, side in enumerate((state.f, state.g)):
         key = index, side.identified, side.cube_vars, side.cube_vals
         stored = siblings.get(key)

@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from npnmatch.boolfn import (
     count_minterms,
     equal,
     negate,
+    var_mask,
 )
 from npnmatch.matcher import (
     BudgetExceededError,
@@ -32,7 +34,7 @@ from npnmatch.matcher import (
 )
 from npnmatch.oracle import exhaustive_match
 from npnmatch.signature import update
-from npnmatch.symmetry import build_symmetry_classes, first_order_pairs
+from npnmatch.symmetry import _FOLD_ABOVE, build_symmetry_classes, first_order_pairs
 
 from cases import (
     CASE3_F,
@@ -608,33 +610,54 @@ def test_transformation_from_map_list_conventions():
 class TestKeyRefutedArms:
     """An arm whose sorted canonical first-order pairs differ from f's is
     refuted at its root whatever the symmetry classes, so it builds none; a
-    function's classes are built at most once per match."""
+    function's classes are built at most once per match. g is counted
+    (first_order_pairs) only when some arm's target has the canonical pair
+    of its top input x_{n-1} among f's canonical pairs: otherwise every
+    arm's keys differ from f's, whatever the rest of g holds."""
 
     @staticmethod
     def run(monkeypatch, f, g):
-        """(result, arms run, build_symmetry_classes calls) of match_npn."""
-        calls = []
-        real = matcher.build_symmetry_classes
+        """(result, arms run, build_symmetry_classes calls, first_order_pairs
+        calls) of match_npn."""
+        calls = {"build_symmetry_classes": 0, "first_order_pairs": 0}
+        for name in calls:
+            real = getattr(matcher, name)
 
-        def counted(*args):
-            calls.append(args[0])
-            return real(*args)
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
 
-        monkeypatch.setattr(matcher, "build_symmetry_classes", counted)
+            monkeypatch.setattr(matcher, name, counted)
         events = RecordingObserver()
         result = match_npn(f, g, observer=events)
-        return result, len(events.of_kind("arm")), len(calls)
+        return result, len(events.of_kind("arm")), *calls.values()
 
     @staticmethod
     def keys(f):
         return sorted(map(sorted, first_order_pairs(f)))
 
+    def expected(self, f, g):
+        """(arms, builds, folds) of match_npn(f, g): the arms the weights
+        allow, f's and g's classes built when some arm's keys agree, and
+        f counted, then g too when some arm's target passes the top-input
+        check (every arm passes at n = 0)."""
+        n, key_f = f.n, self.keys(f)
+        targets = [t for t in (g, negate(g)) if count_minterms(t) == count_minterms(f)]
+
+        def top_passes(t):
+            p = (t.bits & var_mask(n, n - 1)).bit_count() if n else 0
+            return n == 0 or sorted((p, count_minterms(t) - p)) in key_f
+
+        builds = 2 * any(self.keys(t) == key_f for t in targets)
+        folds = 1 + any(map(top_passes, targets)) if targets else 0
+        return len(targets), builds, folds
+
     @pytest.mark.parametrize("kind", ["equal_weight", "complementary_weight", "type2"])
     def test_refuted_pairs_build_no_classes(self, monkeypatch, kind):
         rng = random.Random(61)
-        refuted = 0
+        refuted = Counter()
         for n in range(4, 11):
-            for _ in range(4):
+            for _ in range(8):
                 while True:
                     bits = _type2(rng, n) if kind == "type2" else _type1(rng, n)
                     weight = bits.bit_count()
@@ -647,22 +670,74 @@ class TestKeyRefutedArms:
                 # keep the pairs that no arm's target (g or ~g) agrees with
                 if self.keys(f) in (self.keys(g), self.keys(negate(g))):
                     continue
-                result, arms, builds = self.run(monkeypatch, f, g)
+                result, arms, builds, folds = self.run(monkeypatch, f, g)
                 assert not result.equivalent
                 assert arms == (2 if kind == "type2" else 1)
+                assert (arms, builds, folds) == self.expected(f, g)
                 assert builds == 0
                 assert result.stats.nodes_visited == arms
-                refuted += 1
-        assert refuted >= 20
+                # folds: 1 when g's top input refutes every arm, 2 when the
+                # full keys are needed
+                refuted[folds] += 1
+        assert refuted[1] >= 10 and refuted[2] >= 5, refuted
 
     def test_agreeing_keys_build_each_function_once(self, monkeypatch):
-        result, arms, builds = self.run(monkeypatch, CASE7_F, CASE7_G)
-        assert result.equivalent and (arms, builds) == (1, 2)
+        result, arms, builds, folds = self.run(monkeypatch, CASE7_F, CASE7_G)
+        assert result.equivalent and (arms, builds, folds) == (1, 2, 2)
         # a balanced pair whose witness negates the output runs both arms,
         # whose keys agree: the second arm reuses the first arm's classes
         rng = random.Random(67)
         f = TruthTable(8, _type2(rng, 8))
         t = _transform(rng, 8)
         t = NPTransformation(t.perm, t.input_pol, True)
-        result, arms, builds = self.run(monkeypatch, f, apply_np_transform(f, t))
-        assert result.equivalent and (arms, builds) == (2, 2)
+        result, arms, builds, folds = self.run(monkeypatch, f, apply_np_transform(f, t))
+        assert result.equivalent and (arms, builds, folds) == (2, 2, 2)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_every_pair_at_n0_and_n1(self, monkeypatch, n):
+        # n = 0 has no top input and skips the check; at n = 1 the top input
+        # is x_0, the only input, whose pair is the whole key
+        tables = [TruthTable(n, v) for v in range(1 << (1 << n))]
+        for f in tables:
+            for g in tables:
+                result, arms, builds, folds = self.run(monkeypatch, f, g)
+                allowed, *counts = self.expected(f, g)
+                assert (builds, folds) == tuple(counts), (f, g)
+                # an equivalent first arm ends the match
+                assert arms == allowed or result.equivalent and arms == 1, (f, g)
+
+    def test_folded_tables(self, monkeypatch):
+        # above _FOLD_ABOVE inputs first_order_pairs folds; the top input is
+        # counted apart from it. Per n: a rotated copy of f's table (same
+        # weight), its complement, a balanced pair (both arms), a near miss
+        # (two minterms of f exchanged within one half of x_{n-1}, so the
+        # top input agrees and the full keys do not) and an equivalent pair
+        rng = random.Random(71)
+        seen = Counter()
+        for n in range(_FOLD_ABOVE + 2, 21):
+            size = 1 << n
+
+            def rotated(t):
+                r = rng.randrange(1, size)
+                return TruthTable(n, (t.bits << r | t.bits >> (size - r)) & ((1 << size) - 1))
+
+            f = TruthTable(n, rng.getrandbits(size))
+            while 2 * count_minterms(f) == size:
+                f = TruthTable(n, rng.getrandbits(size))
+            balanced = TruthTable(n, _with_weight(rng, n, rng.getrandbits(size), size // 2))
+            one = next(m for m in range(size // 2) if f.bits >> m & 1)
+            zero = next(m for m in range(size // 2) if not f.bits >> m & 1)
+            pairs = [
+                (f, rotated(f)),
+                (f, negate(rotated(f))),
+                (balanced, rotated(balanced)),
+                (f, TruthTable(n, f.bits ^ (1 << one) ^ (1 << zero))),
+                (f, apply_np_transform(f, _transform(rng, n))),
+            ]
+            for k, (a, b) in enumerate(pairs):
+                result, arms, builds, folds = self.run(monkeypatch, a, b)
+                assert (arms, builds, folds) == self.expected(a, b), (n, k)
+                assert result.equivalent == (k == 4), (n, k)
+                seen[builds, folds] += 1
+        assert seen[0, 1] >= 10 and seen[0, 2] >= 5 and seen[2, 2] == 5, seen
+

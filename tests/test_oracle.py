@@ -1,6 +1,7 @@
 import hashlib
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from npnmatch.workbench import serialize_function
 
 from cases import CASE3_F, CASE3_G, TRIO_A, TRIO_C
 from test_boolfn import random_table, random_transform
+from test_golden import _with_weight
 
 
 class TestExhaustiveMatch:
@@ -208,6 +210,38 @@ class TestOracleMatcherAgreement:
             else:
                 f, g = random_table(rng, n), random_table(rng, n)
             assert match_npn(f, g).equivalent == (exhaustive_match(f, g) is not None)
+
+    @staticmethod
+    def check(f, g):
+        result = match_npn(f, g)
+        assert result.equivalent == (exhaustive_match(f, g) is not None), (f, g)
+        if result.equivalent:
+            assert apply_np_transform(f, result.witness) == g, (f, g)
+        return result.equivalent
+
+    def test_every_pair_at_n2(self):
+        # where g's top input refutes an arm most often (see matcher._arm_states)
+        tables = [TruthTable(2, v) for v in range(16)]
+        for f in tables:
+            for g in tables:
+                self.check(f, g)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_weight_matched_pairs(self, n):
+        # every pair enters the search: half are a transformed f, the rest a
+        # random table reweighted to f's weight (even k) or its complement's
+        # (odd k), so both output arms see equivalent and refuted pairs
+        rng = random.Random(73 + n)
+        seen = Counter()
+        for k in range(300):
+            f = random_table(rng, n)
+            if k % 4 < 2:
+                g = apply_np_transform(f, random_transform(rng, n))
+            else:
+                weight = count_minterms(f) if k % 2 == 0 else (1 << n) - count_minterms(f)
+                g = TruthTable(n, _with_weight(rng, n, rng.getrandbits(1 << n), weight))
+            seen[k % 4 < 2, self.check(f, g)] += 1
+        assert seen[True, False] == 0 and seen[False, False] >= 50, seen
 
     def test_spot_checks_n5_n6(self):
         rng = random.Random(13)

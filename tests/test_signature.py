@@ -45,6 +45,28 @@ def ss(f, cube=None, sym=None, identified=0, prev=None):
     return compute_ss_vector(restricted, sym, identified, prev)
 
 
+def check_top_refuted_root(depth, state) -> bool:
+    """False at a node with vectors. Otherwise assert that the node is an
+    arm's root that the target's top input refutes: no root pairs for the
+    target, and the canonical pair of its x_{n-1}, recounted minterm by
+    minterm, missing from f's canonical pairs."""
+    if state.f.v is not None or state.g.v is not None:
+        assert state.f.v is not None and state.g.v is not None, (depth, state.map_list)
+        return False
+    assert depth == 0 and not state.map_list and state.g.root_pairs is None
+    f, g = state.f.table, state.g.table
+    n = g.n
+    top = [0, 0]
+    for m in range(1 << n):
+        top[0 if m >> (n - 1) & 1 else 1] += g.bits >> m & 1
+    canonical_f = [
+        sorted(((f.bits & var_mask(n, i)).bit_count(), (f.bits & low_mask(n, i)).bit_count()))
+        for i in range(n)
+    ]
+    assert sorted(top) not in canonical_f, (top, canonical_f)
+    return True
+
+
 class TestFirstOrderValue:
     def test_trio_vectors(self):
         assert dump_first_order(first_order_pairs(TRIO_A)) == "{(2,2),(1,3),(2,2)}"
@@ -178,7 +200,7 @@ class TestVectorsCompatible:
         # per-group counts cannot differ between f and g; check that claim
         # on every node of searches that reach symmetry classes and phases
         class IdentifiedCounts(Observer):
-            nodes = identified_nodes = 0
+            nodes = identified_nodes = refuted = 0
 
             def on_vectors(self, depth, state):
                 self.nodes += 1
@@ -186,7 +208,11 @@ class TestVectorsCompatible:
                 assert cf == counts(state.g.v, state.g.identified), (depth, state.map_list)
                 self.identified_nodes += bool(cf)
 
-            on_incompatible = on_vectors
+            def on_incompatible(self, depth, state):
+                if check_top_refuted_root(depth, state):
+                    self.refuted += 1
+                else:
+                    self.on_vectors(depth, state)
 
         def counts(v, identified):
             return Counter(val.group for i, val in enumerate(v.values) if identified >> i & 1)
@@ -200,6 +226,7 @@ class TestVectorsCompatible:
         for _, f, g in _family_pairs(random.Random(47), families):
             match_npn(f, g, observer=observer)
         assert observer.identified_nodes > 100, observer.nodes
+        assert observer.refuted > 50, observer.refuted
 
 
 class TestSiblingVectors:
@@ -208,7 +235,7 @@ class TestSiblingVectors:
         # agree; at every node, each side's restricted table must be its
         # table under its cube, and its vector must count that table
         class Recount(Observer):
-            nodes = 0
+            nodes = refuted = 0
 
             def on_vectors(self, depth, state):
                 self.nodes += 1
@@ -223,7 +250,11 @@ class TestSiblingVectors:
                             pq = (bits & var_mask(n, i)).bit_count(), (bits & low_mask(n, i)).bit_count()
                             assert (side.v.pos[i], side.v.neg[i]) == pq, (depth, state.map_list, i)
 
-            on_incompatible = on_vectors
+            def on_incompatible(self, depth, state):
+                if check_top_refuted_root(depth, state):
+                    self.refuted += 1
+                else:
+                    self.on_vectors(depth, state)
 
         def bent(rng, n):
             return maiorana_mcfarland(rng, n).bits
@@ -249,6 +280,7 @@ class TestSiblingVectors:
         for _, f, g in _family_pairs(random.Random(53), families):
             reused += match_npn(f, g, observer=observer).stats.vectors_reused
         assert observer.nodes > 500 and reused > 250, (observer.nodes, reused)
+        assert observer.refuted > 50, observer.refuted
 
 
 def test_ss_value_canonical():
