@@ -712,9 +712,10 @@ class TestKeyRefutedArms:
         # weight), its complement, a balanced pair (both arms), a near miss
         # (two minterms of f exchanged within one half of x_{n-1}, so the
         # top input agrees and the full keys do not) and an equivalent pair
+        assert _FOLD_ABOVE < 16
         rng = random.Random(71)
         seen = Counter()
-        for n in range(_FOLD_ABOVE + 2, 21):
+        for n in range(16, 21):
             size = 1 << n
 
             def rotated(t):
