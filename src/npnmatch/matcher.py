@@ -31,6 +31,7 @@ from .boolfn import (
 from .symmetry import (
     SymmetryClass,
     build_symmetry_classes,
+    canonical_keys,
     complement_pairs,
     first_order_pairs,
 )
@@ -119,12 +120,10 @@ class Side:
     masks (its variables and their values), the table restricted to it, its
     SS vector v, the identified bit mask, and the phase record as two bit
     masks: phase_known marks the variables whose phase is determined,
-    phase_neg those of them whose phase is negative. On an arm whose root
-    first-order keys already differ, both sides hold no classes, so
-    observers at that root see no symmetry marks. When the target's top
-    input alone refutes the arm (see _arm_states), the target also has
-    root_pairs None, and observers at that root see no vectors (v None on
-    both sides)."""
+    phase_neg those of them whose phase is negative. On an arm that
+    _arm_states refutes, both sides hold no classes and the target has
+    root_pairs None, so observers at its root see no marks and no vectors
+    (v None on both sides)."""
 
     __slots__ = (
         "table", "sym", "marks", "root_pairs", "cube_vars", "cube_vals",
@@ -433,19 +432,15 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     zeroth-order counts allow: against g when |f| = |g|, against its
     complement when |f| = 2^n - |g| (both for balanced functions).
 
-    The root first-order pairs of f are counted first; of g, only its top
-    input x_{n-1}, by one half-width popcount. An arm whose target's
-    canonical pair of x_{n-1} is missing from f's canonical pairs has
-    sorted canonical pairs unlike f's whatever the rest of g holds: it gets
-    sides with no classes and a target with root_pairs None, and its root
-    prunes before it builds a vector (n = 0 has no top input and skips this
-    check). g's pairs are counted at most once, for the first arm that
-    passes, and shared with the symmetry build and the first SS vector of
-    every such arm; the negated arm's pairs are derived from g's. The
-    complement of g is built only when its arm is reached. The classes are
-    built once, for the first arm whose sorted canonical pairs agree; an
-    arm whose pairs differ gets sides with no classes, and its root prunes
-    on the keys alone.
+    An NP transform keeps the sorted canonical keys of the first-order
+    pairs, so an arm whose target's keys differ from f's is refuted: the
+    target gets root_pairs None, neither side gets classes, and the root
+    prunes before any vector is built. Of g, the top input x_{n-1} is
+    counted first (one half-width popcount; n = 0 has none): an arm whose
+    key for it is missing from f's keys is refuted there. g's pairs are
+    counted at most once (the negated arm's derive from them), the
+    complement of g only when its arm is reached, and the classes once,
+    for the first arm not refuted.
     """
     if f.n != g.n:
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
@@ -455,25 +450,24 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     if not polarities:
         return
     pairs_f = first_order_pairs(f)
-    key_f = sorted(map(sorted, pairs_f))
+    keys_f = sorted(canonical_keys(pairs_f))
     half = (1 << n) >> 1
     p = (g.bits >> half).bit_count()  # |g_{x_{n-1}}|
-    pairs_g = built = None  # built: the classes of f and g, for the first arm whose keys agree
+    pairs_g = built = None  # built: the classes of f and g
     for output_negated in polarities:
         if output_negated:
             target, top = negate(g), (half - p, half - cg + p)
         else:
             target, top = g, (p, cg - p)
         target_pairs, sym_f, sym_g = None, (), ()
-        if not n or sorted(top) in key_f:
+        if not n or canonical_keys([top])[0] in keys_f:
             if pairs_g is None:
                 pairs_g = first_order_pairs(g)
-            target_pairs = complement_pairs(pairs_g, n) if output_negated else pairs_g
-            # when the keys differ, the root vectors differ whatever the classes
-            if key_f == sorted(map(sorted, target_pairs)):
+            pairs = complement_pairs(pairs_g, n) if output_negated else pairs_g
+            if sorted(canonical_keys(pairs)) == keys_f:
                 if built is None:
                     built = build_symmetry_classes(f, pairs_f), build_symmetry_classes(g, pairs_g)
-                sym_f, sym_g = built
+                target_pairs, (sym_f, sym_g) = pairs, built
         sides = Side(f, sym_f, pairs_f), Side(target, sym_g, target_pairs)
         yield output_negated, MatchState(*sides, stats=stats, node_cap=node_cap)
 

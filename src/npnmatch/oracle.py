@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -121,9 +122,12 @@ def _random_table(rng: random.Random, n: int, kind: str) -> TruthTable:
     size = 1 << n
     if kind == KIND_TYPE1:
         return TruthTable(n, rng.getrandbits(size) & full_mask(n))
-    # one byte per 8 minterms: OR-ing bits into a growing int is quadratic
-    buf = bytearray((size + 7) // 8)
-    for m in rng.sample(range(size), size // 2):
+    # rng.sample(range(size), size // 2)'s pool walk, on an array, not a list
+    # of ints; a byte per 8 minterms: OR-ing into a growing int is quadratic
+    pool, buf = array("I", range(size)), bytearray((size + 7) // 8)
+    for i in range(size // 2):
+        j = rng.randrange(size - i)
+        m, pool[j] = pool[j], pool[size - i - 1]
         buf[m >> 3] |= 1 << (m & 7)
     return TruthTable(n, int.from_bytes(buf, "little"))
 

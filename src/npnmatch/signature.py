@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .boolfn import MAX_VARS, TruthTable
-from .symmetry import SymmetryClass, first_order_pairs
+from .boolfn import TruthTable
+from .symmetry import SymmetryClass, canonical_keys, first_order_pairs
 
 
 class SSValue(NamedTuple):
@@ -21,11 +21,6 @@ class SSValue(NamedTuple):
     sym_size: int  # -1 when asymmetric
     sym_first: int  # -1 when asymmetric
     group: int
-
-    @property
-    def canonical(self) -> tuple[int, int]:
-        p, q = self.pos_count, self.neg_count
-        return (p, q) if p >= q else (q, p)
 
 
 class SymmetryMarks(NamedTuple):
@@ -45,8 +40,8 @@ def symmetry_marks(sym: Sequence[SymmetryClass], n: int) -> SymmetryMarks:
 
 class SSVector:
     """Per-variable lists: cofactor counts pos and neg, group serial and
-    packed canonical pair key, plus the match's symmetry marks. The SSValue
-    views (values, v[i], ==, dump) are built on demand."""
+    canonical key (symmetry.canonical_keys), plus the match's symmetry
+    marks. The SSValue views (values, v[i], ==, dump) are built on demand."""
 
     __slots__ = ("pos", "neg", "group", "key", "marks")
 
@@ -101,9 +96,7 @@ def compute_ss_vector(
 def _vector(pairs, identified, prev, marks) -> SSVector:
     """The vector of first-order pairs already counted with identified
     variables at (0, 0); see compute_ss_vector."""
-    # the canonical pair (max, min) packed as max << MAX_VARS | min orders
-    # like the tuple: a count never exceeds 2^(MAX_VARS - 1)
-    key = [p << MAX_VARS | q if p >= q else q << MAX_VARS | p for p, q in pairs]
+    key = canonical_keys(pairs)
     # a first vector refines one group that holds every variable
     old, skip = (prev.group, identified) if prev is not None else ([0] * len(key), 0)
     group = _refine(old, key, skip)
@@ -153,13 +146,10 @@ def update(state, siblings: dict) -> bool:
     """Recompute the SS vector of each side's cube-restricted table, record
     first-determined phases, and report cross-function compatibility.
 
-    ``state`` carries two sides f and g (see the matcher's Side): each holds
-    its restricted table and cube, symmetry marks, identified mask, vector,
-    phase masks, and the root first-order pairs, from which the first
-    vector is built at the root (the node where the side has no vector).
-    A target g with no root pairs (root_pairs None) marks an arm already
-    refuted by its root first-order keys: update reports it incompatible
-    before it builds either vector, so both sides keep v None.
+    ``state`` carries two sides f and g (see the matcher's Side). At the
+    root, where a side has no vector, the first vector is built from the
+    side's root first-order pairs; a target with none is an arm that
+    matcher._arm_states has refuted, reported incompatible at once.
 
     siblings is the store that the node above shares among its children (a
     fresh one at the root). Below the root, a side's new vector and phase

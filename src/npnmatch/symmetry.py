@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .boolfn import (
+    MAX_VARS,
     TruthTable,
     apply_np_transform,  # patched by the benchmark's tracer (npnbench/tracer.py)
     full_mask,
@@ -131,6 +132,13 @@ def complement_pairs(pairs: Sequence[tuple[int, int]], n: int) -> list[tuple[int
     return [(half - p, half - q) for p, q in pairs]
 
 
+def canonical_keys(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Per first-order pair (p, q), the canonical pair (max, min) that input
+    negation keeps, packed as max << MAX_VARS | min: a count never exceeds
+    2^(MAX_VARS - 1), so the keys order like the (max, min) tuples."""
+    return [p << MAX_VARS | q if p >= q else q << MAX_VARS | p for p, q in pairs]
+
+
 def build_symmetry_classes(
     f: TruthTable, sig: list[tuple[int, int]] | None = None
 ) -> list[SymmetryClass]:
@@ -150,13 +158,13 @@ def build_symmetry_classes(
     n = f.n
     if sig is None:
         sig = first_order_pairs(f)
+    keys = canonical_keys(sig)
     # per class: members, relative polarities, and the double flag, which
     # the second member decides for all (see SymmetryClass)
     classes: list[list] = []
-    buckets: dict[tuple[int, int], list] = {}
-    for i in range(n):
-        p, q = sig[i]
-        opened = buckets.setdefault((max(p, q), min(p, q)), [])
+    buckets: dict[int, list] = {}
+    for i, (p, q) in enumerate(sig):
+        opened = buckets.setdefault(keys[i], [])
         for cls in opened:
             members, pols, _ = cls
             a = members[0]

@@ -34,7 +34,12 @@ from npnmatch.matcher import (
 )
 from npnmatch.oracle import exhaustive_match
 from npnmatch.signature import update
-from npnmatch.symmetry import _FOLD_ABOVE, build_symmetry_classes, first_order_pairs
+from npnmatch.symmetry import (
+    _FOLD_ABOVE,
+    build_symmetry_classes,
+    canonical_keys,
+    first_order_pairs,
+)
 
 from cases import (
     CASE3_F,
@@ -615,6 +620,17 @@ class TestKeyRefutedArms:
     of its top input x_{n-1} among f's canonical pairs: otherwise every
     arm's keys differ from f's, whatever the rest of g holds."""
 
+    class RefutedRoots(RecordingObserver):
+        """Asserts that a root whose target's keys differ from f's, whether
+        the top input refutes it or only the full keys do, prunes before it
+        builds a vector on either side."""
+
+        def on_incompatible(self, depth, state):
+            super().on_incompatible(depth, state)
+            keys = TestKeyRefutedArms.keys
+            if depth == 0 and keys(state.f.table) != keys(state.g.table):
+                assert state.f.v is None and state.g.v is None, self.events
+
     @staticmethod
     def run(monkeypatch, f, g):
         """(result, arms run, build_symmetry_classes calls, first_order_pairs
@@ -628,13 +644,13 @@ class TestKeyRefutedArms:
                 return real(*args)
 
             monkeypatch.setattr(matcher, name, counted)
-        events = RecordingObserver()
+        events = TestKeyRefutedArms.RefutedRoots()
         result = match_npn(f, g, observer=events)
         return result, len(events.of_kind("arm")), *calls.values()
 
     @staticmethod
     def keys(f):
-        return sorted(map(sorted, first_order_pairs(f)))
+        return sorted(canonical_keys(first_order_pairs(f)))
 
     def expected(self, f, g):
         """(arms, builds, folds) of match_npn(f, g): the arms the weights
@@ -646,7 +662,7 @@ class TestKeyRefutedArms:
 
         def top_passes(t):
             p = (t.bits & var_mask(n, n - 1)).bit_count() if n else 0
-            return n == 0 or sorted((p, count_minterms(t) - p)) in key_f
+            return n == 0 or canonical_keys([(p, count_minterms(t) - p)])[0] in key_f
 
         builds = 2 * any(self.keys(t) == key_f for t in targets)
         folds = 1 + any(map(top_passes, targets)) if targets else 0

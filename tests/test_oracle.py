@@ -180,6 +180,14 @@ class TestRandomFunction:
             text = serialize_function(random_function(n, "type2", seed))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, seed)
 
+    def test_type2_draw_is_the_random_sample(self):
+        # the generator walks the pool that rng.sample walks over
+        # range(2^n), so it picks the same minterms from the same seed
+        for n, seed in [(0, 5), (1, 6), (2, 7), (3, 8), (5, 9), (8, 10), (11, 11), (14, 12)]:
+            size = 1 << n
+            picked = random.Random(seed).sample(range(size), size // 2)
+            assert random_function(n, "type2", seed).bits == sum(1 << m for m in picked), (n, seed)
+
 
 class TestRandomEquivalentPair:
     def test_pair_is_equivalent_by_construction(self):

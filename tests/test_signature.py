@@ -1,16 +1,15 @@
 import random
 from collections import Counter
 
-from npnmatch.boolfn import TruthTable, apply_np_transform, low_mask, var_mask
+from npnmatch.boolfn import MAX_VARS, TruthTable, apply_np_transform, low_mask, var_mask
 from npnmatch.signature import (
-    SSValue,
     compute_ss_vector,
     dump_first_order,
     update,
     vectors_compatible,
 )
 from npnmatch.matcher import MatchState, Observer, Side, match_npn
-from npnmatch.symmetry import build_symmetry_classes, first_order_pairs
+from npnmatch.symmetry import build_symmetry_classes, canonical_keys, first_order_pairs
 
 from cases import (
     CASE4_F,
@@ -45,26 +44,34 @@ def ss(f, cube=None, sym=None, identified=0, prev=None):
     return compute_ss_vector(restricted, sym, identified, prev)
 
 
-def check_top_refuted_root(depth, state) -> bool:
-    """False at a node with vectors. Otherwise assert that the node is an
-    arm's root that the target's top input refutes: no root pairs for the
-    target, and the canonical pair of its x_{n-1}, recounted minterm by
-    minterm, missing from f's canonical pairs."""
+def check_refuted_root(depth, state):
+    """None at a node with vectors. Otherwise assert that the node is the
+    root of a refuted arm: no classes on either side, no root pairs for the
+    target, and sorted canonical pairs of f and the target, recounted
+    minterm by minterm, that differ. Returns "top" when the target's pair
+    of its top input x_{n-1} is already missing from f's, "keys" when only
+    the full pairs differ."""
     if state.f.v is not None or state.g.v is not None:
         assert state.f.v is not None and state.g.v is not None, (depth, state.map_list)
-        return False
+        return None
     assert depth == 0 and not state.map_list and state.g.root_pairs is None
-    f, g = state.f.table, state.g.table
-    n = g.n
-    top = [0, 0]
-    for m in range(1 << n):
-        top[0 if m >> (n - 1) & 1 else 1] += g.bits >> m & 1
-    canonical_f = [
-        sorted(((f.bits & var_mask(n, i)).bit_count(), (f.bits & low_mask(n, i)).bit_count()))
-        for i in range(n)
-    ]
-    assert sorted(top) not in canonical_f, (top, canonical_f)
-    return True
+    assert not state.f.sym and not state.g.sym
+
+    def canonical(bits, n, i):
+        p = q = 0
+        for m in range(1 << n):
+            if m >> i & 1:
+                p += bits >> m & 1
+            else:
+                q += bits >> m & 1
+        return max(p, q), min(p, q)
+
+    n = state.f.table.n
+    pairs_f, pairs_g = (
+        [canonical(side.table.bits, n, i) for i in range(n)] for side in (state.f, state.g)
+    )
+    assert sorted(pairs_f) != sorted(pairs_g), pairs_f
+    return "keys" if pairs_g[n - 1] in pairs_f else "top"
 
 
 class TestFirstOrderValue:
@@ -191,16 +198,16 @@ class TestVectorsCompatible:
             f = random_table(rng, n)
             t = random_transform(rng, n, allow_output=False)
             h = apply_np_transform(f, t)
-            mf = sorted(v.canonical for v in ss(f).values)
-            mh = sorted(v.canonical for v in ss(h).values)
-            assert mf == mh
+            keys = [sorted(canonical_keys(first_order_pairs(x))) for x in (f, h)]
+            assert keys[0] == keys[1] == sorted(ss(f).key)
 
     def test_identified_counts_agree_at_every_node(self):
         # vectors_compatible skips identified variables because their
         # per-group counts cannot differ between f and g; check that claim
         # on every node of searches that reach symmetry classes and phases
         class IdentifiedCounts(Observer):
-            nodes = identified_nodes = refuted = 0
+            nodes = identified_nodes = 0
+            refuted = Counter()
 
             def on_vectors(self, depth, state):
                 self.nodes += 1
@@ -209,8 +216,9 @@ class TestVectorsCompatible:
                 self.identified_nodes += bool(cf)
 
             def on_incompatible(self, depth, state):
-                if check_top_refuted_root(depth, state):
-                    self.refuted += 1
+                kind = check_refuted_root(depth, state)
+                if kind:
+                    self.refuted[kind] += 1
                 else:
                     self.on_vectors(depth, state)
 
@@ -226,7 +234,9 @@ class TestVectorsCompatible:
         for _, f, g in _family_pairs(random.Random(47), families):
             match_npn(f, g, observer=observer)
         assert observer.identified_nodes > 100, observer.nodes
-        assert observer.refuted > 50, observer.refuted
+        # both kinds of refuted root: by the target's top input, and by
+        # the full first-order keys once the top input passes
+        assert min(observer.refuted[k] for k in ("top", "keys")) > 50, observer.refuted
 
 
 class TestSiblingVectors:
@@ -235,7 +245,8 @@ class TestSiblingVectors:
         # agree; at every node, each side's restricted table must be its
         # table under its cube, and its vector must count that table
         class Recount(Observer):
-            nodes = refuted = 0
+            nodes = 0
+            refuted = Counter()
 
             def on_vectors(self, depth, state):
                 self.nodes += 1
@@ -251,8 +262,9 @@ class TestSiblingVectors:
                             assert (side.v.pos[i], side.v.neg[i]) == pq, (depth, state.map_list, i)
 
             def on_incompatible(self, depth, state):
-                if check_top_refuted_root(depth, state):
-                    self.refuted += 1
+                kind = check_refuted_root(depth, state)
+                if kind:
+                    self.refuted[kind] += 1
                 else:
                     self.on_vectors(depth, state)
 
@@ -280,9 +292,20 @@ class TestSiblingVectors:
         for _, f, g in _family_pairs(random.Random(53), families):
             reused += match_npn(f, g, observer=observer).stats.vectors_reused
         assert observer.nodes > 500 and reused > 250, (observer.nodes, reused)
-        assert observer.refuted > 50, observer.refuted
+        # both kinds of refuted root: by the target's top input, and by
+        # the full first-order keys once the top input passes
+        assert min(observer.refuted[k] for k in ("top", "keys")) > 50, observer.refuted
 
 
-def test_ss_value_canonical():
-    assert SSValue(3, 5, -1, -1, 0).canonical == (5, 3)
-    assert SSValue(5, 3, -1, -1, 0).canonical == (5, 3)
+def test_canonical_keys_order_like_max_min_pairs():
+    # (p, q) and (q, p) share a key, and keys order like (max, min) tuples
+    # up to the largest count, 2^(MAX_VARS - 1)
+    top = 1 << (MAX_VARS - 1)
+    counts = [0, 1, 2, 3, 5, top - 1, top]
+    pairs = [(p, q) for p in counts for q in counts]
+    keys = canonical_keys(pairs)
+    assert keys == canonical_keys([(q, p) for p, q in pairs])
+    canonical = [(max(p, q), min(p, q)) for p, q in pairs]
+    for ka, ca in zip(keys, canonical):
+        for kb, cb in zip(keys, canonical):
+            assert (ka < kb, ka == kb) == (ca < cb, ca == cb), (ca, cb)
