@@ -12,7 +12,6 @@ complete branch is verified bit-exactly and reported with its verdict.
 from __future__ import annotations
 
 import enum
-from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -345,8 +344,8 @@ def detect(
     _depth: int = 0,
 ) -> Iterator[tuple[tuple[VarMapping, ...], bool]]:
     """Procedure-2 style DFS. Yields (map_list, verified) for each complete
-    branch, in search order. The state is back at its entry value once the
-    generator is exhausted or closed.
+    branch, in search order, and consumes the state: only a node branching
+    over two or more candidates snapshots it, restoring it after each one.
 
     _siblings is the store that the node above shares among its children
     (see signature.update).
@@ -363,43 +362,41 @@ def detect(
         yield branch, ok
         return
 
-    snap = state.snapshot()
-    try:
-        if not sig.update(state, {} if _siblings is None else _siblings):
-            observer.on_incompatible(_depth, state)
-            return
-        observer.on_vectors(_depth, state)
+    if not sig.update(state, {} if _siblings is None else _siblings):
+        observer.on_incompatible(_depth, state)
+        return
+    observer.on_vectors(_depth, state)
 
-        sets = build_mapping_sets(state, observer)
-        if any(s.cardinality == 0 for s in sets):
-            return
+    sets = build_mapping_sets(state, observer)
+    if any(s.cardinality == 0 for s in sets):
+        return
 
-        singles = [s for s in sets if s.cardinality == 1]
-        if singles:
-            # every forced mapping commits together as the one candidate;
-            # nothing follows it, so the entry snapshot serves for its undo
-            chosen, inner = None, snap
-            candidates = [_named(m for s in singles for m in s.candidates[0])]
-        else:
-            best, inner = select_min_set(sets), state.snapshot()
-            chosen = MappingSet(best.subject, tuple(map(_named, best.candidates)))
-            candidates = chosen.candidates
-        children: dict = {}
-        for cand in candidates:
-            if chosen is not None:
-                observer.on_branch(chosen, cand)
-            for m in cand:
-                # two forced subjects can claim the same variable of g
-                if state.g.identified >> m.to & 1:
-                    break
-                commit_mapping(state, m)
-                observer.on_commit(m)
-            else:
-                extend_cubes(state)
-                observer.on_cubes(state)
-                yield from detect(state, observer, children, _depth + 1)
-            state.restore(inner)
-    finally:
+    singles = [s for s in sets if s.cardinality == 1]
+    if singles:
+        # every forced mapping commits together as the one candidate; the
+        # nearest ancestor that branched undoes it
+        for m in _named(m for s in singles for m in s.candidates[0]):
+            # two forced subjects can claim the same variable of g
+            if state.g.identified >> m.to & 1:
+                return
+            commit_mapping(state, m)
+            observer.on_commit(m)
+        extend_cubes(state)
+        observer.on_cubes(state)
+        yield from detect(state, observer, {}, _depth + 1)
+        return
+
+    best = select_min_set(sets)
+    chosen = MappingSet(best.subject, tuple(map(_named, best.candidates)))
+    snap, children = state.snapshot(), {}
+    for cand in chosen.candidates:
+        observer.on_branch(chosen, cand)
+        for m in cand:
+            commit_mapping(state, m)
+            observer.on_commit(m)
+        extend_cubes(state)
+        observer.on_cubes(state)
+        yield from detect(state, observer, children, _depth + 1)
         state.restore(snap)
 
 
@@ -486,9 +483,7 @@ def match_npn(
     stats = SearchStats()
     for output_negated, state in _arm_states(f, g, stats, node_cap):
         observer.on_arm(output_negated)
-        # closing the search runs the restores of the nodes it stopped in
-        with closing(detect(state, observer)) as search:
-            found = next((branch for branch, ok in search if ok), None)
+        found = next((branch for branch, ok in detect(state, observer) if ok), None)
         if found is not None:
             witness = transformation_from_map_list(found, f.n, output_negated)
             return MatchResult(Verdict.EQUIVALENT, witness, found, stats)

@@ -94,8 +94,8 @@ class NPNClasses:
 
 
 def enumerate_npn_classes(n: int) -> NPNClasses:
-    if n > ENUMERATE_MAX_VARS:
-        raise ValueError(f"n={n} exceeds enumeration budget (n <= {ENUMERATE_MAX_VARS})")
+    if not 0 <= n <= ENUMERATE_MAX_VARS:
+        raise ValueError(f"n={n} out of range [0, {ENUMERATE_MAX_VARS}]")
     total = 1 << (1 << n)
     transforms = list(all_transformations(n))
     canonical = [-1] * total

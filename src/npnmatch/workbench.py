@@ -255,6 +255,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"count={args.count} is negative")
     rng = random.Random(args.seed)
     for _ in range(args.count):
         seed = rng.randrange(1 << 62)

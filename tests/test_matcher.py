@@ -1,4 +1,3 @@
-import copy
 import random
 from collections import Counter
 
@@ -24,7 +23,6 @@ from npnmatch.matcher import (
     Verdict,
     build_mapping_sets,
     commit_mapping,
-    detect,
     enumerate_complete_transformations,
     extend_cubes,
     match_npn,
@@ -65,6 +63,7 @@ from test_golden import (
     _type1,
     _type2,
     _with_weight,
+    corpus,
     maiorana_mcfarland,
 )
 
@@ -546,53 +545,59 @@ class TestMatchNPN:
 
 
 class TestBacktrackingIntegrity:
-    def test_state_restored_after_detect(self):
-        for f, g in [(CASE5_F, CASE5_G), (CASE7_F, CASE7_G), (TRIO_A, TRIO_C)]:
-            state = fresh_state(f, g)
-            before = copy.deepcopy(state.snapshot())
-            list(detect(state))
-            assert state.snapshot() == before
+    class BranchStarts(Observer):
+        """Records each node's state when its vectors are built, under
+        state.splits (the node's depth), and asserts at every branch that the
+        live state is the one its branching node recorded: each candidate
+        starts from the same state, however its siblings ended."""
 
-    def test_state_restored_on_random_instances(self):
-        rng = random.Random(37)
-        for _ in range(25):
-            n = rng.randint(2, 5)
-            f = random_table(rng, n)
-            g = random_table(rng, n)
-            state = fresh_state(f, g)
-            before = copy.deepcopy(state.snapshot())
-            list(detect(state))
-            assert state.snapshot() == before
+        def __init__(self):
+            self.recorded: dict[int, tuple] = {}
+            # id(chosen) -> (chosen, fingerprint); holding chosen keeps its
+            # id from being reused
+            self.expected: dict[int, tuple] = {}
+            self.branches = self.deep_branches = 0
 
-    def test_state_restored_mid_search(self):
-        # snapshot keeps only the length of map_list, so a wrong truncation
-        # shows only when the list is not empty on entry; the search stops
-        # at its first verified branch, as match_npn does
-        def observed(state):
+        @staticmethod
+        def fingerprint(state):
+            f, g = state.f, state.g
             return (
                 list(state.map_list),
                 state.splits,
-                state.f.restricted,
-                state.g.restricted,
-                state.f.phase_known,
-                state.f.phase_neg,
-                state.g.phase_known,
-                state.g.phase_neg,
-                state.f.identified,
-                state.g.identified,
-                tuple(str(c) for c in state.cubes()),
+                f.restricted,
+                g.restricted,
+                f.v.dump(),
+                g.v.dump(),
+                f.identified,
+                g.identified,
+                f.phase_known,
+                f.phase_neg,
+                g.phase_known,
+                g.phase_neg,
             )
 
-        state = fresh_state(CASE7_F, CASE7_G)
-        assert update(state, {})
-        commit_mapping(state, VarMapping(2, 5, 1))
-        extend_cubes(state)
-        before = observed(state)
-        assert before[-1] == ("x2", "~x5")
-        search = detect(state)
-        assert any(ok for _, ok in search)
-        search.close()
-        assert observed(state) == before
+        def on_vectors(self, depth, state):
+            assert state.splits == depth
+            self.state = state
+            self.recorded[depth] = self.fingerprint(state)
+
+        def on_branch(self, chosen, candidate):
+            if id(chosen) not in self.expected:
+                # a node's first branch follows its own vectors directly
+                self.expected[id(chosen)] = chosen, self.recorded[self.state.splits]
+            assert self.fingerprint(self.state) == self.expected[id(chosen)][1]
+            self.branches += 1
+            self.deep_branches += bool(self.state.map_list)
+
+    def test_each_candidate_starts_from_its_branch_state(self):
+        # a wrong truncation of map_list shows only at a branch whose map
+        # list is not empty, so both counts have a floor
+        starts = self.BranchStarts()
+        for _, f, g in corpus():
+            if f.n <= 8:
+                match_npn(f, g, observer=starts)
+        assert starts.branches >= 150
+        assert starts.deep_branches >= 70
 
     def test_null_observer_builds_no_cubes(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -124,6 +124,8 @@ class TestEnumerateClasses:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             enumerate_npn_classes(5)
+        with pytest.raises(ValueError, match=r"n=-1 out of range \[0, 4\]"):
+            enumerate_npn_classes(-1)
 
 
 class TestRandomFunction:

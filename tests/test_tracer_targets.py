@@ -4,7 +4,7 @@ the library must fail here, not only in a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from cases import CASE7_F, CASE7_G
+from cases import CASE5_F, CASE5_G, CASE7_F, CASE7_G
 
 TRACER = Path(__file__).resolve().parents[1] / "npnbench" / "tracer.py"
 
@@ -25,18 +25,21 @@ def test_every_tracer_target_resolves():
 
 def test_case7_span_counts_per_layer():
     # a change that moves work between layers or drops a patched call
-    # changes these counts
+    # changes these counts. Only a branch point snapshots: CASE7's first
+    # candidate verifies, so it takes one snapshot and no restore; a phase
+    # collision prunes CASE5's first candidate, so a restore follows it
     tracer = load_tracer()
-    log = tracer.SpanLog()
-    with tracer.instrumented(log) as traced_match:
-        assert traced_match(CASE7_F, CASE7_G).equivalent
-    calls = {name: s["calls"] for name, s in log.summarize().items()}
-    assert calls == {
-        tracer.ROOT: 1,
-        "symmetry.build": 2,
-        "signature.update": 3,
-        "matcher.mapping_sets": 3,
-        "matcher.bookkeeping": 7,
-        "matcher.verify": 1,
-        "boolfn.transform": 1,
-    }
+    for f, g, updates, bookkeeping in ((CASE7_F, CASE7_G, 3, 1), (CASE5_F, CASE5_G, 5, 2)):
+        log = tracer.SpanLog()
+        with tracer.instrumented(log) as traced_match:
+            assert traced_match(f, g).equivalent
+        calls = {name: s["calls"] for name, s in log.summarize().items()}
+        assert calls == {
+            tracer.ROOT: 1,
+            "symmetry.build": 2,
+            "signature.update": updates,
+            "matcher.mapping_sets": updates,
+            "matcher.bookkeeping": bookkeeping,
+            "matcher.verify": 1,
+            "boolfn.transform": 1,
+        }

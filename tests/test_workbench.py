@@ -309,6 +309,16 @@ class TestCLI:
             g = parse_function("\n".join(lines[2:]))
             assert match_npn(f, g).equivalent
 
+    def test_gen_negative_count_exits_2(self, capsys):
+        def gen(count):
+            return cli_dispatch(["gen", "--vars", "4", "--kind", "type1", "--count", count, "--seed", "1"])
+
+        assert gen("-2") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "count=-2 is negative" in err
+        assert gen("0") == 0
+        assert capsys.readouterr().out == ""
+
     def test_trace_reproduces_vector_dumps(self, files, capsys):
         assert cli_dispatch(["trace", files("f.tt", CASE7_F), files("g.tt", CASE7_G)]) == 0
         out = capsys.readouterr().out
