@@ -31,6 +31,12 @@ def var_mask(n: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def var_masks(n: int) -> tuple[int, ...]:
+    """var_mask(n, i) for every variable, from one cache lookup."""
+    return tuple(var_mask(n, i) for i in range(n))
+
+
+@lru_cache(maxsize=None)
 def low_mask(n: int, i: int) -> int:
     """Complement of var_mask(n, i): minterms with bit i clear."""
     return full_mask(n) ^ var_mask(n, i)

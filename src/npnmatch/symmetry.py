@@ -25,6 +25,7 @@ from .boolfn import (
     full_mask,
     low_mask,
     var_mask,
+    var_masks,
 )
 
 
@@ -96,12 +97,22 @@ def first_order_pairs(f: TruthTable, skip: int = 0) -> list[tuple[int, int]]:
     variables are counted by a bit-sliced fold (Knuth, TAOCP 4A 7.1.3):
     planes[b] holds bit b of a per-position minterm count, and each level
     counts x_v from the upper half of every plane, then adds the upper half
-    onto the lower one, halving the width.
+    onto the lower one, halving the width. A table of at most _FOLD_ABOVE
+    inputs is not folded: each variable takes one masked popcount.
     """
-    n = f.n
+    n, bits = f.n, f.bits
+    if n <= _FOLD_ABOVE:
+        total, pairs = bits.bit_count(), []
+        for i, mask in enumerate(var_masks(n)):
+            if skip >> i & 1:
+                pairs.append((0, 0))
+            else:
+                p = (bits & mask).bit_count()
+                pairs.append((p, total - p))
+        return pairs
     pos = [0] * n
-    planes = [f.bits]
-    width = _FOLD_STOP if n > _FOLD_ABOVE else n
+    planes = [bits]
+    width = _FOLD_STOP
     for v in range(n - 1, width - 1, -1):
         shift, low = 1 << v, full_mask(v)
         folded, carry = [], 0

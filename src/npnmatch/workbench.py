@@ -255,6 +255,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # argparse has checked the kind; n is checked here so that a count of 0
+    # does not hide a bad n, which each draw would reject
+    if not 0 <= args.vars <= MAX_VARS:
+        raise ValueError(f"n={args.vars} out of range [0, {MAX_VARS}]")
     if args.count < 0:
         raise ValueError(f"count={args.count} is negative")
     rng = random.Random(args.seed)

@@ -30,7 +30,7 @@ from npnmatch.matcher import (
     transformation_from_map_list,
     verify,
 )
-from npnmatch.oracle import exhaustive_match
+from npnmatch.oracle import exhaustive_match, random_equivalent_pair
 from npnmatch.signature import update
 from npnmatch.symmetry import (
     _FOLD_ABOVE,
@@ -444,6 +444,71 @@ class TestVerify:
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
             verify(CASE7_F, CASE7_G, [VarMapping(2, 5, 1)])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 14, 20, 22])
+    def test_agrees_with_the_exact_check(self, n):
+        # the probes only refute: on right and wrong complete lists, and
+        # against g and against g with one minterm flipped, verify returns
+        # exactly the full-width comparison
+        rng = random.Random(n)
+        for _ in range(1 if n >= 20 else 4):
+            f = random_table(rng, n)
+            t = random_transform(rng, n, allow_output=False)
+            g = apply_np_transform(f, t)
+            right = [VarMapping(i, t.perm[i], 1 - t.input_pol[i]) for i in range(n)]
+            lists = [right]
+            if n >= 1:
+                flipped = list(right)
+                k = rng.randrange(n)
+                flipped[k] = flipped[k]._replace(pol=1 - flipped[k].pol)
+                lists.append(flipped)
+            if n >= 2:
+                swapped = list(right)
+                a, b = rng.sample(range(n), 2)
+                swapped[a], swapped[b] = (
+                    swapped[a]._replace(to=swapped[b].to), swapped[b]._replace(to=swapped[a].to))
+                lists.append(swapped)
+            near = TruthTable(n, g.bits ^ 1 << rng.randrange(1 << n))
+            for target in (g, near):
+                for ml in lists:
+                    exact = apply_np_transform(f, transformation_from_map_list(ml, n)) == target
+                    assert verify(f, target, ml) is exact
+            assert verify(f, g, right)
+            if n:
+                with pytest.raises(ValueError):
+                    verify(f, g, right[1:])
+
+    def test_rejected_corpus_branches_fail_the_exact_check(self):
+        # verify accepts only through the exact comparison, so only its
+        # rejections can disagree with it
+        rejected = 0
+        for _, f, g in corpus():
+            for ml, output_negated, ok in enumerate_complete_transformations(f, g):
+                if not ok:
+                    target = negate(g) if output_negated else g
+                    assert apply_np_transform(f, transformation_from_map_list(ml, f.n)) != target
+                    rejected += 1
+        assert rejected >= 150, rejected  # seen: 196
+
+    def test_probes_spare_the_wrong_arm_its_transform(self, monkeypatch):
+        # f is balanced, so both output arms pass the root keys, and the
+        # hidden transform negates the output: the positive arm reaches one
+        # complete branch, which the probes refute before the full-width
+        # transform. Without the probes it costs a second transform
+        f, g, t = random_equivalent_pair(16, "type2", 11)
+        assert t.output_negated
+        transforms = []
+
+        def counted(h, u):
+            transforms.append(u)
+            return apply_np_transform(h, u)
+
+        monkeypatch.setattr(matcher, "apply_np_transform", counted)
+        r = match_npn(f, g)
+        assert r.witness == t
+        assert (r.stats.nodes_visited, r.stats.verify_calls) == (4, 2)
+        # the one transform is the accepted witness's, output not negated
+        assert transforms == [NPTransformation(t.perm, t.input_pol)]
 
 
 class TestMatchNPN:

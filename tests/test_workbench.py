@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from npnmatch.boolfn import TruthTable, count_minterms, equal, negate
+from npnmatch.boolfn import MAX_VARS, TruthTable, count_minterms, equal, negate
 from npnmatch.matcher import match_npn
 from npnmatch.workbench import (
     ParseError,
@@ -318,6 +318,15 @@ class TestCLI:
         assert out == "" and "count=-2 is negative" in err
         assert gen("0") == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n", ["23", "-3"])
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_gen_bad_vars_exits_2_at_any_count(self, n, count, capsys):
+        # n is checked before the draw loop, so a count of 0 does not hide it
+        argv = ["gen", "--vars", n, "--kind", "type1", "--count", count, "--seed", "1"]
+        assert cli_dispatch(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"n={n} out of range [0, {MAX_VARS}]" in err
 
     def test_trace_reproduces_vector_dumps(self, files, capsys):
         assert cli_dispatch(["trace", files("f.tt", CASE7_F), files("g.tt", CASE7_G)]) == 0
