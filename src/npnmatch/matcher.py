@@ -57,8 +57,7 @@ class VarMapping(NamedTuple):
         return f"{self.frm}->{self.to}-{self.pol}"
 
 
-@dataclass(frozen=True)
-class MappingSet:
+class MappingSet(NamedTuple):
     """Candidates for one subject: a variable or a symmetry class of f.
 
     Each candidate is the tuple of variable mappings it would commit
@@ -70,10 +69,6 @@ class MappingSet:
 
     subject: int
     candidates: tuple[tuple[VarMapping, ...], ...]
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.candidates)
 
 
 @dataclass
@@ -292,13 +287,6 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     return sets
 
 
-def select_min_set(sets: Sequence[MappingSet]) -> MappingSet:
-    """First set of minimum cardinality (lowest subject index on ties)."""
-    if not sets:
-        raise ValueError("no mapping sets to select from")
-    return min(sets, key=lambda s: (s.cardinality, s.subject))
-
-
 def _named(candidate) -> tuple[VarMapping, ...]:
     return tuple(starmap(VarMapping, candidate))
 
@@ -399,17 +387,15 @@ def verify(f: TruthTable, g: TruthTable, map_list: Sequence[VarMapping]) -> bool
 
 
 def detect(
-    state: MatchState,
-    observer: Observer = _NULL_OBSERVER,
-    _siblings: Optional[dict] = None,
-    _depth: int = 0,
+    state: MatchState, observer: Observer, siblings: dict
 ) -> Iterator[tuple[tuple[VarMapping, ...], bool]]:
     """Procedure-2 style DFS. Yields (map_list, verified) for each complete
     branch, in search order, and consumes the state: only a node branching
     over two or more candidates snapshots it, restoring it after each one.
+    The node's depth is state.splits.
 
-    _siblings is the store that the node above shares among its children
-    (see signature.update).
+    siblings is the store that the node above shares among its children
+    (see signature.update); a root takes an empty one.
     """
     state.stats.nodes_visited += 1
     if state.node_cap is not None and state.stats.nodes_visited > state.node_cap:
@@ -423,16 +409,16 @@ def detect(
         yield branch, ok
         return
 
-    if not sig.update(state, {} if _siblings is None else _siblings):
-        observer.on_incompatible(_depth, state)
+    if not sig.update(state, siblings):
+        observer.on_incompatible(state.splits, state)
         return
-    observer.on_vectors(_depth, state)
+    observer.on_vectors(state.splits, state)
 
     sets = build_mapping_sets(state, observer)
-    if any(s.cardinality == 0 for s in sets):
+    if not all(s.candidates for s in sets):
         return
 
-    singles = [s for s in sets if s.cardinality == 1]
+    singles = [s for s in sets if len(s.candidates) == 1]
     if singles:
         # every forced mapping commits together as the one candidate; the
         # nearest ancestor that branched undoes it
@@ -444,10 +430,12 @@ def detect(
             observer.on_commit(m)
         extend_cubes(state)
         observer.on_cubes(state)
-        yield from detect(state, observer, {}, _depth + 1)
+        yield from detect(state, observer, {})
         return
 
-    best = select_min_set(sets)
+    # the smallest set, the lowest subject on ties; an incomplete map list
+    # always leaves a free subject, so there is one
+    best = min(sets, key=lambda s: (len(s.candidates), s.subject))
     chosen = MappingSet(best.subject, tuple(map(_named, best.candidates)))
     snap, children = state.snapshot(), {}
     for cand in chosen.candidates:
@@ -457,7 +445,7 @@ def detect(
             observer.on_commit(m)
         extend_cubes(state)
         observer.on_cubes(state)
-        yield from detect(state, observer, children, _depth + 1)
+        yield from detect(state, observer, children)
         state.restore(snap)
 
 
@@ -544,7 +532,7 @@ def match_npn(
     stats = SearchStats()
     for output_negated, state in _arm_states(f, g, stats, node_cap):
         observer.on_arm(output_negated)
-        found = next((branch for branch, ok in detect(state, observer) if ok), None)
+        found = next((branch for branch, ok in detect(state, observer, {}) if ok), None)
         if found is not None:
             witness = transformation_from_map_list(found, f.n, output_negated)
             return MatchResult(Verdict.EQUIVALENT, witness, found, stats)
@@ -559,5 +547,5 @@ def enumerate_complete_transformations(
     return [
         (ml, output_negated, ok)
         for output_negated, state in _arm_states(f, g, SearchStats())
-        for ml, ok in detect(state)
+        for ml, ok in detect(state, _NULL_OBSERVER, {})
     ]

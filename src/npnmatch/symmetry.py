@@ -127,12 +127,12 @@ def first_order_pairs(f: TruthTable, skip: int = 0) -> list[tuple[int, int]]:
         if carry:
             folded.append(carry)
         planes = folded
-    live = [i for i in range(width) if not skip >> i & 1]
+    live = [(i, mask) for i, mask in enumerate(var_masks(width)) if not skip >> i & 1]
     total = 0
     for b, p in enumerate(planes):
         total += p.bit_count() << b
-        for i in live:
-            pos[i] += (p & var_mask(width, i)).bit_count() << b
+        for i, mask in live:
+            pos[i] += (p & mask).bit_count() << b
     return [(0, 0) if skip >> i & 1 else (p, total - p) for i, p in enumerate(pos)]
 
 

@@ -91,7 +91,7 @@ def _parse_hex(lines: list[tuple[int, str]]) -> TruthTable:
     try:
         return TruthTable(n, int(digits, 16))
     except ValueError as exc:
-        raise ParseError(str(exc), no) from None
+        raise ParseError(str(exc), no, col) from None
 
 
 def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
@@ -99,6 +99,7 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
     cover: list[Sequence[tuple[int, bool]]] = []
     for k, (no, line) in enumerate(lines):
         # a directive is the first blank-separated token; its value follows
+        indent = len(line) - len(line.lstrip())
         directive = line.split()[0]
         value = line.lstrip()[len(directive):].lstrip()
         col = len(line) - len(value) + 1
@@ -122,7 +123,7 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
                 raise ParseError("text after .e", lines[k + 1][0])
             break
         elif directive.startswith("."):
-            raise ParseError(f"unsupported directive {directive!r}", no)
+            raise ParseError(f"unsupported directive {directive!r}", no, indent + 1)
         else:
             if n is None:
                 raise ParseError("cover line before .i", no)
@@ -137,7 +138,6 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
             if out != "1":
                 col = len(line) - len(out) + 1
                 raise ParseError("only '1' output rows are supported", no, col)
-            indent = len(line) - len(line.lstrip())
             cube = []
             for col, ch in enumerate(inp):  # leftmost column is x0
                 if ch == "1":
@@ -279,13 +279,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    args.json = False
-    args.node_cap = None
-    args.trace = True
-    return _cmd_match(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npnmatch", description="NPN Boolean matching toolkit"
@@ -319,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="match with per-recursion vector dumps")
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(func=_cmd_trace)
+    p.set_defaults(func=_cmd_match, trace=True, json=False, node_cap=None)
     return parser
 
 

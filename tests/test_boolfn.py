@@ -213,6 +213,15 @@ class TestApplyNPTransform:
         with pytest.raises(ValueError, match="0 or 1"):
             NPTransformation((0, 1), (2, 1))
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: TruthTable(23, 0), lambda: TruthTable(1, 4), lambda: NPTransformation((0, 0), (1, 1))],
+        ids=["n-too-large", "bits-too-wide", "not-a-permutation"],
+    )
+    def test_constructor_rejects(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_compose_arity_mismatch(self):
         # used to return a 2-input transform
         with pytest.raises(ValueError, match="arity"):

@@ -243,17 +243,21 @@ def maiorana_mcfarland(rng, n, inner=False):
     """Bent function x . pi(y) xor h(y) of n = 2k inputs, x the low k and y
     the high k, with pi a random permutation of the k-bit words and h a
     random function of y; or, when inner, the inner product x . y, where
-    x_i and y_i are symmetric for every i."""
+    x_i and y_i are symmetric for every i. Built one 2^k-bit row per y: the
+    row of x . pi(y) is the parity of the x inputs that pi(y) selects."""
     k = n // 2
     pi = list(range(1 << k))
-    h = [0] * (1 << k)
     if not inner:
         rng.shuffle(pi)
-        h = [rng.getrandbits(1) for _ in h]
     bits = 0
-    for m in range(1 << n):
-        x, y = m & ((1 << k) - 1), m >> k
-        bits |= ((x & pi[y]).bit_count() & 1 ^ h[y]) << m
+    for y in range(1 << k):
+        row = 0
+        for i in range(k):
+            if pi[y] >> i & 1:
+                row ^= var_mask(k, i)
+        if not inner and rng.getrandbits(1):
+            row ^= full_mask(k)
+        bits |= row << (y << k)
     return TruthTable(n, bits)
 
 

@@ -15,7 +15,6 @@ from npnmatch.boolfn import (
 )
 from npnmatch.matcher import (
     BudgetExceededError,
-    MappingSet,
     MatchState,
     Observer,
     Side,
@@ -26,7 +25,6 @@ from npnmatch.matcher import (
     enumerate_complete_transformations,
     extend_cubes,
     match_npn,
-    select_min_set,
     transformation_from_map_list,
     verify,
 )
@@ -129,13 +127,6 @@ class TestBuildMappingSets:
         assert candidates_of(sets, 1) == [((1, 0, 1),)]
         assert len(candidates_of(sets, 2)) == 4
 
-    def test_trio_min_set(self):
-        state = fresh_state(TRIO_A, TRIO_B, ignore_symmetry=True)
-        update(state, {})
-        chosen = select_min_set(build_mapping_sets(state))
-        assert chosen.subject == 1
-        assert chosen.cardinality == 1
-
     def test_case4_initial_sets(self):
         state = fresh_state(CASE4_F, CASE4_G)
         assert update(state, {})
@@ -160,13 +151,6 @@ class TestBuildMappingSets:
                     all(frm == to and pol == 0 for frm, to, pol in cand)
                     for cand in s.candidates
                 )
-
-    def test_select_min_prefers_lowest_subject(self):
-        sets = [
-            MappingSet(2, ((VarMapping(2, 0, 0),), (VarMapping(2, 1, 0),))),
-            MappingSet(1, ((VarMapping(1, 0, 0),), (VarMapping(1, 1, 0),))),
-        ]
-        assert select_min_set(sets).subject == 1
 
 
 class TestWholeClasses:
@@ -348,14 +332,30 @@ class TestCase7Walkthrough:
         update(state, {})
         sets = build_mapping_sets(state)
         assert [s.subject for s in sets] == [0, 1, 5, 6]
-        assert all(s.cardinality == 2 for s in sets)
+        assert all(len(s.candidates) == 2 for s in sets)
         assert candidates_of(sets, 0) == [
             ((0, 0, 1), (4, 2, 1)),
             ((0, 3, 0), (4, 4, 0)),
         ]
         assert candidates_of(sets, 5) == [((5, 1, 1),), ((5, 6, 0),)]
         assert candidates_of(sets, 6) == [((6, 1, 0),), ((6, 6, 1),)]
-        assert select_min_set(sets).subject == 0
+
+    def test_ties_branch_on_the_lowest_subject(self, monkeypatch):
+        # after the first split, subjects 0, 1, 5 and 6 each have two
+        # candidates, and the search branches on the lowest of them
+        sizes = []
+
+        def recorded(state, observer):
+            sets = build_mapping_sets(state, observer)
+            sizes.append((state.splits, {s.subject: len(s.candidates) for s in sets}))
+            return sets
+
+        monkeypatch.setattr(matcher, "build_mapping_sets", recorded)
+        _, obs = self.trace()
+        assert sizes[1] == (1, {0: 2, 1: 2, 5: 2, 6: 2})
+        first = obs.events.index(obs.of_kind("branch")[0])
+        assert obs.events[first - 1][:2] == ("vec", 1)
+        assert obs.events[first][1] == 0
 
     def test_cube_sequence(self):
         _, obs = self.trace()
@@ -519,7 +519,9 @@ class TestMatchNPN:
         assert equal(apply_np_transform(CASE3_F, result.witness), CASE3_G)
 
     def test_trio_non_equivalent(self):
-        assert match_npn(TRIO_A, TRIO_C).verdict is Verdict.NON_EQUIVALENT
+        result = match_npn(TRIO_A, TRIO_C)
+        assert result.verdict is Verdict.NON_EQUIVALENT
+        assert result.witness_text() == "no transformation"
 
     def test_negated_arm(self):
         rng = random.Random(13)

@@ -10,8 +10,6 @@ from npnmatch.boolfn import (
     _swap_vars,
     apply_np_transform,
     equal,
-    full_mask,
-    var_mask,
 )
 from npnmatch.symmetry import (
     SymmetryClass,
@@ -237,25 +235,6 @@ class TestBuildAgainstBruteForce:
                     self.check(maiorana_mcfarland(rng, n, inner))
 
 
-def wide_bent(rng, n):
-    """maiorana_mcfarland built one 2^k-bit row per y: the row of x . pi(y)
-    is the parity of the x inputs that pi(y) selects."""
-    k = n // 2
-    pi = list(range(1 << k))
-    rng.shuffle(pi)
-    row_full = full_mask(k)
-    bits = 0
-    for y in range(1 << k):
-        row = 0
-        for i in range(k):
-            if pi[y] >> i & 1:
-                row ^= var_mask(k, i)
-        if rng.getrandbits(1):
-            row ^= row_full
-        bits |= row << (y << k)
-    return TruthTable(n, bits)
-
-
 class TestFullWidth:
     """The bit-parallel swap conditions at n = 15..20, where the table is a
     wide integer, against the swap kernels that test_boolfn checks minterm
@@ -320,7 +299,7 @@ class TestTransformedClasses:
         rng = random.Random(59)
         sizes = []
         for n in range(12, 19):
-            members = [wide_bent(rng, n)] if n % 2 == 0 else []
+            members = [maiorana_mcfarland(rng, n)] if n % 2 == 0 else []
             members.append(TruthTable(n, _wide_block(rng, n)))
             for f in members:
                 t = random_transform(rng, n)

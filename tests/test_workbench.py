@@ -33,6 +33,25 @@ class TestHexFormat:
             f = random_table(rng, n)
             assert parse_function(serialize_function(f)) == f
 
+    def test_comment_only_file(self):
+        with pytest.raises(ParseError, match="empty function file") as err:
+            parse_function("# nothing\n\n  # here\n")
+        assert (err.value.line, err.value.col) == (1, 1)
+
+    def test_line_without_equals(self):
+        with pytest.raises(ParseError, match="expected key=value") as err:
+            parse_function("vars 3\ntt=00\n")
+        assert (err.value.line, err.value.col) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "text, col", [("vars=0\ntt=f\n", 4), ("vars=1\ntt=  c\n", 6)], ids=["vars0", "blank"]
+    )
+    def test_too_wide_value_column(self, text, col):
+        # the digit count is right, but the value has bits above 2^n
+        with pytest.raises(ParseError, match="does not fit 2\\^n bits") as err:
+            parse_function(text)
+        assert (err.value.line, err.value.col) == (2, col)
+
     def test_wrong_digit_count(self):
         with pytest.raises(ParseError, match="4 hex digits"):
             parse_function("vars=4\ntt=ff\n")
@@ -189,6 +208,26 @@ class TestPLAFormat:
             parse_function(".i 2\n.o 1\n  10 0\n.e\n")
         assert (err.value.line, err.value.col) == (3, 6)
 
+    def test_i_out_of_range_column(self):
+        with pytest.raises(ParseError, match="out of range") as err:
+            parse_function(".i 23\n.o 1\n.e\n")
+        assert (err.value.line, err.value.col) == (1, 4)
+
+    def test_indented_unknown_directive_column(self):
+        with pytest.raises(ParseError, match="unsupported directive '.zz'") as err:
+            parse_function(".i 2\n.o 1\n  .zz\n")
+        assert (err.value.line, err.value.col) == (3, 3)
+
+    def test_three_field_cover_row(self):
+        with pytest.raises(ParseError, match="input and output columns") as err:
+            parse_function(".i 2\n.o 1\n10 1 1\n.e\n")
+        assert (err.value.line, err.value.col) == (3, 1)
+
+    def test_missing_i_directive(self):
+        with pytest.raises(ParseError, match="missing .i directive") as err:
+            parse_function(".o 1\n.e\n")
+        assert (err.value.line, err.value.col) == (1, 1)
+
     def test_rejects_zero_output_rows(self):
         with pytest.raises(ParseError, match="'1' output"):
             parse_function(".i 2\n.o 1\n10 0\n.e\n")
@@ -280,6 +319,12 @@ class TestCLI:
         assert cli_dispatch(["oracle", files("a.tt", f), files("b.tt", negate(f))]) == 0
         assert "output=neg" in capsys.readouterr().out
 
+    def test_oracle_non_equivalent_exit(self, files, capsys):
+        f = TruthTable.from_minterms(3, [0])
+        g = TruthTable.from_minterms(3, [0, 1, 2])
+        assert cli_dispatch(["oracle", files("a.tt", f), files("b.tt", g)]) == 1
+        assert capsys.readouterr().out.strip() == "non-equivalent"
+
     def test_classify(self, capsys):
         assert cli_dispatch(["classify", "--vars", "3"]) == 0
         assert capsys.readouterr().out.strip() == "14 classes"
@@ -337,6 +382,7 @@ class TestCLI:
             "(22, 24, -1, -1, 2)}"
         ) in out
         assert "cube_f=x2x0x4 cube_g=~x5~x0~x2" in out
+        assert out.splitlines()[-1] == match_npn(CASE7_F, CASE7_G).witness_text()
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_dispatch(["match", "--frobnicate"]) == 2
