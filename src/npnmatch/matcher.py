@@ -202,32 +202,36 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     Candidates must agree on group mark and symmetry marks and satisfy one of
     the two first-order cases; candidates contradicting the phase records are
     excluded here (a collision the observer gets to see).
+
+    After a compatible update, the free variables of a group share one
+    canonical key on each side, the same on both (signature.update). So for
+    free i of f and j of g in one group, (|f_{x_i}|, |f_{~x_i}|) equals g's
+    pair (a, b) or (b, a). When the two counts differ, update has recorded
+    both phases and only k = [|f_{x_i}| != a] is a first-order case: it
+    stands when it agrees with the records and is a collision otherwise.
+    When they are equal both polarities are cases, and records on both
+    sides leave only theirs.
     """
     f, g = state.f, state.g
     pos_f, neg_f, group_f = f.v.pos, f.v.neg, f.v.group
-    pos_g, neg_g, group_g = g.v.pos, g.v.neg, g.v.group
+    pos_g, group_g = g.v.pos, g.v.group
     known_f, known_g = f.phase_known, g.phase_known
     sign_f, sign_g = f.phase_neg, g.phase_neg
     idf, idg = f.identified, g.identified
     n = f.table.n
 
     def pair_pols(i: int, j: int) -> tuple[int, ...]:
-        """Polarities k for which i -> j - k passes the group mark, one of the
-        first-order cases and the phase records; a case the records rule out
+        """Polarities k for which i -> j - k passes the group mark, the
+        first-order case and the phase records; a case the records rule out
         is reported as a collision."""
         if group_f[i] != group_g[j]:
             return ()
-        p, q, a, b = pos_f[i], neg_f[i], pos_g[j], neg_g[j]
-        pols = (0,) if p == a and q == b else ()
-        if p == b and q == a:
-            pols += (1,)
-        if not pols or not known_f >> i & known_g >> j & 1:
-            return pols
+        if not known_f >> i & known_g >> j & 1:
+            return 0, 1  # equal counts, as a record is missing
         need = (sign_f >> i ^ sign_g >> j) & 1
-        if need in pols:
+        if pos_f[i] == neg_f[i] or need == (pos_f[i] != pos_g[j]):
             return (need,)
-        for k in pols:
-            observer.on_collision(VarMapping(i, j, k))
+        observer.on_collision(VarMapping(i, j, need ^ 1))
         return ()
 
     sets: list[MappingSet] = []
@@ -242,8 +246,18 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     for i in range(n):
         if skip_f >> i & 1:
             continue
-        cands = tuple(((i, j, k),) for j in peers.get(group_f[i], ()) for k in pair_pols(i, j))
-        sets.append(MappingSet(i, cands))
+        # pair_pols without the group test, for every peer of i
+        cands, p, even = [], pos_f[i], pos_f[i] == neg_f[i]
+        for j in peers.get(group_f[i], ()):
+            if not known_f >> i & known_g >> j & 1:
+                cands += ((i, j, 0),), ((i, j, 1),)
+                continue
+            need = (sign_f >> i ^ sign_g >> j) & 1
+            if even or need == (p != pos_g[j]):
+                cands.append(((i, j, need),))
+            else:
+                observer.on_collision(VarMapping(i, j, need ^ 1))
+        sets.append(MappingSet(i, tuple(cands)))
 
     # a class's members enter no plain set and every class candidate maps
     # all of them, so a class is either wholly identified or wholly free

@@ -39,14 +39,17 @@ def symmetry_marks(sym: Sequence[SymmetryClass], n: int) -> SymmetryMarks:
 
 
 class SSVector:
-    """Per-variable lists: cofactor counts pos and neg, group serial and
+    """Per-variable sequences: cofactor counts pos and neg, group serial and
     canonical key (symmetry.canonical_keys), plus the match's symmetry
-    marks. The SSValue views (values, v[i], ==, dump) are built on demand."""
+    marks and the compatibility profile, the sorted (group, key, class size)
+    of the variables that are not identified (see vectors_compatible). The
+    SSValue views (values, v[i], ==, dump) are built on demand."""
 
-    __slots__ = ("pos", "neg", "group", "key", "marks")
+    __slots__ = ("pos", "neg", "group", "key", "marks", "profile")
 
-    def __init__(self, pos, neg, group, key, marks):
+    def __init__(self, pos, neg, group, key, marks, profile):
         self.pos, self.neg, self.group, self.key, self.marks = pos, neg, group, key, marks
+        self.profile = profile
 
     @property
     def values(self) -> tuple[SSValue, ...]:
@@ -100,51 +103,51 @@ def _vector(pairs, identified, prev, marks) -> SSVector:
     # a first vector refines one group that holds every variable
     old, skip = (prev.group, identified) if prev is not None else ([0] * len(key), 0)
     group = _refine(old, key, skip)
-    return SSVector([p for p, _ in pairs], [q for _, q in pairs], group, key, marks)
+    pos, neg = zip(*pairs) if pairs else ((), ())
+    live = zip(group, key, marks.size)
+    profile = sorted([t for i, t in enumerate(live) if not identified >> i & 1])
+    return SSVector(pos, neg, group, key, marks, profile)
 
 
 def _refine(old: list[int], key: list[int], skip: int) -> list[int]:
     """old with each group split by the keys of its members outside skip
-    (see compute_ss_vector); old itself when no group splits."""
-    # distinct (group, -key) pairs: groups in ascending serial order, each
-    # group's keys in descending order
-    splits = sorted({(g, -key[i]) for i, g in enumerate(old) if not skip >> i & 1})
-    top = fresh = max(old, default=0) + 1
+    (see compute_ss_vector); old itself when no group splits. Either way
+    each group's members outside skip then share one key."""
+    live = {(g, -key[i]) for i, g in enumerate(old) if not skip >> i & 1}
+    if len(live) == len({g for g, _ in live}):
+        return old
+    # groups in ascending serial order, each group's keys in descending order
+    fresh = max(old) + 1
     serial, last = {}, None
-    for g, k in splits:
+    for g, k in sorted(live):
         if g == last:
             serial[g, k], fresh = fresh, fresh + 1
         else:
             serial[g, k] = last = g
-    if fresh == top:
-        return old
     return [g if skip >> i & 1 else serial[g, -key[i]] for i, g in enumerate(old)]
 
 
-def vectors_compatible(
-    vf: SSVector, vg: SSVector, identified_f: int = 0, identified_g: int = 0
-) -> bool:
+def vectors_compatible(vf: SSVector, vg: SSVector) -> bool:
     """Necessary condition for a mapping to exist under the current cubes.
 
     Per group, the multisets of (canonical first-order pair, symmetry size)
-    over unidentified variables must agree; the canonical pair admits the
-    opposite-phase mapping. Identified variables are skipped: every
-    committed mapping pairs variables of equal group, and an identified
-    variable keeps its group, so their per-group counts always agree.
+    over unidentified variables must agree: the vectors' profiles, built
+    with them. The canonical pair admits the opposite-phase mapping.
+    Identified variables are skipped: every committed mapping pairs
+    variables of equal group, and an identified variable keeps its group,
+    so their per-group counts always agree.
     """
     if len(vf) != len(vg):
         raise ValueError("arity mismatch")
-
-    def profile(v: SSVector, identified: int):
-        live = zip(v.group, v.key, v.marks.size)
-        return sorted([t for i, t in enumerate(live) if not identified >> i & 1])
-
-    return profile(vf, identified_f) == profile(vg, identified_g)
+    return vf.profile == vg.profile
 
 
 def update(state, siblings: dict) -> bool:
     """Recompute the SS vector of each side's cube-restricted table, record
-    first-determined phases, and report cross-function compatibility.
+    first-determined phases, and report cross-function compatibility. When
+    it reports the sides compatible, each group's unidentified variables
+    share one canonical key on each side, the same on both; the matcher's
+    build_mapping_sets relies on it.
 
     ``state`` carries two sides f and g (see the matcher's Side). At the
     root, where a side has no vector, the first vector is built from the
@@ -185,4 +188,4 @@ def update(state, siblings: dict) -> bool:
                 neg |= (p < q) << i
         side.phase_known, side.phase_neg = known, neg
         siblings[key] = v, known, neg
-    return vectors_compatible(state.f.v, state.g.v, state.f.identified, state.g.identified)
+    return vectors_compatible(state.f.v, state.g.v)

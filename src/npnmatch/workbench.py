@@ -75,7 +75,7 @@ def _parse_hex(lines: list[tuple[int, str]]) -> TruthTable:
     no, raw_n, col = fields["vars"]
     n = _parse_count(raw_n, "variable count", no, col)
     if not 0 <= n <= MAX_VARS:
-        raise ParseError(f"variable count {n} out of range [0, {MAX_VARS}]", no)
+        raise ParseError(f"variable count {n} out of range [0, {MAX_VARS}]", no, col)
     if "tt" not in fields:
         raise ParseError("missing tt= line", lines[-1][0])
     no, digits, col = fields["tt"]
@@ -107,7 +107,7 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
             raise ParseError(f"missing {directive} count", no, col)
         if directive == ".i":
             if n is not None:
-                raise ParseError("repeated .i directive", no)
+                raise ParseError("repeated .i directive", no, indent + 1)
             n = _parse_count(value, ".i count", no, col)
             if not 0 <= n <= MAX_VARS:
                 raise ParseError(f".i {n} out of range [0, {MAX_VARS}]", no, col)
@@ -126,15 +126,15 @@ def _parse_pla(lines: list[tuple[int, str]]) -> TruthTable:
             raise ParseError(f"unsupported directive {directive!r}", no, indent + 1)
         else:
             if n is None:
-                raise ParseError("cover line before .i", no)
+                raise ParseError("cover line before .i", no, indent + 1)
             parts = line.split()
             if n == 0 and len(parts) == 1:
                 parts.insert(0, "")  # no inputs: the row is its output column
             if len(parts) != 2:
-                raise ParseError("cover line needs input and output columns", no)
+                raise ParseError("cover line needs input and output columns", no, indent + 1)
             inp, out = parts
             if len(inp) != n:
-                raise ParseError(f"expected {n} input columns, got {len(inp)}", no)
+                raise ParseError(f"expected {n} input columns, got {len(inp)}", no, indent + 1)
             if out != "1":
                 col = len(line) - len(out) + 1
                 raise ParseError("only '1' output rows are supported", no, col)

@@ -10,6 +10,7 @@ from npnmatch.boolfn import (
     apply_np_transform,
     count_minterms,
     equal,
+    low_mask,
     negate,
     var_mask,
 )
@@ -56,6 +57,7 @@ from test_golden import (
     _family_pairs,
     _other_reweighted,
     _parity,
+    _rotation,
     _symmetric,
     _transform,
     _type1,
@@ -211,6 +213,163 @@ class TestWholeClasses:
                 assert result.equivalent, n
                 assert equal(apply_np_transform(f, result.witness), g)
         assert observer.whole_nodes > 0, observer.nodes
+
+
+def _vacuous(rng, n):
+    """A random table that ignores one to three of its n inputs."""
+    bits = rng.getrandbits(1 << n)
+    for v in rng.sample(range(n), rng.randint(1, 3)):
+        low = bits & low_mask(n, v)
+        bits = low | low << (1 << v)
+    return bits
+
+
+def _reference_mapping_sets(state):
+    """(sets, collisions) by the per-pair rule that build_mapping_sets
+    replaced: every same-group pair is tested against both first-order
+    cases and then the phase records, plain variables and class members
+    alike."""
+    f, g = state.f, state.g
+    collisions = []
+
+    def pair_pols(i, j):
+        if f.v.group[i] != g.v.group[j]:
+            return ()
+        p, q, a, b = f.v.pos[i], f.v.neg[i], g.v.pos[j], g.v.neg[j]
+        pols = (0,) if p == a and q == b else ()
+        if p == b and q == a:
+            pols += (1,)
+        if not pols or not f.phase_known >> i & g.phase_known >> j & 1:
+            return pols
+        need = (f.phase_neg >> i ^ g.phase_neg >> j) & 1
+        if need in pols:
+            return (need,)
+        collisions.extend(VarMapping(i, j, k) for k in pols)
+        return ()
+
+    n, sets = f.table.n, []
+    free_f = [i for i in range(n) if not (f.identified | f.marks.members) >> i & 1]
+    free_g = [j for j in range(n) if not (g.identified | g.marks.members) >> j & 1]
+    for i in free_f:
+        sets.append((i, [((i, j, k),) for j in free_g for k in pair_pols(i, j)]))
+    for cls_f in f.sym:
+        if f.identified >> cls_f.first & 1:
+            continue
+        cands = []
+        for cls_g in g.sym:
+            if g.identified >> cls_g.first & 1 or cls_g.size != cls_f.size:
+                continue
+            member_pols = []
+            for a, b in zip(cls_f.members, cls_g.members):
+                pols = pair_pols(a, b)
+                if not pols:
+                    break
+                member_pols.append(pols)
+            if len(member_pols) < cls_f.size:
+                continue
+            if cls_f.double and cls_g.double:
+                base = [p[0] for p in member_pols]
+                patterns = [base]
+                free = next((t for t, p in enumerate(member_pols) if len(p) == 2), None)
+                if free is not None:
+                    patterns.append([k ^ (t == free) for t, k in enumerate(base)])
+            else:
+                rel = [a ^ b for a, b in zip(cls_f.relative_pol, cls_g.relative_pol)]
+                base_pols = {0, 1}
+                for r, pols in zip(rel, member_pols):
+                    base_pols &= {p ^ r for p in pols}
+                patterns = [[base ^ r for r in rel] for base in sorted(base_pols)]
+            cands += [tuple(zip(cls_f.members, cls_g.members, ks)) for ks in patterns]
+        sets.append((cls_f.first, cands))
+    return sorted(sets), collisions
+
+
+class TestOneKeyPerGroup:
+    """After a compatible update, the free variables of each group carry one
+    canonical key on each side, the same on both; build_mapping_sets builds
+    the plain candidates from that alone and must give what the per-pair
+    rule gives, collisions included."""
+
+    @staticmethod
+    def searches():
+        """The golden corpus, then bent, rotation, block and vacuous members
+        at n = 6..12 against copies under hidden NP transforms."""
+        pairs = [(f, g) for _, f, g in corpus()]
+        rng = random.Random(73)
+        families = (
+            lambda n: maiorana_mcfarland(rng, n).bits,
+            lambda n: _rotation(rng, n),
+            lambda n: _block(rng, n),
+            lambda n: _vacuous(rng, n),
+        )
+        for n in range(6, 13):
+            for make in families:
+                if make is families[0] and n % 2:
+                    continue
+                for _ in range(8):
+                    f = TruthTable(n, make(n))
+                    pairs.append((f, apply_np_transform(f, _transform(rng, n))))
+        return pairs
+
+    class OneKey(Observer):
+        nodes = keyed_groups = 0
+
+        def on_vectors(self, depth, state):
+            self.nodes += 1
+            keys = []
+            for side in (state.f, state.g):
+                per_group = {}
+                for i in range(side.table.n):
+                    if not side.identified >> i & 1:
+                        per_group.setdefault(side.v.group[i], set()).add(side.v.key[i])
+                assert all(len(k) == 1 for k in per_group.values()), (depth, state.map_list)
+                keys.append(per_group)
+            assert keys[0] == keys[1], (depth, state.map_list)
+            self.keyed_groups += len(keys[0])
+
+    def test_one_canonical_key_per_group(self):
+        observer = self.OneKey()
+        for f, g in self.searches():
+            match_npn(f, g, observer=observer)
+        assert observer.nodes > 1000 and observer.keyed_groups > 3000, observer.nodes
+
+    class Reference(Observer):
+        """Compares build_mapping_sets with the per-pair rule at every node,
+        and the search's own on_collision calls with the rule's collisions."""
+
+        def __init__(self):
+            self.pending = []
+            self.nodes = self.collisions = self.class_sets = 0
+
+        def on_vectors(self, depth, state):
+            assert not self.pending, (depth, state.map_list)
+            expected, self.pending = _reference_mapping_sets(state)
+            seen = RecordingObserver()
+            sets = build_mapping_sets(state, seen)
+            got = [(s.subject, list(s.candidates)) for s in sets]
+            assert got == expected, (depth, state.map_list)
+            assert seen.of_kind("collision") == [("collision", str(m)) for m in self.pending]
+            self.nodes += 1
+            self.class_sets += sum(s.subject in {c.first for c in state.f.sym} for s in sets)
+
+        def on_collision(self, m):
+            assert self.pending and self.pending.pop(0) == m
+            self.collisions += 1
+
+        def on_incompatible(self, depth, state):
+            assert not self.pending
+
+        on_complete = on_incompatible
+
+    def test_sets_and_collisions_match_the_per_pair_rule(self):
+        observer = self.Reference()
+        for f, g in self.searches():
+            match_npn(f, g, observer=observer)
+            assert not observer.pending
+        assert observer.nodes > 1000, observer.nodes
+        assert observer.collisions > 300 and observer.class_sets > 400, (
+            observer.collisions, observer.class_sets
+        )
 
 
 class TestCase4Walkthrough:

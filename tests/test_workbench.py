@@ -96,8 +96,10 @@ class TestHexFormat:
         assert err.value.line == 2
 
     def test_bad_vars(self):
-        with pytest.raises(ParseError, match="out of range"):
+        with pytest.raises(ParseError, match="out of range") as err:
             parse_function("vars=23\ntt=00\n")
+        # the value's column, as the PLA .i 23 reports
+        assert (err.value.line, err.value.col) == (1, 6)
         with pytest.raises(ParseError, match="variable count"):
             parse_function("vars=x\ntt=0\n")
 
@@ -222,6 +224,26 @@ class TestPLAFormat:
         with pytest.raises(ParseError, match="input and output columns") as err:
             parse_function(".i 2\n.o 1\n10 1 1\n.e\n")
         assert (err.value.line, err.value.col) == (3, 1)
+
+    def test_indented_three_field_cover_row(self):
+        with pytest.raises(ParseError, match="input and output columns") as err:
+            parse_function(".i 2\n.o 1\n  10 1 1\n.e\n")
+        assert (err.value.line, err.value.col) == (3, 3)
+
+    def test_indented_repeated_i_column(self):
+        with pytest.raises(ParseError, match="repeated .i directive") as err:
+            parse_function(".i 2\n  .i 3\n")
+        assert (err.value.line, err.value.col) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [(".o 1\n  10 1\n", "cover line before .i"), (".i 3\n.o 1\n  10 1\n", "3 input columns")],
+        ids=["before-i", "width"],
+    )
+    def test_indented_row_errors_report_the_row_column(self, text, match):
+        with pytest.raises(ParseError, match=match) as err:
+            parse_function(text)
+        assert err.value.col == 3
 
     def test_missing_i_directive(self):
         with pytest.raises(ParseError, match="missing .i directive") as err:
