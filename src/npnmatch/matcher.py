@@ -88,7 +88,8 @@ class Observer:
         pass
 
     def on_incompatible(self, depth: int, state: "MatchState"):
-        pass
+        """The node prunes. state.g.v is None at a refuted arm's root (and
+        state.f.v too) and wherever g's keys differ from f's (see update)."""
 
     def on_collision(self, mapping: VarMapping):
         pass
@@ -119,7 +120,8 @@ class Side:
     phase_neg those of them whose phase is negative. On an arm that
     _arm_states refutes, both sides hold no classes and the target has
     root_pairs None, so observers at its root see no marks and no vectors
-    (v None on both sides)."""
+    (v None on both sides). A node that update prunes on g's sorted keys
+    leaves g with v None and f with its vector."""
 
     __slots__ = (
         "table", "sym", "marks", "root_pairs", "cube_vars", "cube_vals",
@@ -372,16 +374,18 @@ def _probes_agree(f: TruthTable, g: TruthTable, t: NPTransformation) -> bool:
     """g(m) = f(a), a = T m the point that apply_np_transform reads for m,
     on every probe m. m's top _PROBE_TOP inputs are 1, and for each of f's
     top inputs k, m's input perm[k] reads 1 ^ neg[k] so that a_k = 1: where
-    the two collide, m gives way. All probes are computed at once, one lane
-    each."""
+    the two collide (neg[k] = 1 and perm[k] among m's top inputs), the
+    lower of the bits k and perm[k] gives way. All probes are computed at
+    once, one lane each."""
     n = f.n
     lanes, m = _probe_draws(n)
     top = min(_PROBE_TOP, n)
     m |= lanes * ((1 << n) - (1 << (n - top)))
     perm, pol = t.perm, t.input_pol
     for k in range(n - top, n):
-        j = lanes << perm[k]
-        m = m | j if pol[k] else m & ~j
+        if pol[k] or perm[k] <= k:
+            j = lanes << perm[k]
+            m = m | j if pol[k] else m & ~j
     a = 0
     for k in range(n):
         a |= (m >> perm[k] & lanes ^ lanes * (1 - pol[k])) << k

@@ -41,15 +41,16 @@ def symmetry_marks(sym: Sequence[SymmetryClass], n: int) -> SymmetryMarks:
 class SSVector:
     """Per-variable sequences: cofactor counts pos and neg, group serial and
     canonical key (symmetry.canonical_keys), plus the match's symmetry
-    marks and the compatibility profile, the sorted (group, key, class size)
-    of the variables that are not identified (see vectors_compatible). The
+    marks, the keys in ascending order (sorted_keys, see update) and the
+    compatibility profile, the sorted (group, key, class size) of the
+    variables that are not identified (see vectors_compatible). The
     SSValue views (values, v[i], ==, dump) are built on demand."""
 
-    __slots__ = ("pos", "neg", "group", "key", "marks", "profile")
+    __slots__ = ("pos", "neg", "group", "key", "marks", "sorted_keys", "profile")
 
-    def __init__(self, pos, neg, group, key, marks, profile):
+    def __init__(self, pos, neg, group, key, marks, sorted_keys, profile):
         self.pos, self.neg, self.group, self.key, self.marks = pos, neg, group, key, marks
-        self.profile = profile
+        self.sorted_keys, self.profile = sorted_keys, profile
 
     @property
     def values(self) -> tuple[SSValue, ...]:
@@ -93,20 +94,21 @@ def compute_ss_vector(
     old serial, the rest take fresh serials past the current maximum.
     Identified variables read (0, 0) and keep their frozen group.
     """
-    return _vector(first_order_pairs(f, identified), identified, prev, symmetry_marks(sym, f.n))
-
-
-def _vector(pairs, identified, prev, marks) -> SSVector:
-    """The vector of first-order pairs already counted with identified
-    variables at (0, 0); see compute_ss_vector."""
+    pairs = first_order_pairs(f, identified)
     key = canonical_keys(pairs)
+    return _vector(pairs, key, sorted(key), identified, prev, symmetry_marks(sym, f.n))
+
+
+def _vector(pairs, key, sorted_keys, identified, prev, marks) -> SSVector:
+    """The vector of first-order pairs already counted with identified
+    variables at (0, 0), and of their keys; see compute_ss_vector."""
     # a first vector refines one group that holds every variable
     old, skip = (prev.group, identified) if prev is not None else ([0] * len(key), 0)
     group = _refine(old, key, skip)
     pos, neg = zip(*pairs) if pairs else ((), ())
     live = zip(group, key, marks.size)
     profile = sorted([t for i, t in enumerate(live) if not identified >> i & 1])
-    return SSVector(pos, neg, group, key, marks, profile)
+    return SSVector(pos, neg, group, key, marks, sorted_keys, profile)
 
 
 def _refine(old: list[int], key: list[int], skip: int) -> list[int]:
@@ -154,22 +156,29 @@ def update(state, siblings: dict) -> bool:
     side's root first-order pairs; a target with none is an arm that
     matcher._arm_states has refuted, reported incompatible at once.
 
+    g's sorted canonical keys are compared with f's before g's vector is
+    built; when they differ, g is left with no vector (v None) and no new
+    phases, and the node is reported incompatible. vectors_compatible would
+    prune it too: each side holds as many identified variables, all at
+    (0, 0), so equal profiles give equal sorted keys.
+
     siblings is the store that the node above shares among its children (a
     fresh one at the root). Below the root, a side's new vector and phase
     masks depend only on its restricted table (the table and its cube), its
-    identified mask, its previous vector and the masks it enters with. The
-    siblings below a branch point enter with the parent's vector and its
-    post-update masks, so the result is stored under (side index,
+    identified mask, its previous vector and the masks it enters with; all
+    children of a node map the same subject of f, so they share f's side.
+    The siblings below a branch point enter with the parent's vector and
+    its post-update masks, so the result is stored under (side index,
     identified, cube) and a sibling with the same key takes it without
-    recounting. The cube belongs in the key: the candidates i -> j - 0 and
-    i -> j - 1 identify the same variables of g but may split g on opposite
-    literals of x_j.
+    recounting, a refuted g (v None) included. The cube belongs in the key:
+    the candidates i -> j - 0 and i -> j - 1 identify the same variables of
+    g but may split g on opposite literals of x_j.
     """
     if state.g.root_pairs is None:
         return False
     for index, side in enumerate((state.f, state.g)):
-        key = index, side.identified, side.cube_vars, side.cube_vals
-        stored = siblings.get(key)
+        slot = index, side.identified, side.cube_vars, side.cube_vals
+        stored = siblings.get(slot)
         if stored is not None:
             side.v, side.phase_known, side.phase_neg = stored
             state.stats.vectors_reused += 1
@@ -179,7 +188,13 @@ def update(state, siblings: dict) -> bool:
             pairs = side.root_pairs
         else:
             pairs = first_order_pairs(side.restricted, side.identified)
-        v = side.v = _vector(pairs, side.identified, prev, side.marks)
+        key = canonical_keys(pairs)
+        sorted_keys = sorted(key)
+        if index and sorted_keys != state.f.v.sorted_keys:
+            side.v = None
+            siblings[slot] = None, side.phase_known, side.phase_neg
+            break
+        v = side.v = _vector(pairs, key, sorted_keys, side.identified, prev, side.marks)
         known, neg = side.phase_known, side.phase_neg
         # identified variables read (0, 0), so p != q leaves them alone
         for i, (p, q) in enumerate(pairs):
@@ -187,5 +202,5 @@ def update(state, siblings: dict) -> bool:
                 known |= 1 << i
                 neg |= (p < q) << i
         side.phase_known, side.phase_neg = known, neg
-        siblings[key] = v, known, neg
-    return vectors_compatible(state.f.v, state.g.v)
+        siblings[slot] = v, known, neg
+    return state.g.v is not None and vectors_compatible(state.f.v, state.g.v)

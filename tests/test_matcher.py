@@ -835,6 +835,51 @@ class TestBacktrackingIntegrity:
         assert equal(apply_np_transform(CASE7_F, result.witness), CASE7_G)
 
 
+class TestMetamorphicAboveOracle:
+    """Above the oracle's n <= 8 limit, relations between calls stand in for
+    ground truth: match(f, g), match(g, f), match(f, ~g) and match(T(f), g),
+    T a random NP transform, agree on the verdict, and each equivalent
+    witness maps its first argument onto its second bit for bit."""
+
+    class BelowRootKeyPrunes(Observer):
+        below = 0
+
+        def on_incompatible(self, depth, state):
+            self.below += bool(depth) and state.g.v is None
+
+    def test_bent_rotation_block_and_vacuous_at_n10_to_14(self):
+        rng = random.Random(79)
+        families = (
+            (lambda rng, n: maiorana_mcfarland(rng, n).bits, range(10, 15, 2)),
+            (_rotation, range(10, 15)),
+            (_block, range(10, 15)),
+            (_vacuous, range(10, 15)),
+        )
+        observer, verdicts = self.BelowRootKeyPrunes(), Counter()
+        for make, sizes in families:
+            for n in sizes:
+                for k in range(6):
+                    if k < 3:
+                        f = TruthTable(n, make(rng, n))
+                        g = apply_np_transform(f, _transform(rng, n))
+                    else:
+                        a, b = _other_reweighted(rng, n, make, k % 2 == 1)
+                        f, g = TruthTable(n, a), TruthTable(n, b)
+                    tf = apply_np_transform(f, _transform(rng, n))
+                    calls = (f, g), (g, f), (f, negate(g)), (tf, g)
+                    results = [match_npn(a, b, observer=observer) for a, b in calls]
+                    verdict = results[0].verdict
+                    assert all(r.verdict is verdict for r in results), (n, k)
+                    assert k >= 3 or verdict is Verdict.EQUIVALENT, (n, k)
+                    for (a, b), r in zip(calls, results):
+                        if r.equivalent:
+                            assert equal(apply_np_transform(a, r.witness), b), (n, k)
+                    verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 40, verdicts
+        # the key prune below the root is reached, not just the root checks
+        assert observer.below > 300, observer.below
+
+
 def test_transformation_from_map_list_conventions():
     ml = [VarMapping(0, 1, 1), VarMapping(1, 0, 0)]
     t = transformation_from_map_list(ml, 2)

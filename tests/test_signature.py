@@ -8,7 +8,16 @@ from npnmatch.signature import (
     update,
     vectors_compatible,
 )
-from npnmatch.matcher import MatchState, Observer, Side, match_npn
+from npnmatch import signature
+from npnmatch.matcher import (
+    MatchState,
+    Observer,
+    Side,
+    VarMapping,
+    commit_mapping,
+    extend_cubes,
+    match_npn,
+)
 from npnmatch.symmetry import build_symmetry_classes, canonical_keys, first_order_pairs
 
 from cases import (
@@ -44,34 +53,46 @@ def ss(f, cube=None, sym=None, identified=0, prev=None):
     return compute_ss_vector(restricted, sym, identified, prev)
 
 
-def check_refuted_root(depth, state):
-    """None at a node with vectors. Otherwise assert that the node is the
-    root of a refuted arm: no classes on either side, no root pairs for the
-    target, and sorted canonical pairs of f and the target, recounted
-    minterm by minterm, that differ. Returns "top" when the target's pair
-    of its top input x_{n-1} is already missing from f's, "keys" when only
-    the full pairs differ."""
-    if state.f.v is not None or state.g.v is not None:
-        assert state.f.v is not None and state.g.v is not None, (depth, state.map_list)
+def canonical_pairs(side):
+    """Per variable, the canonical first-order pair (max, min) of the side's
+    table under its cube, counted minterm by minterm."""
+    n, bits = side.table.n, side.table.bits
+    pos, total = [0] * n, 0
+    for m in range(1 << n):
+        if bits >> m & 1 and m & side.cube_vars == side.cube_vals:
+            total += 1
+            for i in range(n):
+                pos[i] += m >> i & 1
+    return [(max(p, total - p), min(p, total - p)) for p in pos]
+
+
+def check_key_refuted(depth, state):
+    """None at a node where both sides have vectors. Otherwise assert that
+    the node was pruned on first-order keys, recounted minterm by minterm:
+
+    - "top" or "keys": the root of a refuted arm. Neither side has classes
+      or a vector, the target has no root pairs, and the sorted canonical
+      pairs of f and the target differ; "top" when the target's pair of its
+      top input x_{n-1} is already missing from f's, "keys" when only the
+      full pairs differ.
+    - "below": a node below the root where f has a vector and g none, and
+      the sorted canonical pairs of the unidentified variables of f and g,
+      each under its cube, differ. Every such prune is sound."""
+    if state.f.v is not None and state.g.v is not None:
         return None
-    assert depth == 0 and not state.map_list and state.g.root_pairs is None
+    pairs_f, pairs_g = canonical_pairs(state.f), canonical_pairs(state.g)
+    if depth:
+        assert state.f.v is not None, (depth, state.map_list)
+        live_f, live_g = (
+            sorted(p for i, p in enumerate(pairs) if not side.identified >> i & 1)
+            for side, pairs in ((state.f, pairs_f), (state.g, pairs_g))
+        )
+        assert live_f != live_g, (depth, state.map_list)
+        return "below"
+    assert state.f.v is None and not state.map_list and state.g.root_pairs is None
     assert not state.f.sym and not state.g.sym
-
-    def canonical(bits, n, i):
-        p = q = 0
-        for m in range(1 << n):
-            if m >> i & 1:
-                p += bits >> m & 1
-            else:
-                q += bits >> m & 1
-        return max(p, q), min(p, q)
-
-    n = state.f.table.n
-    pairs_f, pairs_g = (
-        [canonical(side.table.bits, n, i) for i in range(n)] for side in (state.f, state.g)
-    )
     assert sorted(pairs_f) != sorted(pairs_g), pairs_f
-    return "keys" if pairs_g[n - 1] in pairs_f else "top"
+    return "keys" if pairs_g[-1] in pairs_f else "top"
 
 
 class TestFirstOrderValue:
@@ -216,7 +237,7 @@ class TestVectorsCompatible:
                 self.identified_nodes += bool(cf)
 
             def on_incompatible(self, depth, state):
-                kind = check_refuted_root(depth, state)
+                kind = check_key_refuted(depth, state)
                 if kind:
                     self.refuted[kind] += 1
                 else:
@@ -243,7 +264,10 @@ class TestSiblingVectors:
     def test_vectors_count_the_current_restricted_tables(self):
         # update hands a node the vector a sibling computed when their keys
         # agree; at every node, each side's restricted table must be its
-        # table under its cube, and its vector must count that table
+        # table under its cube, and each vector must count that table. Below
+        # the root, g may be pruned on its keys before it has a vector (its
+        # own or a sibling's refuted marker); check_key_refuted then
+        # recounts both sides and asserts the prune sound
         class Recount(Observer):
             nodes = 0
             refuted = Counter()
@@ -256,16 +280,17 @@ class TestSiblingVectors:
                         if side.cube_vars >> i & 1:
                             bits &= var_mask(n, i) if side.cube_vals >> i & 1 else low_mask(n, i)
                     assert side.restricted.bits == bits, (depth, state.map_list)
+                    if side.v is None:
+                        continue
                     for i in range(n):
                         if not side.identified >> i & 1:
                             pq = (bits & var_mask(n, i)).bit_count(), (bits & low_mask(n, i)).bit_count()
                             assert (side.v.pos[i], side.v.neg[i]) == pq, (depth, state.map_list, i)
 
             def on_incompatible(self, depth, state):
-                kind = check_refuted_root(depth, state)
-                if kind:
-                    self.refuted[kind] += 1
-                else:
+                kind = check_key_refuted(depth, state)
+                self.refuted[kind] += 1
+                if kind in (None, "below"):
                     self.on_vectors(depth, state)
 
         def bent(rng, n):
@@ -295,6 +320,33 @@ class TestSiblingVectors:
         # both kinds of refuted root: by the target's top input, and by
         # the full first-order keys once the top input passes
         assert min(observer.refuted[k] for k in ("top", "keys")) > 50, observer.refuted
+        # nodes below the root that g's keys refute before it has a vector
+        assert observer.refuted["below"] > 300, observer.refuted
+
+    def test_refuted_sibling_key_prunes_without_recounting(self, monkeypatch):
+        # the root keys agree, but under x0 (and x0 of g) they differ: the
+        # first child refutes g before it has a vector and stores a marker
+        # under g's key; a later sibling with the same key takes it, and
+        # f's stored vector, and prunes without counting either table
+        f, g = TruthTable(4, 0x6C0F), TruthTable(4, 0x81F9)
+        state = MatchState(*(Side(h, (), first_order_pairs(h)) for h in (f, g)))
+        assert update(state, {})
+        snap, children = state.snapshot(), {}
+
+        def child():
+            commit_mapping(state, VarMapping(0, 0, 0))
+            extend_cubes(state)
+            reused = state.stats.vectors_reused
+            assert not update(state, children)
+            assert state.f.v is not None and state.g.v is None
+            assert check_key_refuted(state.splits, state) == "below"
+            return state.stats.vectors_reused - reused
+
+        assert child() == 0
+        state.restore(snap)
+        counted = []
+        monkeypatch.setattr(signature, "first_order_pairs", lambda *a: counted.append(a))
+        assert child() == 2 and not counted
 
 
 def test_canonical_keys_order_like_max_min_pairs():
