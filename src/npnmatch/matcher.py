@@ -15,7 +15,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import starmap
+from itertools import starmap, takewhile
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import signature as sig
@@ -114,14 +114,15 @@ class Side:
     """One function of a match. Fixed for the match: its table, symmetry
     classes, their marks (signature.symmetry_marks) and its root first-order
     pairs. Per node, each an immutable value: the current cube as two bit
-    masks (its variables and their values), the table restricted to it, its
-    SS vector v, the identified bit mask, and the phase record as two bit
-    masks: phase_known marks the variables whose phase is determined,
-    phase_neg those of them whose phase is negative. On an arm that
-    _arm_states refutes, both sides hold no classes and the target has
-    root_pairs None, so observers at its root see no marks and no vectors
-    (v None on both sides). A node that update prunes on g's sorted keys
-    leaves g with v None and f with its vector."""
+    masks (its variables and their values), the table's bits restricted to
+    it (an int, as a TruthTable is a whole function), its SS vector v, the
+    identified bit mask, and the phase record as two bit masks: phase_known
+    marks the variables whose phase is determined, phase_neg those of them
+    whose phase is negative. On an arm that _arm_states refutes, both sides
+    hold no classes and the target has root_pairs None, so observers at its
+    root see no marks and no vectors (v None on both sides). A node that
+    update prunes on g's sorted keys leaves g with v None and f with its
+    vector."""
 
     __slots__ = (
         "table", "sym", "marks", "root_pairs", "cube_vars", "cube_vals",
@@ -132,7 +133,7 @@ class Side:
         self.table, self.sym, self.root_pairs = table, sym, root_pairs
         self.marks = sig.symmetry_marks(sym, table.n)
         self.cube_vars = self.cube_vals = self.identified = self.phase_known = self.phase_neg = 0
-        self.restricted, self.v = table, None
+        self.restricted, self.v = table.bits, None
 
     def save(self):
         return (
@@ -148,11 +149,9 @@ class Side:
 
     def narrow(self, i: int, positive: bool) -> None:
         """Restrict to the literal x_i (positive) or ~x_i."""
-        n = self.table.n
         self.cube_vars |= 1 << i
         self.cube_vals |= positive << i
-        cut = var_mask(n, i) if positive else low_mask(n, i)
-        self.restricted = TruthTable(n, self.restricted.bits & cut)
+        self.restricted &= (var_mask if positive else low_mask)(self.table.n, i)
 
 
 @dataclass
@@ -223,11 +222,9 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     n = f.table.n
 
     def pair_pols(i: int, j: int) -> tuple[int, ...]:
-        """Polarities k for which i -> j - k passes the group mark, the
-        first-order case and the phase records; a case the records rule out
-        is reported as a collision."""
-        if group_f[i] != group_g[j]:
-            return ()
+        """Polarities k for which i -> j - k, i and j in one group, passes
+        the first-order case and the phase records; a case the records rule
+        out is reported as a collision."""
         if not known_f >> i & known_g >> j & 1:
             return 0, 1  # equal counts, as a record is missing
         need = (sign_f >> i ^ sign_g >> j) & 1
@@ -248,7 +245,7 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     for i in range(n):
         if skip_f >> i & 1:
             continue
-        # pair_pols without the group test, for every peer of i
+        # pair_pols, inlined, for every peer of i
         cands, p, even = [], pos_f[i], pos_f[i] == neg_f[i]
         for j in peers.get(group_f[i], ()):
             if not known_f >> i & known_g >> j & 1:
@@ -262,7 +259,10 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
         sets.append(MappingSet(i, tuple(cands)))
 
     # a class's members enter no plain set and every class candidate maps
-    # all of them, so a class is either wholly identified or wholly free
+    # all of them, so a class is either wholly identified or wholly free. A
+    # cube over other variables keeps the table symmetric in a free class,
+    # so its members share one group and one key: the first members decide
+    # the group test of a class pair
     free_g = [cls for cls in g.sym if not idg >> cls.first & 1]
 
     for cls_f in f.sym:
@@ -270,14 +270,11 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
             continue
         cands = []
         for cls_g in free_g:
-            if cls_g.size != cls_f.size:
+            if cls_g.size != cls_f.size or group_f[cls_f.first] != group_g[cls_g.first]:
                 continue
-            member_pols: list[tuple[int, ...]] = []
-            for a, b in zip(cls_f.members, cls_g.members):
-                pols = pair_pols(a, b)
-                if not pols:
-                    break
-                member_pols.append(pols)
+            members = zip(cls_f.members, cls_g.members)
+            # pair_pols up to the first member pair that has none
+            member_pols = list(takewhile(bool, starmap(pair_pols, members)))
             if len(member_pols) < cls_f.size:
                 continue
             if cls_f.double and cls_g.double:
@@ -291,12 +288,9 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
                     patterns.append([k ^ (t == free) for t, k in enumerate(base)])
             else:
                 rel = [a ^ b for a, b in zip(cls_f.relative_pol, cls_g.relative_pol)]
-                base_pols = {0, 1}
-                for r, pols in zip(rel, member_pols):
-                    base_pols &= {p ^ r for p in pols}
-                patterns = [[base ^ r for r in rel] for base in sorted(base_pols)]
-            for ks in patterns:
-                cands.append(tuple(zip(cls_f.members, cls_g.members, ks)))
+                patterns = [[base ^ r for r in rel] for base in (0, 1)]
+                patterns = [ks for ks in patterns if all(k in p for k, p in zip(ks, member_pols))]
+            cands += (tuple(zip(cls_f.members, cls_g.members, ks)) for ks in patterns)
         sets.append(MappingSet(cls_f.first, tuple(cands)))
 
     sets.sort(key=lambda s: s.subject)
@@ -513,7 +507,7 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     polarities = [neg for neg, target in ((False, cg), (True, (1 << n) - cg)) if cf == target]
     if not polarities:
         return
-    pairs_f = first_order_pairs(f)
+    pairs_f = first_order_pairs(f.bits, n)
     keys_f = sorted(canonical_keys(pairs_f))
     half = (1 << n) >> 1
     p = (g.bits >> half).bit_count()  # |g_{x_{n-1}}|
@@ -526,7 +520,7 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
         target_pairs, sym_f, sym_g = None, (), ()
         if not n or canonical_keys([top])[0] in keys_f:
             if pairs_g is None:
-                pairs_g = first_order_pairs(g)
+                pairs_g = first_order_pairs(g.bits, n)
             pairs = complement_pairs(pairs_g, n) if output_negated else pairs_g
             if sorted(canonical_keys(pairs)) == keys_f:
                 if built is None:
@@ -546,7 +540,10 @@ def match_npn(
 
     The zeroth-order signatures pick the output polarity: detection runs
     against g, against its complement, or (for balanced functions) both.
+    node_cap None leaves the search unbounded; a negative cap is rejected.
     """
+    if node_cap is not None and node_cap < 0:
+        raise ValueError(f"node cap {node_cap} is negative")
     stats = SearchStats()
     for output_negated, state in _arm_states(f, g, stats, node_cap):
         observer.on_arm(output_negated)

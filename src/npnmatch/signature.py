@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .boolfn import TruthTable
 from .symmetry import SymmetryClass, canonical_keys, first_order_pairs
 
 
@@ -76,17 +75,18 @@ def dump_first_order(pairs: Sequence[tuple[int, int]]) -> str:
 
 
 def compute_ss_vector(
-    f: TruthTable,
+    bits: int,
+    n: int,
     sym: Sequence[SymmetryClass],
     identified: int = 0,
     prev: Optional[SSVector] = None,
 ) -> SSVector:
     """Fill first-order values, frozen symmetry marks, and group marks.
 
-    f is counted as given; to read the vector under a cube, pass f with its
-    bits ANDed with var_mask(n, i) for each positive literal x_i and
-    low_mask(n, i) for each negative one. identified is a bit mask over the
-    variables.
+    bits is a table over n inputs, counted as given: to read the vector of a
+    function f under a cube, pass f.bits ANDed with var_mask(n, i) for each
+    positive literal x_i and low_mask(n, i) for each negative one.
+    identified is a bit mask over the variables.
 
     Without a previous vector, group serials are assigned by canonical
     first-order pair (max, min) in descending order. With one, each previous
@@ -94,9 +94,9 @@ def compute_ss_vector(
     old serial, the rest take fresh serials past the current maximum.
     Identified variables read (0, 0) and keep their frozen group.
     """
-    pairs = first_order_pairs(f, identified)
+    pairs = first_order_pairs(bits, n, identified)
     key = canonical_keys(pairs)
-    return _vector(pairs, key, sorted(key), identified, prev, symmetry_marks(sym, f.n))
+    return _vector(pairs, key, sorted(key), identified, prev, symmetry_marks(sym, n))
 
 
 def _vector(pairs, key, sorted_keys, identified, prev, marks) -> SSVector:
@@ -145,7 +145,8 @@ def vectors_compatible(vf: SSVector, vg: SSVector) -> bool:
 
 
 def update(state, siblings: dict) -> bool:
-    """Recompute the SS vector of each side's cube-restricted table, record
+    """Recompute the SS vector of each side's restricted table (a bare int
+    over the side's table.n inputs, see the matcher's Side), record
     first-determined phases, and report cross-function compatibility. When
     it reports the sides compatible, each group's unidentified variables
     share one canonical key on each side, the same on both; the matcher's
@@ -187,7 +188,7 @@ def update(state, siblings: dict) -> bool:
         if prev is None:
             pairs = side.root_pairs
         else:
-            pairs = first_order_pairs(side.restricted, side.identified)
+            pairs = first_order_pairs(side.restricted, side.table.n, side.identified)
         key = canonical_keys(pairs)
         sorted_keys = sorted(key)
         if index and sorted_keys != state.f.v.sorted_keys:

@@ -99,9 +99,10 @@ _FOLD_ABOVE = 14
 _FOLD_STOP = 10
 
 
-def first_order_pairs(f: TruthTable, skip: int = 0) -> list[tuple[int, int]]:
-    """(|f_{x_i}|, |f_{~x_i}|) for every variable of f; the variables in the
-    bit mask skip read (0, 0) and are not counted.
+def first_order_pairs(bits: int, n: int, skip: int = 0) -> list[tuple[int, int]]:
+    """(|f_{x_i}|, |f_{~x_i}|) for every variable of the table bits over n
+    inputs, a whole function or one restricted to a cube; the variables in
+    the bit mask skip read (0, 0) and are not counted.
 
     A popcount costs several times an AND of the same width, so the top
     variables are counted by a bit-sliced fold (Knuth, TAOCP 4A 7.1.3):
@@ -110,7 +111,6 @@ def first_order_pairs(f: TruthTable, skip: int = 0) -> list[tuple[int, int]]:
     onto the lower one, halving the width. A table of at most _FOLD_ABOVE
     inputs is not folded: each variable takes one masked popcount.
     """
-    n, bits = f.n, f.bits
     if n <= _FOLD_ABOVE:
         total = bits.bit_count()
         return [
@@ -175,7 +175,7 @@ def build_symmetry_classes(
     """
     n = f.n
     if sig is None:
-        sig = first_order_pairs(f)
+        sig = first_order_pairs(f.bits, n)
     keys = canonical_keys(sig)
     # per class: members, relative polarities, and the double flag, which
     # the second member decides for all (see SymmetryClass)

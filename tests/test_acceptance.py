@@ -88,12 +88,12 @@ def test_criterion_3_golden_examples():
     ok = True
 
     # three-variable trio: printed first-order vectors
-    ok &= dump_first_order(first_order_pairs(TRIO_A)) == "{(2,2),(1,3),(2,2)}"
-    ok &= dump_first_order(first_order_pairs(TRIO_B)) == "{(3,1),(2,2),(2,2)}"
-    ok &= dump_first_order(first_order_pairs(TRIO_C)) == "{(3,1),(1,3),(3,1)}"
+    ok &= dump_first_order(first_order_pairs(TRIO_A.bits, TRIO_A.n)) == "{(2,2),(1,3),(2,2)}"
+    ok &= dump_first_order(first_order_pairs(TRIO_B.bits, TRIO_B.n)) == "{(3,1),(2,2),(2,2)}"
+    ok &= dump_first_order(first_order_pairs(TRIO_C.bits, TRIO_C.n)) == "{(3,1),(1,3),(3,1)}"
 
     def initial_dump(f):
-        return compute_ss_vector(f, build_symmetry_classes(f)).dump()
+        return compute_ss_vector(f.bits, f.n, build_symmetry_classes(f)).dump()
 
     # four-variable pair: initial and post-update vectors
     ok &= initial_dump(CASE4_F) == (
@@ -180,7 +180,7 @@ def _invariant_key(f: TruthTable):
         canon = tuple(sorted((max(p, q), min(p, q)) for p, q in pairs))
         return (min(count, (1 << n) - count), canon)
 
-    pairs = first_order_pairs(f)
+    pairs = first_order_pairs(f.bits, f.n)
     neg_pairs = [(half - p, half - q) for p, q in pairs]
     return min(side(count_minterms(f), pairs),
                side((1 << n) - count_minterms(f), neg_pairs))

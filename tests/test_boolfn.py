@@ -3,6 +3,7 @@ import random
 import pytest
 
 from npnmatch.boolfn import (
+    MAX_VARS,
     NPTransformation,
     TruthTable,
     _antiswap_vars,
@@ -114,11 +115,10 @@ class TestCofactor:
         for n in (1, 3, 5):
             f = random_table(rng, n)
             for i in range(n):
-                pos = TruthTable(n, f.bits & var_mask(n, i))
-                neg = TruthTable(n, f.bits & low_mask(n, i))
-                assert pos.bits | neg.bits == f.bits
-                assert pos.bits & neg.bits == 0
-                assert count_minterms(pos) + count_minterms(neg) == count_minterms(f)
+                pos, neg = f.bits & var_mask(n, i), f.bits & low_mask(n, i)
+                assert pos | neg == f.bits
+                assert pos & neg == 0
+                assert pos.bit_count() + neg.bit_count() == count_minterms(f)
 
 
 class TestNegate:
@@ -282,7 +282,7 @@ class TestRootFirstOrderPairs:
         for n in range(1, 9):
             for _ in range(4):
                 f = random_table(rng, n)
-                pairs = first_order_pairs(f)
+                pairs = first_order_pairs(f.bits, f.n)
                 assert pairs == [
                     (
                         sum(f.bits >> m & 1 for m in range(1 << n) if m >> i & 1),
@@ -292,14 +292,14 @@ class TestRootFirstOrderPairs:
                 ]
                 sym = build_symmetry_classes(f, pairs)
                 assert sym == build_symmetry_classes(f)
-                assert root_vector(f, sym, pairs) == compute_ss_vector(f, sym)
+                assert root_vector(f, sym, pairs) == compute_ss_vector(f.bits, f.n, sym)
 
     def test_fold_matches_masked_popcount(self):
-        # n = 15..20 take the bit-sliced fold; constant 1 carries into a
-        # new plane at every fold level
+        # n = 15..MAX_VARS take the bit-sliced fold; constant 1 carries
+        # into a new plane at every fold level
         rng = random.Random(15)
         skips = random.Random(16)  # own stream: the tables stay as they were
-        for n in range(0, 21):
+        for n in range(0, MAX_VARS + 1):
             vacuous = rng.getrandbits(1 << max(n - 3, 0))
             for v in range(max(n - 3, 0), n):
                 vacuous |= vacuous << (1 << v)
@@ -309,25 +309,26 @@ class TestRootFirstOrderPairs:
             tables = [rng.getrandbits(1 << n), 0, full_mask(n), parity, vacuous]
             for bits in tables:
                 f = TruthTable(n, bits)
-                pairs = first_order_pairs(f)
+                pairs = first_order_pairs(bits, n)
                 total = bits.bit_count()
                 want = [(bits & var_mask(n, i)).bit_count() for i in range(n)]
                 assert pairs == [(p, total - p) for p in want], (n, bits.bit_count())
                 for skip in (skips.getrandbits(n), skips.getrandbits(n) & skips.getrandbits(n)):
-                    assert first_order_pairs(f, skip) == [
+                    assert first_order_pairs(bits, n, skip) == [
                         (0, 0) if skip >> i & 1 else (p, total - p) for i, p in enumerate(want)
                     ], (n, skip)
                 if n in (15, 16):
                     sym = build_symmetry_classes(f, pairs)
                     assert sym == build_symmetry_classes(f)
-                    assert root_vector(f, sym, pairs) == compute_ss_vector(f, sym)
+                    assert root_vector(f, sym, pairs) == compute_ss_vector(f.bits, f.n, sym)
 
     def test_negated_arm_pairs(self):
         rng = random.Random(14)
         for n in range(0, 9):
             for _ in range(4):
                 g = random_table(rng, n)
-                assert complement_pairs(first_order_pairs(g), n) == first_order_pairs(negate(g))
+                pairs = first_order_pairs(g.bits, n)
+                assert complement_pairs(pairs, n) == first_order_pairs(negate(g).bits, n)
 
 
 class TestEqual:

@@ -53,6 +53,8 @@ from cases import (
 )
 from test_boolfn import random_table, random_transform
 from test_golden import (
+    FAMILIES,
+    SEED,
     _block,
     _family_pairs,
     _other_reweighted,
@@ -106,7 +108,9 @@ class RecordingObserver(Observer):
 def fresh_state(f, g, ignore_symmetry=False):
     sym_f = [] if ignore_symmetry else build_symmetry_classes(f)
     sym_g = [] if ignore_symmetry else build_symmetry_classes(g)
-    return MatchState(Side(f, sym_f, first_order_pairs(f)), Side(g, sym_g, first_order_pairs(g)))
+    return MatchState(
+        Side(f, sym_f, first_order_pairs(f.bits, f.n)), Side(g, sym_g, first_order_pairs(g.bits, g.n))
+    )
 
 
 def candidates_of(sets, subject):
@@ -159,10 +163,13 @@ class TestWholeClasses:
     """build_mapping_sets tests only the first member of a symmetry class:
     class members enter no plain mapping set and every class candidate maps
     all of them, so at every node a class is wholly identified or wholly
-    free."""
+    free. A cube over other variables keeps the restricted table symmetric
+    in a free class, so wherever a side has a vector the members of each of
+    its free classes share one group and one key, and the group test of a
+    class pair reads the first members only."""
 
     class WholeClasses(Observer):
-        nodes = whole_nodes = 0
+        nodes = whole_nodes = free_checks = 0
 
         def on_vectors(self, depth, state):
             self.nodes += 1
@@ -174,6 +181,12 @@ class TestWholeClasses:
                     hits = sum(identified >> m & 1 for m in cls.members)
                     assert hits in (0, cls.size), (depth, cls, state.map_list)
                     self.whole_nodes += hits == cls.size
+            for side in (state.f, state.g):
+                for cls in side.sym if side.v is not None else ():
+                    if not side.identified >> cls.first & 1:
+                        marks = {(side.v.group[m], side.v.key[m]) for m in cls.members}
+                        assert len(marks) == 1, (depth, cls, state.map_list)
+                        self.free_checks += 1
 
         on_incompatible = on_vectors
 
@@ -201,6 +214,7 @@ class TestWholeClasses:
         for _, f, g in _family_pairs(random.Random(53), families):
             match_npn(f, g, observer=observer)
         assert observer.whole_nodes > 100, observer.nodes
+        assert observer.free_checks > 100, observer.nodes
 
     def test_bent_pairs_under_hidden_transform(self):
         rng = random.Random(59)
@@ -213,6 +227,7 @@ class TestWholeClasses:
                 assert result.equivalent, n
                 assert equal(apply_np_transform(f, result.witness), g)
         assert observer.whole_nodes > 0, observer.nodes
+        assert observer.free_checks > 0, observer.nodes
 
 
 def _vacuous(rng, n):
@@ -770,6 +785,43 @@ class TestMatchNPN:
         assert match_npn(CASE7_F, CASE7_G, node_cap=10_000).equivalent
 
 
+class TestWholeFunctionTables:
+    """A TruthTable holds a whole function; a side's table restricted to a
+    cube is a bare int. So a match builds a TruthTable only where it needs
+    a whole function: the full-width transform of verify, and negate for
+    the negated arm's target."""
+
+    def test_tables_built_only_by_transforms_and_negate(self, monkeypatch):
+        # type2-n5-eq1 of the golden corpus is balanced: its positive arm
+        # fails and its negated arm splits down to the witness
+        (golden,) = [
+            (f, g)
+            for pair_id, f, g in _family_pairs(random.Random(SEED), FAMILIES)
+            if pair_id == "type2-n5-eq1"
+        ]
+        pairs = [(CASE3_F, CASE3_G), (CASE4_F, CASE4_G), (CASE5_F, CASE5_G), (CASE7_F, CASE7_G)]
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        built = counting("tables", TruthTable.__post_init__)
+        monkeypatch.setattr(TruthTable, "__post_init__", built)
+        monkeypatch.setattr(Side, "narrow", counting("narrow", Side.narrow))
+        for name in ("apply_np_transform", "negate"):
+            monkeypatch.setattr(matcher, name, counting(name, getattr(matcher, name)))
+        for f, g in pairs + [golden]:
+            calls.clear()
+            result = match_npn(f, g)
+            assert calls["narrow"] > 0, f
+            assert calls["tables"] == calls["apply_np_transform"] + calls["negate"], (f, calls)
+        assert result.witness.output_negated and calls["negate"] == 1, calls
+
+
 class TestBacktrackingIntegrity:
     class BranchStarts(Observer):
         """Records each node's state when its vectors are built, under
@@ -926,7 +978,7 @@ class TestKeyRefutedArms:
 
     @staticmethod
     def keys(f):
-        return sorted(canonical_keys(first_order_pairs(f)))
+        return sorted(canonical_keys(first_order_pairs(f.bits, f.n)))
 
     def expected(self, f, g):
         """(arms, builds, folds) of match_npn(f, g): the arms the weights

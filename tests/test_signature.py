@@ -49,8 +49,8 @@ def ss(f, cube=None, sym=None, identified=0, prev=None):
     """Vector of f restricted by the bit mask cube (unrestricted when None)."""
     if sym is None:
         sym = build_symmetry_classes(f)
-    restricted = f if cube is None else TruthTable(f.n, f.bits & cube)
-    return compute_ss_vector(restricted, sym, identified, prev)
+    restricted = f.bits if cube is None else f.bits & cube
+    return compute_ss_vector(restricted, f.n, sym, identified, prev)
 
 
 def canonical_pairs(side):
@@ -97,17 +97,17 @@ def check_key_refuted(depth, state):
 
 class TestFirstOrderValue:
     def test_trio_vectors(self):
-        assert dump_first_order(first_order_pairs(TRIO_A)) == "{(2,2),(1,3),(2,2)}"
-        assert dump_first_order(first_order_pairs(TRIO_B)) == "{(3,1),(2,2),(2,2)}"
-        assert dump_first_order(first_order_pairs(TRIO_C)) == "{(3,1),(1,3),(3,1)}"
+        assert dump_first_order(first_order_pairs(TRIO_A.bits, TRIO_A.n)) == "{(2,2),(1,3),(2,2)}"
+        assert dump_first_order(first_order_pairs(TRIO_B.bits, TRIO_B.n)) == "{(3,1),(2,2),(2,2)}"
+        assert dump_first_order(first_order_pairs(TRIO_C.bits, TRIO_C.n)) == "{(3,1),(1,3),(3,1)}"
 
     def test_restricted_value(self):
-        assert first_order_pairs(TruthTable(5, CASE5_F.bits & var_mask(5, 0)))[1] == (5, 6)
+        assert first_order_pairs(CASE5_F.bits & var_mask(5, 0), 5)[1] == (5, 6)
 
     def test_constant_true(self):
         f = TruthTable.constant(3, True)
         for i in range(3):
-            assert first_order_pairs(f)[i] == (4, 4)
+            assert first_order_pairs(f.bits, f.n)[i] == (4, 4)
 
 
 class TestComputeSSVector:
@@ -154,11 +154,11 @@ class TestComputeSSVector:
             n = rng.randint(2, 6)
             f = random_table(rng, n)
             sym = build_symmetry_classes(f)
-            prev = compute_ss_vector(f, sym)
+            prev = compute_ss_vector(f.bits, f.n, sym)
             i = rng.randrange(n)
             identified = 1 << i
             mask = var_mask(n, i) if rng.random() < 0.5 else low_mask(n, i)
-            cur = compute_ss_vector(TruthTable(n, f.bits & mask), sym, identified, prev)
+            cur = compute_ss_vector(f.bits & mask, n, sym, identified, prev)
             for a in range(n):
                 for b in range(a + 1, n):
                     if prev[a].group != prev[b].group:
@@ -177,7 +177,7 @@ class TestComputeSSVector:
 
 def root_phases(f, g):
     """(phase_known, phase_neg) of each side after update at the root."""
-    sides = [Side(h, build_symmetry_classes(h), first_order_pairs(h)) for h in (f, g)]
+    sides = [Side(h, build_symmetry_classes(h), first_order_pairs(h.bits, h.n)) for h in (f, g)]
     state = MatchState(*sides)
     update(state, {})
     return [(side.phase_known, side.phase_neg) for side in sides]
@@ -219,7 +219,7 @@ class TestVectorsCompatible:
             f = random_table(rng, n)
             t = random_transform(rng, n, allow_output=False)
             h = apply_np_transform(f, t)
-            keys = [sorted(canonical_keys(first_order_pairs(x))) for x in (f, h)]
+            keys = [sorted(canonical_keys(first_order_pairs(x.bits, x.n))) for x in (f, h)]
             assert keys[0] == keys[1] == sorted(ss(f).key)
 
     def test_identified_counts_agree_at_every_node(self):
@@ -279,7 +279,7 @@ class TestSiblingVectors:
                     for i in range(n):
                         if side.cube_vars >> i & 1:
                             bits &= var_mask(n, i) if side.cube_vals >> i & 1 else low_mask(n, i)
-                    assert side.restricted.bits == bits, (depth, state.map_list)
+                    assert side.restricted == bits, (depth, state.map_list)
                     if side.v is None:
                         continue
                     for i in range(n):
@@ -329,7 +329,7 @@ class TestSiblingVectors:
         # under g's key; a later sibling with the same key takes it, and
         # f's stored vector, and prunes without counting either table
         f, g = TruthTable(4, 0x6C0F), TruthTable(4, 0x81F9)
-        state = MatchState(*(Side(h, (), first_order_pairs(h)) for h in (f, g)))
+        state = MatchState(*(Side(h, (), first_order_pairs(h.bits, h.n)) for h in (f, g)))
         assert update(state, {})
         snap, children = state.snapshot(), {}
 

@@ -216,7 +216,7 @@ class TestBuildAgainstBruteForce:
                 kinds = [rng.choice(("identical", "opposite", "double")) for _ in range(n // 2)]
                 f, pairs = plant(rng, n, kinds)
                 self.check(f)
-                sig = first_order_pairs(f)
+                sig = first_order_pairs(f.bits, f.n)
                 for i, j, kind in pairs:
                     identical, opposite = brute_flags(f, i, j)
                     assert (identical or kind == "opposite") and (opposite or kind == "identical")
@@ -260,7 +260,7 @@ class TestFullWidth:
                     bits |= (1 << (a | 1 << i)) | (1 << (b | 1 << j))
                 f = TruthTable(n, bits)
                 if kind == "tie":
-                    sig = first_order_pairs(f)
+                    sig = first_order_pairs(f.bits, f.n)
                     assert sorted(sig[i]) == sorted(sig[j])
                 others = [rng.sample(range(n), 2) for _ in range(2)]
                 for a, b in [(i, j), (j, i)] + others:

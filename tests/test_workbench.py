@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from npnmatch.boolfn import MAX_VARS, TruthTable, count_minterms, equal, negate
-from npnmatch.matcher import match_npn
+from npnmatch import matcher
+from npnmatch.matcher import BudgetExceededError, match_npn
 from npnmatch.workbench import (
     ParseError,
     cli_dispatch,
@@ -335,6 +336,22 @@ class TestCLI:
         )
         assert code == 2
         assert "node budget" in capsys.readouterr().err
+
+    def test_negative_node_cap_is_rejected_before_the_search(self, files, capsys, monkeypatch):
+        # a cap of 0 visits the root and exceeds its budget there; a
+        # negative cap is refused before the arms are set up
+        with pytest.raises(BudgetExceededError, match="after 1 nodes"):
+            match_npn(CASE7_F, CASE7_G, node_cap=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(matcher, "_arm_states", refuse)
+        with pytest.raises(ValueError, match="node cap -3 is negative"):
+            match_npn(CASE7_F, CASE7_G, node_cap=-3)
+        argv = ["match", files("f.tt", CASE7_F), files("g.tt", CASE7_G), "--node-cap", "-1"]
+        assert cli_dispatch(argv) == 2
+        assert capsys.readouterr().err == "error: node cap -1 is negative\n"
 
     def test_oracle(self, files, capsys):
         f = TruthTable(2, 0b0110)
