@@ -25,7 +25,7 @@ from .oracle import (
     random_equivalent_pair,
     random_function,
 )
-from .signature import SSValue, SSVector, compute_ss_vector
+from .signature import SSVector, compute_ss_vector
 from .symmetry import SymmetryClass, build_symmetry_classes
 from .workbench import (
     ParseError,
@@ -43,7 +43,6 @@ __all__ = [
     "NPTransformation",
     "Observer",
     "ParseError",
-    "SSValue",
     "SSVector",
     "SymmetryClass",
     "TruthTable",

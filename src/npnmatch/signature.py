@@ -14,14 +14,6 @@ from typing import NamedTuple, Optional, Sequence
 from .symmetry import SymmetryClass, canonical_keys, first_order_pairs
 
 
-class SSValue(NamedTuple):
-    pos_count: int
-    neg_count: int
-    sym_size: int  # -1 when asymmetric
-    sym_first: int  # -1 when asymmetric
-    group: int
-
-
 class SymmetryMarks(NamedTuple):
     size: list[int]  # per variable its class size, -1 outside every class
     first: list[int]  # per variable its class's first member, -1 outside
@@ -42,8 +34,7 @@ class SSVector:
     canonical key (symmetry.canonical_keys), plus the match's symmetry
     marks, the keys in ascending order (sorted_keys, see update) and the
     compatibility profile, the sorted (group, key, class size) of the
-    variables that are not identified (see vectors_compatible). The
-    SSValue views (values, v[i], ==, dump) are built on demand."""
+    variables that are not identified (see vectors_compatible)."""
 
     __slots__ = ("pos", "neg", "group", "key", "marks", "sorted_keys", "profile")
 
@@ -51,23 +42,11 @@ class SSVector:
         self.pos, self.neg, self.group, self.key, self.marks = pos, neg, group, key, marks
         self.sorted_keys, self.profile = sorted_keys, profile
 
-    @property
-    def values(self) -> tuple[SSValue, ...]:
-        m = self.marks
-        return tuple(map(SSValue, self.pos, self.neg, m.size, m.first, self.group))
-
-    def __len__(self):
-        return len(self.pos)
-
-    def __getitem__(self, i) -> SSValue:
-        return self.values[i]
-
-    def __eq__(self, other):
-        return isinstance(other, SSVector) and self.values == other.values
-
     def dump(self) -> str:
-        """Debug rendering: one (pos, neg, symSize, symFirst, group) per variable."""
-        return "{" + ",".join(str(tuple(v)) for v in self.values) + "}"
+        """Debug rendering: one (pos, neg, symSize, symFirst, group) per
+        variable, symSize and symFirst -1 outside every class."""
+        m = self.marks
+        return "{" + ",".join(map(str, zip(self.pos, self.neg, m.size, m.first, self.group))) + "}"
 
 
 def dump_first_order(pairs: Sequence[tuple[int, int]]) -> str:
@@ -139,7 +118,7 @@ def vectors_compatible(vf: SSVector, vg: SSVector) -> bool:
     variables of equal group, and an identified variable keeps its group,
     so their per-group counts always agree.
     """
-    if len(vf) != len(vg):
+    if len(vf.pos) != len(vg.pos):
         raise ValueError("arity mismatch")
     return vf.profile == vg.profile
 

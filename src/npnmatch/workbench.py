@@ -43,10 +43,11 @@ def parse_function(text: str) -> TruthTable:
     """Read either the hex form (vars=N / tt=HEX) or the PLA subset
     (.i/.o/.p/.e directives plus cover lines; leftmost input column is x0,
     '1' outputs only)."""
-    # lines keep their indent, so columns count from the line's first character
+    # lines keep their indent, so columns count from the line's first
+    # character; they end at \n only (str.splitlines also breaks at \x0c)
     lines = [
         (no, raw.rstrip())
-        for no, raw in enumerate(text.splitlines(), start=1)
+        for no, raw in enumerate(text.split("\n"), start=1)
         if raw.strip() and not raw.strip().startswith("#")
     ]
     if not lines:

@@ -292,7 +292,8 @@ class TestRootFirstOrderPairs:
                 ]
                 sym = build_symmetry_classes(f, pairs)
                 assert sym == build_symmetry_classes(f)
-                assert root_vector(f, sym, pairs) == compute_ss_vector(f.bits, f.n, sym)
+                v = compute_ss_vector(f.bits, f.n, sym)
+                assert root_vector(f, sym, pairs).dump() == v.dump()
 
     def test_fold_matches_masked_popcount(self):
         # n = 15..MAX_VARS take the bit-sliced fold; constant 1 carries
@@ -320,7 +321,8 @@ class TestRootFirstOrderPairs:
                 if n in (15, 16):
                     sym = build_symmetry_classes(f, pairs)
                     assert sym == build_symmetry_classes(f)
-                    assert root_vector(f, sym, pairs) == compute_ss_vector(f.bits, f.n, sym)
+                    v = compute_ss_vector(f.bits, f.n, sym)
+                    assert root_vector(f, sym, pairs).dump() == v.dump()
 
     def test_negated_arm_pairs(self):
         rng = random.Random(14)

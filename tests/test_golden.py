@@ -13,7 +13,9 @@ the fixture tests/golden_matches.json holds match_npn's verdict, witness
 (perm, input polarity, output polarity), nodes_visited and verify_calls,
 and for every pair with n <= 10 tests/golden_traces.json holds the sha256
 of its TraceObserver text. A change to the search that is meant to keep its
-outputs must keep both files byte-identical.
+outputs must keep both files byte-identical. search_corpus() extends the
+corpus with structured pairs under hidden NP transforms; both are built on
+the first call and shared by every test that reads them.
 
 Regenerate the fixtures (only when the search is meant to change) with
 
@@ -29,6 +31,7 @@ import random
 import sys
 import time
 import tracemalloc
+from functools import cache
 from pathlib import Path
 
 from npnmatch import NPTransformation, TruthTable, apply_np_transform, match_npn, negate
@@ -111,17 +114,17 @@ def _block(rng, n):
     literal polarities), combined by a random table over the weights."""
     order = list(range(n))
     rng.shuffle(order)
-    blocks = []
+    blocks = []  # each block as a bit mask over the inputs
     while order:
         size = min(len(order), rng.randint(1, 4))
-        blocks.append(order[:size])
+        blocks.append(sum(1 << i for i in order[:size]))
         order = order[size:]
     flip = sum(1 << i for i in range(n) if rng.getrandbits(1))
     top: dict[tuple, int] = {}
     bits = 0
     for m in range(1 << n):
         x = m ^ flip
-        key = tuple(sum((x >> i) & 1 for i in b) for b in blocks)
+        key = tuple((x & b).bit_count() for b in blocks)
         if key not in top:
             top[key] = rng.getrandbits(1)
         bits |= top[key] << m
@@ -308,13 +311,52 @@ def _bent_pairs(rng):
     return out
 
 
+def _vacuous(rng, n):
+    """A random table that ignores one to three of its n inputs."""
+    bits = rng.getrandbits(1 << n)
+    for v in rng.sample(range(n), rng.randint(1, 3)):
+        low = bits & low_mask(n, v)
+        bits = low | low << (1 << v)
+    return bits
+
+
+def _hidden_pairs(rng):
+    """Bent, rotation, block and vacuous members at n = 6..12, each against
+    a copy under a hidden NP transform."""
+    out = []
+    families = (
+        ("bent", lambda n: maiorana_mcfarland(rng, n).bits),
+        ("rotation", lambda n: _rotation(rng, n)),
+        ("block", lambda n: _block(rng, n)),
+        ("vacuous", lambda n: _vacuous(rng, n)),
+    )
+    for n in range(6, 13):
+        for name, make in families:
+            if name == "bent" and n % 2:
+                continue
+            for k in range(8):
+                f = TruthTable(n, make(n))
+                g = apply_np_transform(f, _transform(rng, n))
+                out.append((f"hidden-{name}-n{n}-eq{k}", f, g))
+    return out
+
+
+@cache
 def corpus():
-    """(id, f, g) for every pair of the corpus, in a fixed order."""
-    return (
+    """(id, f, g) for every pair of the golden corpus, in a fixed order;
+    built on the first call and shared by every later one."""
+    return tuple(
         _family_pairs(random.Random(SEED), FAMILIES)
         + _family_pairs(random.Random(WIDE_SEED), WIDE_FAMILIES)
         + _bent_pairs(random.Random(BENT_SEED))
     )
+
+
+@cache
+def search_corpus():
+    """The golden corpus, then the structured pairs of _hidden_pairs; the
+    invariant walk (test_matcher.py) starts from it."""
+    return corpus() + tuple(_hidden_pairs(random.Random(73)))
 
 
 def _digest(f, g):

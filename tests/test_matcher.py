@@ -10,7 +10,6 @@ from npnmatch.boolfn import (
     apply_np_transform,
     count_minterms,
     equal,
-    low_mask,
     negate,
     var_mask,
 )
@@ -51,10 +50,9 @@ from cases import (
     TRIO_B,
     TRIO_C,
 )
+from invariants import InvariantObserver
 from test_boolfn import random_table, random_transform
 from test_golden import (
-    FAMILIES,
-    SEED,
     _block,
     _family_pairs,
     _other_reweighted,
@@ -64,9 +62,11 @@ from test_golden import (
     _transform,
     _type1,
     _type2,
+    _vacuous,
     _with_weight,
     corpus,
     maiorana_mcfarland,
+    search_corpus,
 )
 
 
@@ -160,35 +160,9 @@ class TestBuildMappingSets:
 
 
 class TestWholeClasses:
-    """build_mapping_sets tests only the first member of a symmetry class:
-    class members enter no plain mapping set and every class candidate maps
-    all of them, so at every node a class is wholly identified or wholly
-    free. A cube over other variables keeps the restricted table symmetric
-    in a free class, so wherever a side has a vector the members of each of
-    its free classes share one group and one key, and the group test of a
-    class pair reads the first members only."""
-
-    class WholeClasses(Observer):
-        nodes = whole_nodes = free_checks = 0
-
-        def on_vectors(self, depth, state):
-            self.nodes += 1
-            for classes, identified in (
-                (state.f.sym, state.f.identified),
-                (state.g.sym, state.g.identified),
-            ):
-                for cls in classes:
-                    hits = sum(identified >> m & 1 for m in cls.members)
-                    assert hits in (0, cls.size), (depth, cls, state.map_list)
-                    self.whole_nodes += hits == cls.size
-            for side in (state.f, state.g):
-                for cls in side.sym if side.v is not None else ():
-                    if not side.identified >> cls.first & 1:
-                        marks = {(side.v.group[m], side.v.key[m]) for m in cls.members}
-                        assert len(marks) == 1, (depth, cls, state.map_list)
-                        self.free_checks += 1
-
-        on_incompatible = on_vectors
+    """Symmetry classes stay whole at every node (InvariantObserver). The
+    invariant walk's bent pairs come from maiorana_mcfarland, so it must
+    give bent functions."""
 
     def test_maiorana_mcfarland_is_bent(self):
         # every Walsh coefficient has magnitude 2^(n/2)
@@ -204,187 +178,82 @@ class TestWholeClasses:
                 step *= 2
             assert {abs(c) for c in w} == {1 << (n // 2)}, n
 
-    def test_symmetric_block_and_parity_families(self):
-        families = (
-            ("symmetric", _symmetric, range(1, 9), 16, 16, _other_reweighted),
-            ("block", _block, range(4, 9), 16, 16, _other_reweighted),
-            ("parity", _parity, range(1, 9), 16, 16, _other_reweighted),
-        )
-        observer = self.WholeClasses()
-        for _, f, g in _family_pairs(random.Random(53), families):
-            match_npn(f, g, observer=observer)
-        assert observer.whole_nodes > 100, observer.nodes
-        assert observer.free_checks > 100, observer.nodes
 
-    def test_bent_pairs_under_hidden_transform(self):
-        rng = random.Random(59)
-        observer = self.WholeClasses()
-        for n in (6, 8, 10):
-            for k in range(5):
-                f = maiorana_mcfarland(rng, n, inner=k == 0)
-                g = apply_np_transform(f, _transform(rng, n))
-                result = match_npn(f, g, observer=observer)
-                assert result.equivalent, n
-                assert equal(apply_np_transform(f, result.witness), g)
-        assert observer.whole_nodes > 0, observer.nodes
-        assert observer.free_checks > 0, observer.nodes
+def _bent(rng, n):
+    return maiorana_mcfarland(rng, n).bits
 
 
-def _vacuous(rng, n):
-    """A random table that ignores one to three of its n inputs."""
-    bits = rng.getrandbits(1 << n)
-    for v in rng.sample(range(n), rng.randint(1, 3)):
-        low = bits & low_mask(n, v)
-        bits = low | low << (1 << v)
-    return bits
+def _bent_identity_pi(rng, n):
+    """x . y xor h(y): the bent family whose searches branch most."""
+    k = n // 2
+    h = [rng.getrandbits(1) for _ in range(1 << k)]
+    return sum(((m & (m >> k) & ((1 << k) - 1)).bit_count() & 1 ^ h[m >> k]) << m
+               for m in range(1 << n))
 
 
-def _reference_mapping_sets(state):
-    """(sets, collisions) by the per-pair rule that build_mapping_sets
-    replaced: every same-group pair is tested against both first-order
-    cases and then the phase records, plain variables and class members
-    alike."""
-    f, g = state.f, state.g
-    collisions = []
-
-    def pair_pols(i, j):
-        if f.v.group[i] != g.v.group[j]:
-            return ()
-        p, q, a, b = f.v.pos[i], f.v.neg[i], g.v.pos[j], g.v.neg[j]
-        pols = (0,) if p == a and q == b else ()
-        if p == b and q == a:
-            pols += (1,)
-        if not pols or not f.phase_known >> i & g.phase_known >> j & 1:
-            return pols
-        need = (f.phase_neg >> i ^ g.phase_neg >> j) & 1
-        if need in pols:
-            return (need,)
-        collisions.extend(VarMapping(i, j, k) for k in pols)
-        return ()
-
-    n, sets = f.table.n, []
-    free_f = [i for i in range(n) if not (f.identified | f.marks.members) >> i & 1]
-    free_g = [j for j in range(n) if not (g.identified | g.marks.members) >> j & 1]
-    for i in free_f:
-        sets.append((i, [((i, j, k),) for j in free_g for k in pair_pols(i, j)]))
-    for cls_f in f.sym:
-        if f.identified >> cls_f.first & 1:
-            continue
-        cands = []
-        for cls_g in g.sym:
-            if g.identified >> cls_g.first & 1 or cls_g.size != cls_f.size:
-                continue
-            member_pols = []
-            for a, b in zip(cls_f.members, cls_g.members):
-                pols = pair_pols(a, b)
-                if not pols:
-                    break
-                member_pols.append(pols)
-            if len(member_pols) < cls_f.size:
-                continue
-            if cls_f.double and cls_g.double:
-                base = [p[0] for p in member_pols]
-                patterns = [base]
-                free = next((t for t, p in enumerate(member_pols) if len(p) == 2), None)
-                if free is not None:
-                    patterns.append([k ^ (t == free) for t, k in enumerate(base)])
-            else:
-                rel = [a ^ b for a, b in zip(cls_f.relative_pol, cls_g.relative_pol)]
-                base_pols = {0, 1}
-                for r, pols in zip(rel, member_pols):
-                    base_pols &= {p ^ r for p in pols}
-                patterns = [[base ^ r for r in rel] for base in sorted(base_pols)]
-            cands += [tuple(zip(cls_f.members, cls_g.members, ks)) for ks in patterns]
-        sets.append((cls_f.first, cands))
-    return sorted(sets), collisions
-
-
-class TestOneKeyPerGroup:
-    """After a compatible update, the free variables of each group carry one
-    canonical key on each side, the same on both; build_mapping_sets builds
-    the plain candidates from that alone and must give what the per-pair
-    rule gives, collisions included."""
-
-    @staticmethod
-    def searches():
-        """The golden corpus, then bent, rotation, block and vacuous members
-        at n = 6..12 against copies under hidden NP transforms."""
-        pairs = [(f, g) for _, f, g in corpus()]
-        rng = random.Random(73)
-        families = (
-            lambda n: maiorana_mcfarland(rng, n).bits,
-            lambda n: _rotation(rng, n),
-            lambda n: _block(rng, n),
-            lambda n: _vacuous(rng, n),
-        )
-        for n in range(6, 13):
-            for make in families:
-                if make is families[0] and n % 2:
-                    continue
-                for _ in range(8):
-                    f = TruthTable(n, make(n))
-                    pairs.append((f, apply_np_transform(f, _transform(rng, n))))
-        return pairs
-
-    class OneKey(Observer):
-        nodes = keyed_groups = 0
-
-        def on_vectors(self, depth, state):
-            self.nodes += 1
-            keys = []
-            for side in (state.f, state.g):
-                per_group = {}
-                for i in range(side.table.n):
-                    if not side.identified >> i & 1:
-                        per_group.setdefault(side.v.group[i], set()).add(side.v.key[i])
-                assert all(len(k) == 1 for k in per_group.values()), (depth, state.map_list)
-                keys.append(per_group)
-            assert keys[0] == keys[1], (depth, state.map_list)
-            self.keyed_groups += len(keys[0])
-
-    def test_one_canonical_key_per_group(self):
-        observer = self.OneKey()
-        for f, g in self.searches():
-            match_npn(f, g, observer=observer)
-        assert observer.nodes > 1000 and observer.keyed_groups > 3000, observer.nodes
-
-    class Reference(Observer):
-        """Compares build_mapping_sets with the per-pair rule at every node,
-        and the search's own on_collision calls with the rule's collisions."""
-
-        def __init__(self):
-            self.pending = []
-            self.nodes = self.collisions = self.class_sets = 0
-
-        def on_vectors(self, depth, state):
-            assert not self.pending, (depth, state.map_list)
-            expected, self.pending = _reference_mapping_sets(state)
-            seen = RecordingObserver()
-            sets = build_mapping_sets(state, seen)
-            got = [(s.subject, list(s.candidates)) for s in sets]
-            assert got == expected, (depth, state.map_list)
-            assert seen.of_kind("collision") == [("collision", str(m)) for m in self.pending]
-            self.nodes += 1
-            self.class_sets += sum(s.subject in {c.first for c in state.f.sym} for s in sets)
-
-        def on_collision(self, m):
-            assert self.pending and self.pending.pop(0) == m
-            self.collisions += 1
-
-        def on_incompatible(self, depth, state):
-            assert not self.pending
-
-        on_complete = on_incompatible
-
-    def test_sets_and_collisions_match_the_per_pair_rule(self):
-        observer = self.Reference()
-        for f, g in self.searches():
-            match_npn(f, g, observer=observer)
-            assert not observer.pending
-        assert observer.nodes > 1000, observer.nodes
-        assert observer.collisions > 300 and observer.class_sets > 400, (
-            observer.collisions, observer.class_sets
-        )
+def test_invariants_hold_at_every_node():
+    """InvariantObserver over pairs chosen to reach symmetry classes,
+    double classes, collisions, sibling vectors and key prunes below the
+    root: the search corpus; seeded symmetric, block and parity pairs at
+    n <= 8 (two seeds); small random, bent, rotation and block pairs at
+    n <= 10; and bent pairs under a hidden NP transform, each matched with
+    a verified witness."""
+    classes = (
+        ("symmetric", _symmetric, range(1, 9), 16, 16, _other_reweighted),
+        ("block", _block, range(4, 9), 16, 16, _other_reweighted),
+        ("parity", _parity, range(1, 9), 16, 16, _other_reweighted),
+    )
+    # small random tables branch on balanced variables, where the
+    # candidates i -> j - 0 and i -> j - 1 narrow g to opposite literals
+    siblings = (
+        ("type1", _type1, range(1, 7), 16, 16, _other_reweighted),
+        ("type2", _type2, range(1, 7), 16, 16, _other_reweighted),
+        ("bent", _bent, (6, 8, 10), 4, 4, _other_reweighted),
+        ("bent-identity-pi", _bent_identity_pi, (4, 6, 8, 10), 8, 8, _other_reweighted),
+        ("rotation", _rotation, range(3, 11), 8, 8, _other_reweighted),
+        ("block", _block, range(6, 11), 4, 4, _other_reweighted),
+    )
+    pairs = (
+        list(search_corpus())
+        + _family_pairs(random.Random(47), classes)
+        + _family_pairs(random.Random(53), classes)
+        + _family_pairs(random.Random(53), siblings)
+    )
+    observer, reused = InvariantObserver(), 0
+    for pair_id, f, g in pairs:
+        reused += match_npn(f, g, observer=observer).stats.vectors_reused
+        assert not observer.pending, pair_id
+    before = observer.counts.copy()
+    rng = random.Random(59)
+    for n in (6, 8, 10):
+        for k in range(5):
+            f = maiorana_mcfarland(rng, n, inner=k == 0)
+            g = apply_np_transform(f, _transform(rng, n))
+            result = match_npn(f, g, observer=observer)
+            assert result.equivalent, n
+            assert equal(apply_np_transform(f, result.witness), g)
+    bent = observer.counts - before
+    assert bent["whole_classes"] > 0 and bent["free_class_checks"] > 0, bent
+    # each floor is what the check reached when it ran alone on its own
+    # corpus, all of which are in this union (top and keys: the sum of the
+    # two checks that counted them)
+    floors = {
+        "nodes": 1250,
+        "keyed_groups": 3723,
+        "collisions": 483,
+        "class_sets": 527,
+        "branches": 179,
+        "deep_branches": 85,
+        "whole_classes": 328,
+        "free_class_checks": 1690,
+        "identified_nodes": 197,
+        "recounted": 2147,
+        "top": 239,
+        "keys": 264,
+        "below": 462,
+    }
+    assert all(observer.counts[k] >= floor for k, floor in floors.items()), observer.counts
+    assert reused >= 731, reused
 
 
 class TestCase4Walkthrough:
@@ -794,11 +663,7 @@ class TestWholeFunctionTables:
     def test_tables_built_only_by_transforms_and_negate(self, monkeypatch):
         # type2-n5-eq1 of the golden corpus is balanced: its positive arm
         # fails and its negated arm splits down to the witness
-        (golden,) = [
-            (f, g)
-            for pair_id, f, g in _family_pairs(random.Random(SEED), FAMILIES)
-            if pair_id == "type2-n5-eq1"
-        ]
+        (golden,) = [(f, g) for pair_id, f, g in corpus() if pair_id == "type2-n5-eq1"]
         pairs = [(CASE3_F, CASE3_G), (CASE4_F, CASE4_G), (CASE5_F, CASE5_G), (CASE7_F, CASE7_G)]
         calls = Counter()
 
@@ -823,60 +688,6 @@ class TestWholeFunctionTables:
 
 
 class TestBacktrackingIntegrity:
-    class BranchStarts(Observer):
-        """Records each node's state when its vectors are built, under
-        state.splits (the node's depth), and asserts at every branch that the
-        live state is the one its branching node recorded: each candidate
-        starts from the same state, however its siblings ended."""
-
-        def __init__(self):
-            self.recorded: dict[int, tuple] = {}
-            # id(chosen) -> (chosen, fingerprint); holding chosen keeps its
-            # id from being reused
-            self.expected: dict[int, tuple] = {}
-            self.branches = self.deep_branches = 0
-
-        @staticmethod
-        def fingerprint(state):
-            f, g = state.f, state.g
-            return (
-                list(state.map_list),
-                state.splits,
-                f.restricted,
-                g.restricted,
-                f.v.dump(),
-                g.v.dump(),
-                f.identified,
-                g.identified,
-                f.phase_known,
-                f.phase_neg,
-                g.phase_known,
-                g.phase_neg,
-            )
-
-        def on_vectors(self, depth, state):
-            assert state.splits == depth
-            self.state = state
-            self.recorded[depth] = self.fingerprint(state)
-
-        def on_branch(self, chosen, candidate):
-            if id(chosen) not in self.expected:
-                # a node's first branch follows its own vectors directly
-                self.expected[id(chosen)] = chosen, self.recorded[self.state.splits]
-            assert self.fingerprint(self.state) == self.expected[id(chosen)][1]
-            self.branches += 1
-            self.deep_branches += bool(self.state.map_list)
-
-    def test_each_candidate_starts_from_its_branch_state(self):
-        # a wrong truncation of map_list shows only at a branch whose map
-        # list is not empty, so both counts have a floor
-        starts = self.BranchStarts()
-        for _, f, g in corpus():
-            if f.n <= 8:
-                match_npn(f, g, observer=starts)
-        assert starts.branches >= 150
-        assert starts.deep_branches >= 70
-
     def test_null_observer_builds_no_cubes(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("cube built with no observer asking")
@@ -948,21 +759,13 @@ class TestKeyRefutedArms:
     of its top input x_{n-1} among f's canonical pairs: otherwise every
     arm's keys differ from f's, whatever the rest of g holds."""
 
-    class RefutedRoots(RecordingObserver):
-        """Asserts that a root whose target's keys differ from f's, whether
-        the top input refutes it or only the full keys do, prunes before it
-        builds a vector on either side."""
-
-        def on_incompatible(self, depth, state):
-            super().on_incompatible(depth, state)
-            keys = TestKeyRefutedArms.keys
-            if depth == 0 and keys(state.f.table) != keys(state.g.table):
-                assert state.f.v is None and state.g.v is None, self.events
-
     @staticmethod
     def run(monkeypatch, f, g):
         """(result, arms run, build_symmetry_classes calls, first_order_pairs
-        calls) of match_npn."""
+        calls) of match_npn, under InvariantObserver: among its checks, a
+        root whose target's keys differ from f's, whether the top input
+        refutes it or only the full keys do, prunes before it builds a
+        vector on either side."""
         calls = {"build_symmetry_classes": 0, "first_order_pairs": 0}
         for name in calls:
             real = getattr(matcher, name)
@@ -972,9 +775,9 @@ class TestKeyRefutedArms:
                 return real(*args)
 
             monkeypatch.setattr(matcher, name, counted)
-        events = TestKeyRefutedArms.RefutedRoots()
-        result = match_npn(f, g, observer=events)
-        return result, len(events.of_kind("arm")), *calls.values()
+        observer = InvariantObserver()
+        result = match_npn(f, g, observer=observer)
+        return result, observer.counts["arms"], *calls.values()
 
     @staticmethod
     def keys(f):

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 from npnmatch.boolfn import MAX_VARS, TruthTable, apply_np_transform, low_mask, var_mask
 from npnmatch.signature import (
@@ -9,15 +8,7 @@ from npnmatch.signature import (
     vectors_compatible,
 )
 from npnmatch import signature
-from npnmatch.matcher import (
-    MatchState,
-    Observer,
-    Side,
-    VarMapping,
-    commit_mapping,
-    extend_cubes,
-    match_npn,
-)
+from npnmatch.matcher import MatchState, Side, VarMapping, commit_mapping, extend_cubes
 from npnmatch.symmetry import build_symmetry_classes, canonical_keys, first_order_pairs
 
 from cases import (
@@ -31,18 +22,8 @@ from cases import (
     TRIO_B,
     TRIO_C,
 )
+from invariants import check_key_refuted
 from test_boolfn import random_table, random_transform
-from test_golden import (
-    _block,
-    _family_pairs,
-    _other_reweighted,
-    _parity,
-    _rotation,
-    _symmetric,
-    _type1,
-    _type2,
-    maiorana_mcfarland,
-)
 
 
 def ss(f, cube=None, sym=None, identified=0, prev=None):
@@ -51,48 +32,6 @@ def ss(f, cube=None, sym=None, identified=0, prev=None):
         sym = build_symmetry_classes(f)
     restricted = f.bits if cube is None else f.bits & cube
     return compute_ss_vector(restricted, f.n, sym, identified, prev)
-
-
-def canonical_pairs(side):
-    """Per variable, the canonical first-order pair (max, min) of the side's
-    table under its cube, counted minterm by minterm."""
-    n, bits = side.table.n, side.table.bits
-    pos, total = [0] * n, 0
-    for m in range(1 << n):
-        if bits >> m & 1 and m & side.cube_vars == side.cube_vals:
-            total += 1
-            for i in range(n):
-                pos[i] += m >> i & 1
-    return [(max(p, total - p), min(p, total - p)) for p in pos]
-
-
-def check_key_refuted(depth, state):
-    """None at a node where both sides have vectors. Otherwise assert that
-    the node was pruned on first-order keys, recounted minterm by minterm:
-
-    - "top" or "keys": the root of a refuted arm. Neither side has classes
-      or a vector, the target has no root pairs, and the sorted canonical
-      pairs of f and the target differ; "top" when the target's pair of its
-      top input x_{n-1} is already missing from f's, "keys" when only the
-      full pairs differ.
-    - "below": a node below the root where f has a vector and g none, and
-      the sorted canonical pairs of the unidentified variables of f and g,
-      each under its cube, differ. Every such prune is sound."""
-    if state.f.v is not None and state.g.v is not None:
-        return None
-    pairs_f, pairs_g = canonical_pairs(state.f), canonical_pairs(state.g)
-    if depth:
-        assert state.f.v is not None, (depth, state.map_list)
-        live_f, live_g = (
-            sorted(p for i, p in enumerate(pairs) if not side.identified >> i & 1)
-            for side, pairs in ((state.f, pairs_f), (state.g, pairs_g))
-        )
-        assert live_f != live_g, (depth, state.map_list)
-        return "below"
-    assert state.f.v is None and not state.map_list and state.g.root_pairs is None
-    assert not state.f.sym and not state.g.sym
-    assert sorted(pairs_f) != sorted(pairs_g), pairs_f
-    return "keys" if pairs_g[-1] in pairs_f else "top"
 
 
 class TestFirstOrderValue:
@@ -161,8 +100,8 @@ class TestComputeSSVector:
             cur = compute_ss_vector(f.bits & mask, n, sym, identified, prev)
             for a in range(n):
                 for b in range(a + 1, n):
-                    if prev[a].group != prev[b].group:
-                        assert cur[a].group != cur[b].group
+                    if prev.group[a] != prev.group[b]:
+                        assert cur.group[a] != cur.group[b]
 
     def test_counts_sum_to_restricted_size(self):
         rng = random.Random(29)
@@ -172,7 +111,7 @@ class TestComputeSSVector:
         restricted = f.bits & cube
         for i in range(5):
             if i != 2:
-                assert v[i].pos_count + v[i].neg_count == restricted.bit_count()
+                assert v.pos[i] + v.neg[i] == restricted.bit_count()
 
 
 def root_phases(f, g):
@@ -222,107 +161,8 @@ class TestVectorsCompatible:
             keys = [sorted(canonical_keys(first_order_pairs(x.bits, x.n))) for x in (f, h)]
             assert keys[0] == keys[1] == sorted(ss(f).key)
 
-    def test_identified_counts_agree_at_every_node(self):
-        # vectors_compatible skips identified variables because their
-        # per-group counts cannot differ between f and g; check that claim
-        # on every node of searches that reach symmetry classes and phases
-        class IdentifiedCounts(Observer):
-            nodes = identified_nodes = 0
-            refuted = Counter()
-
-            def on_vectors(self, depth, state):
-                self.nodes += 1
-                cf = counts(state.f.v, state.f.identified)
-                assert cf == counts(state.g.v, state.g.identified), (depth, state.map_list)
-                self.identified_nodes += bool(cf)
-
-            def on_incompatible(self, depth, state):
-                kind = check_key_refuted(depth, state)
-                if kind:
-                    self.refuted[kind] += 1
-                else:
-                    self.on_vectors(depth, state)
-
-        def counts(v, identified):
-            return Counter(val.group for i, val in enumerate(v.values) if identified >> i & 1)
-
-        families = (
-            ("symmetric", _symmetric, range(1, 9), 16, 16, _other_reweighted),
-            ("block", _block, range(4, 9), 16, 16, _other_reweighted),
-            ("parity", _parity, range(1, 9), 16, 16, _other_reweighted),
-        )
-        observer = IdentifiedCounts()
-        for _, f, g in _family_pairs(random.Random(47), families):
-            match_npn(f, g, observer=observer)
-        assert observer.identified_nodes > 100, observer.nodes
-        # both kinds of refuted root: by the target's top input, and by
-        # the full first-order keys once the top input passes
-        assert min(observer.refuted[k] for k in ("top", "keys")) > 50, observer.refuted
-
 
 class TestSiblingVectors:
-    def test_vectors_count_the_current_restricted_tables(self):
-        # update hands a node the vector a sibling computed when their keys
-        # agree; at every node, each side's restricted table must be its
-        # table under its cube, and each vector must count that table. Below
-        # the root, g may be pruned on its keys before it has a vector (its
-        # own or a sibling's refuted marker); check_key_refuted then
-        # recounts both sides and asserts the prune sound
-        class Recount(Observer):
-            nodes = 0
-            refuted = Counter()
-
-            def on_vectors(self, depth, state):
-                self.nodes += 1
-                for side in (state.f, state.g):
-                    n, bits = side.table.n, side.table.bits
-                    for i in range(n):
-                        if side.cube_vars >> i & 1:
-                            bits &= var_mask(n, i) if side.cube_vals >> i & 1 else low_mask(n, i)
-                    assert side.restricted == bits, (depth, state.map_list)
-                    if side.v is None:
-                        continue
-                    for i in range(n):
-                        if not side.identified >> i & 1:
-                            pq = (bits & var_mask(n, i)).bit_count(), (bits & low_mask(n, i)).bit_count()
-                            assert (side.v.pos[i], side.v.neg[i]) == pq, (depth, state.map_list, i)
-
-            def on_incompatible(self, depth, state):
-                kind = check_key_refuted(depth, state)
-                self.refuted[kind] += 1
-                if kind in (None, "below"):
-                    self.on_vectors(depth, state)
-
-        def bent(rng, n):
-            return maiorana_mcfarland(rng, n).bits
-
-        def bent_identity_pi(rng, n):
-            # x . y xor h(y): the bent family whose searches branch most
-            k = n // 2
-            h = [rng.getrandbits(1) for _ in range(1 << k)]
-            return sum(((m & (m >> k) & ((1 << k) - 1)).bit_count() & 1 ^ h[m >> k]) << m
-                       for m in range(1 << n))
-
-        # small random tables branch on balanced variables, where the
-        # candidates i -> j - 0 and i -> j - 1 narrow g to opposite literals
-        families = (
-            ("type1", _type1, range(1, 7), 16, 16, _other_reweighted),
-            ("type2", _type2, range(1, 7), 16, 16, _other_reweighted),
-            ("bent", bent, (6, 8, 10), 4, 4, _other_reweighted),
-            ("bent-identity-pi", bent_identity_pi, (4, 6, 8, 10), 8, 8, _other_reweighted),
-            ("rotation", _rotation, range(3, 11), 8, 8, _other_reweighted),
-            ("block", _block, range(6, 11), 4, 4, _other_reweighted),
-        )
-        observer, reused = Recount(), 0
-        for _, f, g in _family_pairs(random.Random(53), families):
-            reused += match_npn(f, g, observer=observer).stats.vectors_reused
-        assert observer.nodes > 500 and reused > 250, (observer.nodes, reused)
-        # both kinds of refuted root: by the target's top input, and by
-        # the full first-order keys once the top input passes
-        assert min(observer.refuted[k] for k in ("top", "keys")) > 50, observer.refuted
-        # nodes below the root that g's keys refute before it has a vector
-        assert observer.refuted["below"] > 300, observer.refuted
-
     def test_refuted_sibling_key_prunes_without_recounting(self, monkeypatch):
         # the root keys agree, but under x0 (and x0 of g) they differ: the
         # first child refutes g before it has a vector and stores a marker

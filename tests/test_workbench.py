@@ -112,6 +112,17 @@ class TestHexFormat:
             parse_function(text)
         assert err.value.line == line
 
+    def test_lines_end_at_newline_only(self):
+        # str.splitlines would also break at the form feed: the first text
+        # would parse as two lines, and the second's bad digit would be
+        # reported on line 4
+        with pytest.raises(ParseError, match="bad variable count") as err:
+            parse_function("vars=3\x0ctt=96\n")
+        assert (err.value.line, err.value.col) == (1, 7)
+        with pytest.raises(ParseError, match="bad hex digit") as err:
+            parse_function("vars=3\n\x0c\ntt=9z\n")
+        assert (err.value.line, err.value.col) == (3, 5)
+
     def test_missing_fields(self):
         with pytest.raises(ParseError, match="missing tt"):
             parse_function("vars=2\n")
