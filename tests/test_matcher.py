@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -178,6 +179,14 @@ class TestWholeClasses:
                 step *= 2
             assert {abs(c) for c in w} == {1 << (n // 2)}, n
 
+    def test_symmetric_block_and_parity_families(self):
+        assert_walk_reaches(whole_classes=328, free_class_checks=1690)
+
+    def test_bent_pairs_under_hidden_transform(self):
+        # the walk matches each bent pair with a verified witness
+        bent = invariant_walk()[1]
+        assert bent["whole_classes"] > 0 and bent["free_class_checks"] > 0, bent
+
 
 def _bent(rng, n):
     return maiorana_mcfarland(rng, n).bits
@@ -191,13 +200,15 @@ def _bent_identity_pi(rng, n):
                for m in range(1 << n))
 
 
-def test_invariants_hold_at_every_node():
+@cache
+def invariant_walk():
     """InvariantObserver over pairs chosen to reach symmetry classes,
     double classes, collisions, sibling vectors and key prunes below the
     root: the search corpus; seeded symmetric, block and parity pairs at
     n <= 8 (two seeds); small random, bent, rotation and block pairs at
     n <= 10; and bent pairs under a hidden NP transform, each matched with
-    a verified witness."""
+    a verified witness. Returns the observer's counts, those of the bent
+    pairs alone, and the vectors reused."""
     classes = (
         ("symmetric", _symmetric, range(1, 9), 16, 16, _other_reweighted),
         ("block", _block, range(4, 9), 16, 16, _other_reweighted),
@@ -232,28 +243,21 @@ def test_invariants_hold_at_every_node():
             result = match_npn(f, g, observer=observer)
             assert result.equivalent, n
             assert equal(apply_np_transform(f, result.witness), g)
-    bent = observer.counts - before
-    assert bent["whole_classes"] > 0 and bent["free_class_checks"] > 0, bent
-    # each floor is what the check reached when it ran alone on its own
-    # corpus, all of which are in this union (top and keys: the sum of the
-    # two checks that counted them)
-    floors = {
-        "nodes": 1250,
-        "keyed_groups": 3723,
-        "collisions": 483,
-        "class_sets": 527,
-        "branches": 179,
-        "deep_branches": 85,
-        "whole_classes": 328,
-        "free_class_checks": 1690,
-        "identified_nodes": 197,
-        "recounted": 2147,
-        "top": 239,
-        "keys": 264,
-        "below": 462,
-    }
-    assert all(observer.counts[k] >= floor for k, floor in floors.items()), observer.counts
-    assert reused >= 731, reused
+    return observer.counts.copy(), observer.counts - before, reused
+
+
+def assert_walk_reaches(**floors):
+    # each floor is what its check reached alone on its own corpus
+    counts = invariant_walk()[0]
+    assert all(counts[k] >= floor for k, floor in floors.items()), counts
+
+
+class TestOneKeyPerGroup:
+    def test_one_canonical_key_per_group(self):
+        assert_walk_reaches(nodes=1250, keyed_groups=3723)
+
+    def test_sets_and_collisions_match_the_per_pair_rule(self):
+        assert_walk_reaches(nodes=1250, collisions=483, class_sets=527)
 
 
 class TestCase4Walkthrough:
@@ -688,6 +692,9 @@ class TestWholeFunctionTables:
 
 
 class TestBacktrackingIntegrity:
+    def test_each_candidate_starts_from_its_branch_state(self):
+        assert_walk_reaches(branches=179, deep_branches=85)
+
     def test_null_observer_builds_no_cubes(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("cube built with no observer asking")

@@ -24,6 +24,7 @@ from cases import (
 )
 from invariants import check_key_refuted
 from test_boolfn import random_table, random_transform
+from test_matcher import assert_walk_reaches, invariant_walk
 
 
 def ss(f, cube=None, sym=None, identified=0, prev=None):
@@ -161,8 +162,19 @@ class TestVectorsCompatible:
             keys = [sorted(canonical_keys(first_order_pairs(x.bits, x.n))) for x in (f, h)]
             assert keys[0] == keys[1] == sorted(ss(f).key)
 
+    def test_identified_counts_agree_at_every_node(self):
+        # vectors_compatible skips identified variables because their
+        # per-group counts cannot differ between f and g (InvariantObserver)
+        assert_walk_reaches(identified_nodes=197)
+
 
 class TestSiblingVectors:
+    def test_vectors_count_the_current_restricted_tables(self):
+        # InvariantObserver recounts each node's tables and key prunes; top
+        # and keys floor the sum of the two checks that counted them
+        assert_walk_reaches(recounted=2147, top=239, keys=264, below=462)
+        assert invariant_walk()[2] >= 731
+
     def test_refuted_sibling_key_prunes_without_recounting(self, monkeypatch):
         # the root keys agree, but under x0 (and x0 of g) they differ: the
         # first child refutes g before it has a vector and stores a marker
