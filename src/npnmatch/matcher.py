@@ -15,7 +15,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import starmap, takewhile
+from itertools import starmap
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import signature as sig
@@ -212,6 +212,11 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     stands when it agrees with the records and is a collision otherwise.
     When they are equal both polarities are cases, and records on both
     sides leave only theirs.
+
+    A pair of free classes of one size and group is tested once, on its
+    first members. Each polarity k they allow gives one candidate: member
+    t maps at k ^ rel_f[t] ^ rel_g[t] (the classes' relative_pol), or,
+    when both classes are double, the first member at k and the rest at 0.
     """
     f, g = state.f, state.g
     pos_f, neg_f, group_f = f.v.pos, f.v.neg, f.v.group
@@ -261,8 +266,13 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     # a class's members enter no plain set and every class candidate maps
     # all of them, so a class is either wholly identified or wholly free. A
     # cube over other variables keeps the table symmetric in a free class,
-    # so its members share one group and one key: the first members decide
-    # the group test of a class pair
+    # so its members share one group and one key, and each member reads the
+    # first member's counts and phase record, swapped when its relative_pol
+    # is 1. So member t of a class pair allows exactly the polarities
+    # k ^ rel_f[t] ^ rel_g[t] for the k the first members allow, and a member
+    # pair fails only where the first pair fails (the one collision
+    # reported). A double class's members read pos == neg under every such
+    # cube, so they never get a phase record and allow both polarities.
     free_g = [cls for cls in g.sym if not idg >> cls.first & 1]
 
     for cls_f in f.sym:
@@ -272,24 +282,15 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
         for cls_g in free_g:
             if cls_g.size != cls_f.size or group_f[cls_f.first] != group_g[cls_g.first]:
                 continue
-            members = zip(cls_f.members, cls_g.members)
-            # pair_pols up to the first member pair that has none
-            member_pols = list(takewhile(bool, starmap(pair_pols, members)))
-            if len(member_pols) < cls_f.size:
-                continue
+            pols = pair_pols(cls_f.first, cls_g.first)
             if cls_f.double and cls_g.double:
                 # jointly negating two members is an invariance of both
                 # functions, so only the polarity parity matters: one
-                # candidate per achievable parity
-                base = [p[0] for p in member_pols]
-                patterns = [base]
-                free = next((t for t, p in enumerate(member_pols) if len(p) == 2), None)
-                if free is not None:
-                    patterns.append([k ^ (t == free) for t, k in enumerate(base)])
+                # candidate per parity, set on the first member
+                patterns = [[k] + [0] * (cls_f.size - 1) for k in pols]
             else:
                 rel = [a ^ b for a, b in zip(cls_f.relative_pol, cls_g.relative_pol)]
-                patterns = [[base ^ r for r in rel] for base in (0, 1)]
-                patterns = [ks for ks in patterns if all(k in p for k, p in zip(ks, member_pols))]
+                patterns = [[k ^ r for r in rel] for k in pols]
             cands += (tuple(zip(cls_f.members, cls_g.members, ks)) for ks in patterns)
         sets.append(MappingSet(cls_f.first, tuple(cands)))
 

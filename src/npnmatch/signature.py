@@ -34,7 +34,15 @@ class SSVector:
     canonical key (symmetry.canonical_keys), plus the match's symmetry
     marks, the keys in ascending order (sorted_keys, see update) and the
     compatibility profile, the sorted (group, key, class size) of the
-    variables that are not identified (see vectors_compatible)."""
+    variables that are not identified.
+
+    Two vectors are compatible, a necessary condition for a mapping under
+    the current cubes, when their profiles are equal: per group, the
+    multisets of (canonical first-order pair, class size) over unidentified
+    variables agree, and the canonical pair admits the opposite-phase
+    mapping. Identified variables are skipped: every committed mapping
+    pairs variables of equal group, and an identified variable keeps its
+    group, so their per-group counts always agree."""
 
     __slots__ = ("pos", "neg", "group", "key", "marks", "sorted_keys", "profile")
 
@@ -108,21 +116,6 @@ def _refine(old: list[int], key: list[int], skip: int) -> list[int]:
     return [g if skip >> i & 1 else serial[g, -key[i]] for i, g in enumerate(old)]
 
 
-def vectors_compatible(vf: SSVector, vg: SSVector) -> bool:
-    """Necessary condition for a mapping to exist under the current cubes.
-
-    Per group, the multisets of (canonical first-order pair, symmetry size)
-    over unidentified variables must agree: the vectors' profiles, built
-    with them. The canonical pair admits the opposite-phase mapping.
-    Identified variables are skipped: every committed mapping pairs
-    variables of equal group, and an identified variable keeps its group,
-    so their per-group counts always agree.
-    """
-    if len(vf.pos) != len(vg.pos):
-        raise ValueError("arity mismatch")
-    return vf.profile == vg.profile
-
-
 def update(state, siblings: dict) -> bool:
     """Recompute the SS vector of each side's restricted table (a bare int
     over the side's table.n inputs, see the matcher's Side), record
@@ -138,7 +131,7 @@ def update(state, siblings: dict) -> bool:
 
     g's sorted canonical keys are compared with f's before g's vector is
     built; when they differ, g is left with no vector (v None) and no new
-    phases, and the node is reported incompatible. vectors_compatible would
+    phases, and the node is reported incompatible. The profile check would
     prune it too: each side holds as many identified variables, all at
     (0, 0), so equal profiles give equal sorted keys.
 
@@ -183,4 +176,4 @@ def update(state, siblings: dict) -> bool:
                 neg |= (p < q) << i
         side.phase_known, side.phase_neg = known, neg
         siblings[slot] = v, known, neg
-    return state.g.v is not None and vectors_compatible(state.f.v, state.g.v)
+    return state.g.v is not None and state.f.v.profile == state.g.v.profile

@@ -40,9 +40,9 @@ def _parse_count(raw: str, what: str, no: int, col: int) -> int:
 
 
 def parse_function(text: str) -> TruthTable:
-    """Read either the hex form (vars=N / tt=HEX) or the PLA subset
-    (.i/.o/.p/.e directives plus cover lines; leftmost input column is x0,
-    '1' outputs only)."""
+    """Read the PLA subset (.i/.o/.p/.e directives plus cover lines;
+    leftmost input column is x0, '1' outputs only) when the first line
+    opens with '.', and the hex form (vars=N / tt=HEX) otherwise."""
     # lines keep their indent, so columns count from the line's first
     # character; they end at \n only (str.splitlines also breaks at \x0c)
     lines = [
@@ -52,7 +52,7 @@ def parse_function(text: str) -> TruthTable:
     ]
     if not lines:
         raise ParseError("empty function file", 1)
-    if lines[0][1].lstrip().startswith((".i", ".o")):
+    if lines[0][1].lstrip().startswith("."):
         return _parse_pla(lines)
     return _parse_hex(lines)
 

@@ -2,12 +2,13 @@
 
 InvariantObserver checks at every node of every search it observes what
 the search relies on: each group's free variables carry one canonical key,
-symmetry classes stay whole, f and g identify as many variables per group,
-every candidate starts from its branch node's state, each vector counts its
-side's table under its cube, and the mapping sets and phase collisions are
-those of the per-pair rule. Refuted nodes are recounted minterm by minterm
-(check_key_refuted). It counts the nodes each check reaches, so a walk can
-assert that no check is vacuous.
+symmetry classes stay whole, each class member reads its first member's
+phase record (up to its relative polarity), f and g identify as many
+variables per group, every candidate starts from its branch node's state,
+each vector counts its side's table under its cube, and the mapping sets
+and phase collisions are those of the per-pair rule. Refuted nodes are
+recounted minterm by minterm (check_key_refuted). It counts the nodes each
+check reaches, so a walk can assert that no check is vacuous.
 """
 
 from collections import Counter
@@ -155,6 +156,11 @@ class InvariantObserver(Observer):
     - whole_classes and free_class_checks, at every node: a class is wholly
       identified or wholly free, and a free class's members share one group
       and one key where their side has a vector;
+    - phased_classes and double_classes, at nodes with compatible vectors:
+      a free class's members share its first member's phase_known bit and,
+      where it is set, their phase_neg is the first member's XOR their
+      relative_pol (phased_classes counts the classes with the bit set); a
+      free double class's members read pos == neg and have no phase record;
     - identified_nodes: nodes where both sides have vectors and some
       variable is identified; per group, f and g identify as many;
     - recounted: nodes where f has a vector; each side's restricted table
@@ -184,6 +190,7 @@ class InvariantObserver(Observer):
         assert not self.pending, (depth, state.map_list)
         self.counts["nodes"] += 1
         self._whole_classes(depth, state)
+        self._class_phases(depth, state)
         self._identified_counts(depth, state)
         self._recount(depth, state)
         self._one_key(depth, state)
@@ -230,8 +237,26 @@ class InvariantObserver(Observer):
                     assert len(marks) == 1, (depth, cls, state.map_list)
                     self.counts["free_class_checks"] += 1
 
+    def _class_phases(self, depth, state):
+        # build_mapping_sets decides a class pair by its first members
+        for side in (state.f, state.g):
+            v, known, neg = side.v, side.phase_known, side.phase_neg
+            for cls in side.sym:
+                a = cls.first
+                if side.identified >> a & 1:
+                    continue
+                for m, r in zip(cls.members, cls.relative_pol):
+                    assert known >> m & 1 == known >> a & 1, (depth, cls, state.map_list)
+                    if known >> a & 1:
+                        assert neg >> m & 1 == (neg >> a ^ r) & 1, (depth, cls, state.map_list)
+                    if cls.double:
+                        assert v.pos[m] == v.neg[m], (depth, cls, state.map_list)
+                        assert not known >> m & 1, (depth, cls, state.map_list)
+                self.counts["phased_classes"] += known >> a & 1
+                self.counts["double_classes"] += cls.double
+
     def _identified_counts(self, depth, state):
-        # vectors_compatible skips identified variables because their
+        # the profile skips identified variables because their
         # per-group counts cannot differ between f and g
         cf, cg = (
             Counter(side.v.group[i] for i in range(side.table.n) if side.identified >> i & 1)

@@ -182,6 +182,10 @@ class TestWholeClasses:
     def test_symmetric_block_and_parity_families(self):
         assert_walk_reaches(whole_classes=328, free_class_checks=1690)
 
+    def test_members_read_the_first_members_phase_record(self):
+        # the premise on which build_mapping_sets tests a class pair once
+        assert_walk_reaches(phased_classes=2108, double_classes=1656)
+
     def test_bent_pairs_under_hidden_transform(self):
         # the walk matches each bent pair with a verified witness
         bent = invariant_walk()[1]

@@ -7,7 +7,6 @@ import pytest
 
 from npnmatch.boolfn import (
     MAX_VARS,
-    NPTransformation,
     TruthTable,
     apply_np_transform,
     count_minterms,

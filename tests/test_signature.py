@@ -1,12 +1,7 @@
 import random
 
 from npnmatch.boolfn import MAX_VARS, TruthTable, apply_np_transform, low_mask, var_mask
-from npnmatch.signature import (
-    compute_ss_vector,
-    dump_first_order,
-    update,
-    vectors_compatible,
-)
+from npnmatch.signature import compute_ss_vector, dump_first_order, update
 from npnmatch import signature
 from npnmatch.matcher import MatchState, Side, VarMapping, commit_mapping, extend_cubes
 from npnmatch.symmetry import build_symmetry_classes, canonical_keys, first_order_pairs
@@ -134,15 +129,16 @@ class TestDeterminePhases:
 
 
 class TestVectorsCompatible:
+    """Two vectors are compatible when their profiles are equal (SSVector)."""
+
     def test_case4_pair(self):
-        assert vectors_compatible(ss(CASE4_F), ss(CASE4_G))
+        assert ss(CASE4_F).profile == ss(CASE4_G).profile
 
     def test_trio_mismatch(self):
-        assert not vectors_compatible(ss(TRIO_A), ss(TRIO_C))
+        assert ss(TRIO_A).profile != ss(TRIO_C).profile
 
     def test_self(self):
-        v = ss(CASE5_F)
-        assert vectors_compatible(v, v)
+        assert ss(CASE5_F).profile == ss(CASE5_F).profile
 
     def test_single_bit_flip_detected(self):
         rng = random.Random(41)
@@ -150,7 +146,7 @@ class TestVectorsCompatible:
         g = TruthTable(4, f.bits ^ 1)
         vf, vg = ss(f), ss(g)
         # one flipped minterm shifts every per-variable count by one
-        assert not vectors_compatible(vf, vg)
+        assert vf.profile != vg.profile
 
     def test_np_invariance_of_canonical_multiset(self):
         rng = random.Random(43)
@@ -163,8 +159,8 @@ class TestVectorsCompatible:
             assert keys[0] == keys[1] == sorted(ss(f).key)
 
     def test_identified_counts_agree_at_every_node(self):
-        # vectors_compatible skips identified variables because their
-        # per-group counts cannot differ between f and g (InvariantObserver)
+        # the profile skips identified variables because their per-group
+        # counts cannot differ between f and g (InvariantObserver)
         assert_walk_reaches(identified_nodes=197)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from npnmatch.boolfn import MAX_VARS, TruthTable, count_minterms, equal, negate
+from npnmatch.boolfn import MAX_VARS, TruthTable, count_minterms, negate
 from npnmatch import matcher
 from npnmatch.matcher import BudgetExceededError, match_npn
 from npnmatch.workbench import (
@@ -231,6 +231,14 @@ class TestPLAFormat:
         with pytest.raises(ParseError, match="unsupported directive '.zz'") as err:
             parse_function(".i 2\n.o 1\n  .zz\n")
         assert (err.value.line, err.value.col) == (3, 3)
+
+    def test_file_may_open_with_p(self):
+        assert parse_function(".p 1\n.i 2\n.o 1\n11 1\n.e\n") == TruthTable.from_minterms(2, [3])
+
+    def test_file_opening_with_unknown_directive(self):
+        with pytest.raises(ParseError, match="unsupported directive '.type'") as err:
+            parse_function(".type fr\n.i 2\n.o 1\n11 1\n.e\n")
+        assert (err.value.line, err.value.col) == (1, 1)
 
     def test_three_field_cover_row(self):
         with pytest.raises(ParseError, match="input and output columns") as err:
