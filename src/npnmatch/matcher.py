@@ -494,9 +494,9 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     An NP transform keeps the sorted canonical keys of the first-order
     pairs, so an arm whose target's keys differ from f's is refuted: the
     target gets root_pairs None, neither side gets classes, and the root
-    prunes before any vector is built. Of g, the top input x_{n-1} is
-    counted first (one half-width popcount; n = 0 has none): an arm whose
-    key for it is missing from f's keys is refuted there. g's pairs are
+    prunes before any vector is built. g's halves on the top input x_{n-1}
+    are counted first (half-width popcounts that sum to |g|): an arm whose
+    key for x_{n-1} is missing from f's keys is refuted there. g's pairs are
     counted at most once (the negated arm's derive from them), the
     complement of g only when its arm is reached, and the classes once,
     for the first arm not refuted.
@@ -504,14 +504,14 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     if f.n != g.n:
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
     n = f.n
-    cf, cg = count_minterms(f), count_minterms(g)
+    half = (1 << n) >> 1
+    p = (g.bits >> half).bit_count()  # |g_{x_{n-1}}|, and |g| at n = 0
+    cf, cg = count_minterms(f), p + (n and (g.bits & low_mask(n, n - 1)).bit_count())
     polarities = [neg for neg, target in ((False, cg), (True, (1 << n) - cg)) if cf == target]
     if not polarities:
         return
     pairs_f = first_order_pairs(f.bits, n)
     keys_f = sorted(canonical_keys(pairs_f))
-    half = (1 << n) >> 1
-    p = (g.bits >> half).bit_count()  # |g_{x_{n-1}}|
     pairs_g = built = None  # built: the classes of f and g
     for output_negated in polarities:
         if output_negated:

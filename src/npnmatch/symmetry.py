@@ -60,10 +60,10 @@ class SymmetryClass:
 
 def _swap_invariant(bits: int, i: int, j: int, low_i: int, mask_j: int, opposite: bool) -> bool:
     """f is invariant under the swap of x_i and x_j (i > j), with both
-    complemented when opposite: the delta swap of boolfn._swap_vars (or
-    _antiswap_vars) finds no differing bit to exchange under its mask.
-    low_i is low_mask(n, i); mask_j is low_mask(n, j) when opposite and
-    var_mask(n, j) otherwise.
+    complemented when opposite: a delta swap (boolfn._delta_swap) of
+    distance 2^i - 2^j, or 2^i + 2^j when opposite, finds no differing bit
+    to exchange under the mask low_i & mask_j. low_i is low_mask(n, i);
+    mask_j is low_mask(n, j) when opposite and var_mask(n, j) otherwise.
 
     The pair's mask low_i & mask_j is rebuilt on every call, not cached per
     (n, i, j, opposite): at n = 20 each is a 128 KB int, and a cache of them

@@ -23,14 +23,20 @@ RECOUNT_MAX_N = 10
 
 def canonical_pairs(side):
     """Per variable, the canonical first-order pair (max, min) of the side's
-    table under its cube, counted minterm by minterm."""
+    table under its cube, counted minterm by minterm over the cube's
+    minterms: the cube's values with each submask s of the free inputs."""
     n, bits = side.table.n, side.table.bits
-    pos, total = [0] * n, 0
-    for m in range(1 << n):
-        if bits >> m & 1 and m & side.cube_vars == side.cube_vals:
+    free = ((1 << n) - 1) & ~side.cube_vars
+    pos, total, s = [0] * n, 0, free
+    while True:
+        m = side.cube_vals | s
+        if bits >> m & 1:
             total += 1
             for i in range(n):
                 pos[i] += m >> i & 1
+        if not s:
+            break
+        s = (s - 1) & free
     return [(max(p, total - p), min(p, total - p)) for p in pos]
 
 

@@ -6,9 +6,8 @@ from npnmatch.boolfn import (
     MAX_VARS,
     NPTransformation,
     TruthTable,
-    _antiswap_vars,
+    _delta_swap,
     _negate_var,
-    _swap_vars,
     apply_np_transform,
     compose,
     count_minterms,
@@ -56,6 +55,20 @@ def inverse(t):
         inv_perm[t.perm[i]] = i
         inv_pol[t.perm[i]] = t.input_pol[i]
     return NPTransformation(tuple(inv_perm), tuple(inv_pol), t.output_negated)
+
+
+def swap_vars(bits, n, i, j):
+    """Exchange x_i and x_j: minterms with x_j = 1, x_i = 0 trade with x_j = 0, x_i = 1."""
+    if i == j:
+        return bits
+    if i < j:
+        i, j = j, i
+    return _delta_swap(bits, (1 << i) - (1 << j), var_mask(n, j) & low_mask(n, i))
+
+
+def antiswap_vars(bits, n, i, j):
+    """Exchange x_i and x_j, negating both: x_i = x_j = 0 trades with x_i = x_j = 1."""
+    return _delta_swap(bits, (1 << i) + (1 << j), low_mask(n, i) & low_mask(n, j))
 
 
 def root_vector(f, sym, pairs):
@@ -155,9 +168,10 @@ class TestApplyNPTransform:
 
     def test_matches_brute_reference(self):
         rng = random.Random(42)
-        # n = 8 and 10 put the delta swaps' shifts across many machine words
-        for n in (0, 1, 2, 3, 4, 5, 8, 10):
-            for _ in range(8):
+        # n = 8 and up put the delta swaps' shifts across many machine words;
+        # n = 11..16 move the top input's half-width boundary across them
+        for n in (0, 1, 2, 3, 4, 5, 8, 10, 11, 12, 13, 14, 15, 16):
+            for _ in range(8 if n <= 10 else 2):
                 f = random_table(rng, n)
                 t = random_transform(rng, n)
                 assert apply_np_transform(f, t) == brute_apply(f, t)
@@ -168,6 +182,15 @@ class TestApplyNPTransform:
         rng = random.Random(17)
         f = random_table(rng, 4)
         for t in all_transformations(4):
+            assert apply_np_transform(f, t) == brute_apply(f, t), t
+
+    def test_every_transform_n5(self):
+        # the smallest size where two cycles below a fixed x_4, such as
+        # (x0 x1)(x2 x3), are merged into it in turn, and where a cycle and
+        # a negated fixed point, such as (x0 x1 x2) and ~x3, are
+        rng = random.Random(23)
+        f = random_table(rng, 5)
+        for t in all_transformations(5):
             assert apply_np_transform(f, t) == brute_apply(f, t), t
 
     def test_n20_round_trip_compose_and_sampled_minterms(self):
@@ -233,7 +256,8 @@ def _bits_of(bits, n):
 
 
 class TestVariableKernels:
-    """Per-minterm references for the single-variable bigint kernels."""
+    """Per-minterm checks of the bigint kernels: _negate_var, and _delta_swap
+    under the masks of the reference swaps."""
 
     def test_swap_vars_every_pair_n7(self):
         n = 7
@@ -242,7 +266,7 @@ class TestVariableKernels:
         before = _bits_of(bits, n)
         for i in range(n):
             for j in range(n):
-                after = _bits_of(_swap_vars(bits, n, i, j), n)
+                after = _bits_of(swap_vars(bits, n, i, j), n)
                 for m in range(1 << n):
                     bi, bj = (m >> i) & 1, (m >> j) & 1
                     src = m & ~((1 << i) | (1 << j)) | (bi << j) | (bj << i)
@@ -257,7 +281,7 @@ class TestVariableKernels:
             for j in range(n):
                 if i == j:
                     continue
-                after = _bits_of(_antiswap_vars(bits, n, i, j), n)
+                after = _bits_of(antiswap_vars(bits, n, i, j), n)
                 for m in range(1 << n):
                     bi, bj = (m >> i) & 1, (m >> j) & 1
                     src = m & ~((1 << i) | (1 << j)) | ((bi ^ 1) << j) | ((bj ^ 1) << i)

@@ -97,15 +97,17 @@ def _symmetric(rng, n):
 
 def _rotation(rng, n):
     """Invariant under cyclic rotation of the inputs: one random value per
-    rotation orbit of minterms."""
+    rotation orbit of minterms, drawn at the orbit's least member (the
+    first one reached in ascending order) and written to all its members."""
     full = (1 << n) - 1
-    value: dict[int, int] = {}
+    seen = bytearray(1 << n)
     bits = 0
     for m in range(1 << n):
-        rep = min(((m << r) | (m >> (n - r))) & full for r in range(max(n, 1)))
-        if rep not in value:
-            value[rep] = rng.getrandbits(1)
-        bits |= value[rep] << m
+        if not seen[m]:
+            value = rng.getrandbits(1)
+            for x in {((m << r) | (m >> (n - r))) & full for r in range(max(n, 1))}:
+                seen[x] = 1
+                bits |= value << x
     return bits
 
 

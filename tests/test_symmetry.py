@@ -6,8 +6,6 @@ import pytest
 from npnmatch.boolfn import (
     NPTransformation,
     TruthTable,
-    _antiswap_vars,
-    _swap_vars,
     apply_np_transform,
     equal,
 )
@@ -19,7 +17,7 @@ from npnmatch.symmetry import (
 )
 
 from cases import CASE4_F, CASE4_G, CASE7_F, CASE7_G
-from test_boolfn import random_table, random_transform
+from test_boolfn import antiswap_vars, random_table, random_transform, swap_vars
 from test_golden import _wide_block, maiorana_mcfarland
 
 
@@ -237,8 +235,8 @@ class TestBuildAgainstBruteForce:
 
 class TestFullWidth:
     """The bit-parallel swap conditions at n = 15..20, where the table is a
-    wide integer, against the swap kernels that test_boolfn checks minterm
-    by minterm."""
+    wide integer, against the reference swaps that test_boolfn defines and
+    checks minterm by minterm."""
 
     def test_planted_pairs_agree_with_swap_kernels(self):
         rng = random.Random(53)
@@ -246,7 +244,7 @@ class TestFullWidth:
             for kind in ("identical", "opposite", "tie"):
                 i, j = rng.sample(range(n), 2)
                 bits = rng.getrandbits(1 << n)
-                kernel = _antiswap_vars if kind == "opposite" else _swap_vars
+                kernel = antiswap_vars if kind == "opposite" else swap_vars
                 bits |= kernel(bits, n, i, j)
                 if kind == "tie":
                     # set one minterm at x_i = 1, x_j = 0 and one at x_i = 0,
@@ -265,8 +263,8 @@ class TestFullWidth:
                 others = [rng.sample(range(n), 2) for _ in range(2)]
                 for a, b in [(i, j), (j, i)] + others:
                     expected = (
-                        _swap_vars(bits, n, a, b) == bits,
-                        _antiswap_vars(bits, n, a, b) == bits,
+                        swap_vars(bits, n, a, b) == bits,
+                        antiswap_vars(bits, n, a, b) == bits,
                     )
                     assert symmetry_flags(f, a, b) == expected, (n, kind, a, b)
                     if (a, b) == (i, j):
