@@ -140,25 +140,25 @@ def apply_np_transform(f: TruthTable, t: NPTransformation) -> TruthTable:
     Variable x_i of f is substituted by x_{perm[i]} when input_pol[i] = 1 and
     by its complement when input_pol[i] = 0.
 
-    Every exchange of inputs involves the top input x_{n-1}, so both shifts
-    of its delta swap move half the table: at n = 20 it costs 0.56 of a
-    swap of two lower inputs, which outweighs the one extra exchange per
-    merged cycle (two, in place of a negation, for a negated fixed point).
+    Every exchange involves the top input x_{n-1}, so both shifts of its
+    delta swap move half the table: at n = 20 it costs about 0.56 of a swap
+    of two lower inputs, which outweighs one extra exchange per merged cycle
+    (two for a negated fixed point).
     """
     n = f.n
     if len(t.perm) != n:
         raise ValueError(f"permutation length {len(t.perm)} != n={n}")
     bits = f.bits
-    # h(m) = b(a), a_k = m[perm[k]] xor neg[k], from b = f and neg[k] = 1 - pol[k];
-    # (p, s) is (perm[top], neg[top]). Exchanging x_top and x_j, negating both
-    # when s is set, clears the flag moving into j and leaves the parity on
-    # x_top. x_top's cycle is walked first (j = p settles slot j); then each
-    # other cycle or negated fixed point is merged in by exchanging one of
-    # its inputs x_k, and walked.
+    # h(m) = b(a), a_k = m[perm[k]] xor neg[k], from b = f and neg[k] = 1 - pol[k].
+    # (p, s) holds (perm[top], neg[top]). Exchanging x_top and x_j, negating both
+    # when s is set, clears the flag moving into j and leaves the parity on x_top.
+    # x_top's cycle is walked first (j = p settles slot j); each other cycle or
+    # negated fixed point is then joined to it by exchanging its x_k, and walked.
     perm, neg = list(t.perm), [1 - p for p in t.input_pol]
     if n:
-        top, p, s = n - 1, perm[-1], neg[-1]
+        top = n - 1
         up, half, masks = 1 << top, full_mask(top), var_masks(n)
+        p, s = perm[top], neg[top]
         for k in range(top, -1, -1):
             j = p if k == top else k if perm[k] != k or neg[k] else top
             while j != top:

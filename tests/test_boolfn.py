@@ -185,9 +185,9 @@ class TestApplyNPTransform:
             assert apply_np_transform(f, t) == brute_apply(f, t), t
 
     def test_every_transform_n5(self):
-        # the smallest size where two cycles below a fixed x_4, such as
-        # (x0 x1)(x2 x3), are merged into it in turn, and where a cycle and
-        # a negated fixed point, such as (x0 x1 x2) and ~x3, are
+        # n = 5 is the smallest size where two cycles below a fixed x_4,
+        # such as (x0 x1)(x2 x3), are merged into it in turn, or a cycle and
+        # a negated fixed point, such as (x0 x1 x2) and ~x3
         rng = random.Random(23)
         f = random_table(rng, 5)
         for t in all_transformations(5):
