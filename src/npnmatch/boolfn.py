@@ -123,54 +123,52 @@ def equal(f: TruthTable, g: TruthTable) -> bool:
     return f.bits == g.bits
 
 
-def _negate_var(bits: int, n: int, i: int) -> int:
-    shift = 1 << i
-    return ((bits & var_mask(n, i)) >> shift) | ((bits & low_mask(n, i)) << shift)
-
-
-def _delta_swap(bits: int, d: int, mask: int) -> int:
-    """Exchange the bits under mask with those d places up (Knuth, TAOCP 4A 7.1.3)."""
-    t = ((bits >> d) ^ bits) & mask
-    return bits ^ t ^ (t << d)
-
-
 def apply_np_transform(f: TruthTable, t: NPTransformation) -> TruthTable:
     """h with h(X) = f(TX), complemented when the output polarity is negative.
 
     Variable x_i of f is substituted by x_{perm[i]} when input_pol[i] = 1 and
     by its complement when input_pol[i] = 0.
 
-    Every exchange involves the top input x_{n-1}, so both shifts of its
-    delta swap move half the table: at n = 20 it costs about 0.56 of a swap
-    of two lower inputs, which outweighs one extra exchange per merged cycle
-    (two for a negated fixed point).
+    Every exchange involves the top input x_{n-1}, and the table is walked as
+    its two halves (x_{n-1} = 0 and x_{n-1} = 1), so each exchange is a delta
+    swap between two half-width ints (Knuth, TAOCP 4A 7.1.3) and negating
+    x_{n-1} swaps the halves. Nothing spans the full table until the halves
+    are joined at the end.
     """
     n = f.n
     if len(t.perm) != n:
         raise ValueError(f"permutation length {len(t.perm)} != n={n}")
     bits = f.bits
     # h(m) = b(a), a_k = m[perm[k]] xor neg[k], from b = f and neg[k] = 1 - pol[k].
-    # (p, s) holds (perm[top], neg[top]). Exchanging x_top and x_j, negating both
-    # when s is set, clears the flag moving into j and leaves the parity on x_top.
-    # x_top's cycle is walked first (j = p settles slot j); each other cycle or
-    # negated fixed point is then joined to it by exchanging its x_k, and walked.
+    # p holds perm[top]. Exchanging x_top and x_j, negating both when x_top is
+    # negated, clears the flag moving into j and leaves the parity on x_top.
+    # lo and hi are the table's halves at x_top = 0 and 1 with that parity
+    # already applied, so every exchange is a plain one between them and a
+    # change of parity swaps them. x_top's cycle is walked first (j = p settles
+    # slot j); each other cycle or negated fixed point is then joined to it by
+    # exchanging its x_k, and walked.
     perm, neg = list(t.perm), [1 - p for p in t.input_pol]
     if n:
         top = n - 1
-        up, half, masks = 1 << top, full_mask(top), var_masks(n)
-        p, s = perm[top], neg[top]
+        up, masks = 1 << top, var_masks(n)
+        lo, hi = bits & full_mask(top), bits >> up
+        if neg[top]:
+            lo, hi = hi, lo
+        p = perm[top]
         for k in range(top, -1, -1):
             j = p if k == top else k if perm[k] != k or neg[k] else top
             while j != top:
-                if s:
-                    bits = _delta_swap(bits, up + (1 << j), low_mask(n, j) & half)
-                else:
-                    bits = _delta_swap(bits, up - (1 << j), masks[j] & half)
-                s, neg[j] = s ^ neg[j], 0
+                # the AND is as wide as lo; var_mask(n, j) is clear at
+                # 2^top .. 2^top + 2^j - 1, where hi << d overhangs
+                d = 1 << j
+                x = ((hi << d) ^ lo) & masks[j]
+                lo ^= x
+                hi ^= x >> d
+                if neg[j]:
+                    lo, hi, neg[j] = hi, lo, 0
                 p, perm[j] = perm[j], p
                 j = p
-        if s:
-            bits = _negate_var(bits, n, top)
+        bits = hi << up | lo
     if t.output_negated:
         bits ^= full_mask(n)
     return TruthTable(n, bits)

@@ -60,7 +60,7 @@ class SymmetryClass:
 
 def _swap_invariant(bits: int, i: int, j: int, low_i: int, mask_j: int, opposite: bool) -> bool:
     """f is invariant under the swap of x_i and x_j (i > j), with both
-    complemented when opposite: a delta swap (boolfn._delta_swap) of
+    complemented when opposite: a delta swap (Knuth, TAOCP 4A 7.1.3) of
     distance 2^i - 2^j, or 2^i + 2^j when opposite, finds no differing bit
     to exchange under the mask low_i & mask_j. low_i is low_mask(n, i);
     mask_j is low_mask(n, j) when opposite and var_mask(n, j) otherwise.

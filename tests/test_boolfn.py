@@ -6,8 +6,6 @@ from npnmatch.boolfn import (
     MAX_VARS,
     NPTransformation,
     TruthTable,
-    _delta_swap,
-    _negate_var,
     apply_np_transform,
     compose,
     count_minterms,
@@ -43,6 +41,14 @@ def brute_apply(f, t):
     return TruthTable(n, bits)
 
 
+def assert_minterms_agree(f, t, h, minterms):
+    """h(m) = f(T m), complemented when T negates the output, at each minterm."""
+    n = f.n
+    for m in minterms:
+        a = sum(((m >> t.perm[i] & 1) ^ 1 ^ t.input_pol[i]) << i for i in range(n))
+        assert h.bits >> m & 1 == (f.bits >> a & 1) ^ t.output_negated, (t, m)
+
+
 def identity(n):
     return NPTransformation(tuple(range(n)), (1,) * n, False)
 
@@ -57,18 +63,30 @@ def inverse(t):
     return NPTransformation(tuple(inv_perm), tuple(inv_pol), t.output_negated)
 
 
+def delta_swap(bits, d, mask):
+    """Exchange the bits under mask with those d places up (Knuth, TAOCP 4A 7.1.3)."""
+    t = ((bits >> d) ^ bits) & mask
+    return bits ^ t ^ (t << d)
+
+
+def negate_var(bits, n, i):
+    """Complement x_i: minterms with x_i = 1 trade with those with x_i = 0."""
+    shift = 1 << i
+    return ((bits & var_mask(n, i)) >> shift) | ((bits & low_mask(n, i)) << shift)
+
+
 def swap_vars(bits, n, i, j):
     """Exchange x_i and x_j: minterms with x_j = 1, x_i = 0 trade with x_j = 0, x_i = 1."""
     if i == j:
         return bits
     if i < j:
         i, j = j, i
-    return _delta_swap(bits, (1 << i) - (1 << j), var_mask(n, j) & low_mask(n, i))
+    return delta_swap(bits, (1 << i) - (1 << j), var_mask(n, j) & low_mask(n, i))
 
 
 def antiswap_vars(bits, n, i, j):
     """Exchange x_i and x_j, negating both: x_i = x_j = 0 trades with x_i = x_j = 1."""
-    return _delta_swap(bits, (1 << i) + (1 << j), low_mask(n, i) & low_mask(n, j))
+    return delta_swap(bits, (1 << i) + (1 << j), low_mask(n, i) & low_mask(n, j))
 
 
 def root_vector(f, sym, pairs):
@@ -176,6 +194,15 @@ class TestApplyNPTransform:
                 t = random_transform(rng, n)
                 assert apply_np_transform(f, t) == brute_apply(f, t)
 
+    def test_every_transform_small_n(self):
+        # every table and every transform at n = 1..3; at n = 1 the only
+        # step the walk takes is the swap of the halves for a negated x_0
+        for n in (1, 2, 3):
+            for bits in range(1 << (1 << n)):
+                f = TruthTable(n, bits)
+                for t in all_transformations(n):
+                    assert apply_np_transform(f, t) == brute_apply(f, t), (bits, t)
+
     def test_every_transform_n4(self):
         # 24 permutations x 16 polarities x 2 outputs: every cycle type, each
         # with odd and even negation parity, and negated fixed points
@@ -201,12 +228,36 @@ class TestApplyNPTransform:
         for t in ts:
             h = apply_np_transform(f, t)
             assert apply_np_transform(h, inverse(t)) == f
-            for m in (rng.getrandbits(n) for _ in range(64)):
-                a = sum(((m >> t.perm[i] & 1) ^ 1 ^ t.input_pol[i]) << i for i in range(n))
-                assert h.bits >> m & 1 == (f.bits >> a & 1) ^ t.output_negated, (t, m)
+            assert_minterms_agree(f, t, h, (rng.getrandbits(n) for _ in range(64)))
         for t1, t2 in zip(ts, ts[1:]):
             seq = apply_np_transform(apply_np_transform(f, t1), t2)
             assert apply_np_transform(f, compose(t1, t2)) == seq
+
+    @pytest.mark.parametrize("n", [21, MAX_VARS])
+    def test_top_input_exchanges_sampled_minterms(self, n):
+        # x_{n-1} exchanged with x_{n-2} and with x_0, plain and with both
+        # negated; x_{n-1} negated alone (the halves swap); x_{n-2} negated
+        # alone (two exchanges with x_{n-1}). The exchange with x_{n-2} is the
+        # largest shift, where a stray bit above 2^(n-1) in the low half would
+        # corrupt the high half at the join
+        rng = random.Random(n)
+        f = random_table(rng, n)
+        top, half, quarter = n - 1, 1 << (n - 1), 1 << (n - 2)
+        ts = []
+        for j in (n - 2, 0):
+            perm = list(range(n))
+            perm[top], perm[j] = j, top
+            for pol in (1, 0):
+                input_pol = [1] * n
+                input_pol[top] = input_pol[j] = pol
+                ts.append(NPTransformation(tuple(perm), tuple(input_pol)))
+        for j in (top, n - 2):
+            ts.append(NPTransformation(tuple(range(n)), tuple(int(i != j) for i in range(n))))
+        edges = [0, quarter, half - 1, half, half + quarter - 1, half + quarter, (1 << n) - 1]
+        for t in ts:
+            h = apply_np_transform(f, t)
+            assert apply_np_transform(h, inverse(t)) == f
+            assert_minterms_agree(f, t, h, edges + [rng.getrandbits(n) for _ in range(64)])
 
     def test_group_action(self):
         rng = random.Random(9)
@@ -256,7 +307,7 @@ def _bits_of(bits, n):
 
 
 class TestVariableKernels:
-    """Per-minterm checks of the bigint kernels: _negate_var, and _delta_swap
+    """Per-minterm checks of the reference kernels: negate_var, and delta_swap
     under the masks of the reference swaps."""
 
     def test_swap_vars_every_pair_n7(self):
@@ -293,7 +344,7 @@ class TestVariableKernels:
         bits = rng.getrandbits(1 << n)
         before = _bits_of(bits, n)
         for i in range(n):
-            after = _bits_of(_negate_var(bits, n, i), n)
+            after = _bits_of(negate_var(bits, n, i), n)
             assert after == [before[m ^ (1 << i)] for m in range(1 << n)], i
 
 
