@@ -16,7 +16,6 @@ from .matcher import (
     Observer,
     VarMapping,
     Verdict,
-    enumerate_complete_transformations,
     match_npn,
 )
 from .oracle import (
@@ -54,7 +53,6 @@ __all__ = [
     "compose",
     "compute_ss_vector",
     "count_minterms",
-    "enumerate_complete_transformations",
     "enumerate_npn_classes",
     "equal",
     "exhaustive_match",

@@ -5,8 +5,8 @@ current cube, its structural signature vector, identified variables and
 phase masks) and an ordered mapping list (one tree branch) whose first
 `splits` mappings define the cubes. Each recursion either commits every
 forced (singleton) mapping set, or branches over the smallest multiple set.
-Branches are pruned on vector incompatibility and on phase collisions. Each
-complete branch is verified bit-exactly and reported with its verdict.
+Branches are pruned on vector incompatibility and on phase collisions. The
+search stops at the first complete branch that verifies bit-exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import starmap
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import signature as sig
 from .boolfn import (
@@ -118,7 +118,7 @@ class Side:
     it (an int, as a TruthTable is a whole function), its SS vector v, the
     identified bit mask, and the phase record as two bit masks: phase_known
     marks the variables whose phase is determined, phase_neg those of them
-    whose phase is negative. On an arm that _arm_states refutes, both sides
+    whose phase is negative. On an arm that match_npn refutes, both sides
     hold no classes and the target has root_pairs None, so observers at its
     root see no marks and no vectors (v None on both sides). A node that
     update prunes on g's sorted keys leaves g with v None and f with its
@@ -401,11 +401,12 @@ def verify(f: TruthTable, g: TruthTable, map_list: Sequence[VarMapping]) -> bool
 
 def detect(
     state: MatchState, observer: Observer, siblings: dict
-) -> Iterator[tuple[tuple[VarMapping, ...], bool]]:
-    """Procedure-2 style DFS. Yields (map_list, verified) for each complete
-    branch, in search order, and consumes the state: only a node branching
-    over two or more candidates snapshots it, restoring it after each one.
-    The node's depth is state.splits.
+) -> Optional[tuple[VarMapping, ...]]:
+    """Procedure-2 style DFS. Returns the first complete branch, in search
+    order, that verifies (None when none does) and consumes the state: only
+    a node branching over two or more candidates snapshots it, restoring it
+    after each candidate that fails. The node's depth is state.splits; every
+    level commits a mapping, so the recursion is at most n + 1 deep.
 
     siblings is the store that the node above shares among its children
     (see signature.update); a root takes an empty one.
@@ -419,17 +420,16 @@ def detect(
         branch = tuple(state.map_list)
         ok = verify(state.f.table, state.g.table, branch)
         observer.on_complete(branch, ok)
-        yield branch, ok
-        return
+        return branch if ok else None
 
     if not sig.update(state, siblings):
         observer.on_incompatible(state.splits, state)
-        return
+        return None
     observer.on_vectors(state.splits, state)
 
     sets = build_mapping_sets(state, observer)
     if not all(s.candidates for s in sets):
-        return
+        return None
 
     singles = [s for s in sets if len(s.candidates) == 1]
     if singles:
@@ -438,13 +438,12 @@ def detect(
         for m in _named(m for s in singles for m in s.candidates[0]):
             # two forced subjects can claim the same variable of g
             if state.g.identified >> m.to & 1:
-                return
+                return None
             commit_mapping(state, m)
             observer.on_commit(m)
         extend_cubes(state)
         observer.on_cubes(state)
-        yield from detect(state, observer, {})
-        return
+        return detect(state, observer, {})
 
     # the smallest set, the lowest subject on ties; an incomplete map list
     # always leaves a free subject, so there is one
@@ -458,8 +457,10 @@ def detect(
             observer.on_commit(m)
         extend_cubes(state)
         observer.on_cubes(state)
-        yield from detect(state, observer, children)
+        if (found := detect(state, observer, children)) is not None:
+            return found
         state.restore(snap)
+    return None
 
 
 class Verdict(enum.Enum):
@@ -486,21 +487,31 @@ class MatchResult:
         return f"T = {{{body}}}; output={out}"
 
 
-def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None):
-    """Yield (output_negated, fresh MatchState) for each output polarity the
-    zeroth-order counts allow: against g when |f| = |g|, against its
-    complement when |f| = 2^n - |g| (both for balanced functions).
+def match_npn(
+    f: TruthTable,
+    g: TruthTable,
+    node_cap: Optional[int] = None,
+    observer: Observer = _NULL_OBSERVER,
+) -> MatchResult:
+    """Decide NPN equivalence of f and g and produce a witness if equivalent.
+
+    The zeroth-order counts pick the output polarity arms: detection runs
+    against g when |f| = |g|, against its complement when |f| = 2^n - |g|
+    (both for balanced functions), and stops at the first verified branch.
+    node_cap None leaves the search unbounded; a negative cap is rejected.
 
     An NP transform keeps the sorted canonical keys of the first-order
     pairs, so an arm whose target's keys differ from f's is refuted: the
     target gets root_pairs None, neither side gets classes, and the root
     prunes before any vector is built. g's halves on the top input x_{n-1}
     are counted first (half-width popcounts that sum to |g|): an arm whose
-    key for x_{n-1} is missing from f's keys is refuted there. g's pairs are
-    counted at most once (the negated arm's derive from them), the
-    complement of g only when its arm is reached, and the classes once,
-    for the first arm not refuted.
+    key for x_{n-1} is missing from f's keys is refuted there. f's keys are
+    counted only when an arm survives, g's pairs at most once (the negated
+    arm's derive from them), the complement of g only when its arm is
+    reached, and the classes once, for the first arm not refuted.
     """
+    if node_cap is not None and node_cap < 0:
+        raise ValueError(f"node cap {node_cap} is negative")
     if f.n != g.n:
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
     n = f.n
@@ -508,8 +519,9 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
     p = (g.bits >> half).bit_count()  # |g_{x_{n-1}}|, and |g| at n = 0
     cf, cg = count_minterms(f), p + (n and (g.bits & low_mask(n, n - 1)).bit_count())
     polarities = [neg for neg, target in ((False, cg), (True, (1 << n) - cg)) if cf == target]
+    stats = SearchStats()
     if not polarities:
-        return
+        return MatchResult(Verdict.NON_EQUIVALENT, None, None, stats)
     pairs_f = first_order_pairs(f.bits, n)
     keys_f = sorted(canonical_keys(pairs_f))
     pairs_g = built = None  # built: the classes of f and g
@@ -528,40 +540,9 @@ def _arm_states(f: TruthTable, g: TruthTable, stats: SearchStats, node_cap=None)
                     built = build_symmetry_classes(f, pairs_f), build_symmetry_classes(g, pairs_g)
                 target_pairs, (sym_f, sym_g) = pairs, built
         sides = Side(f, sym_f, pairs_f), Side(target, sym_g, target_pairs)
-        yield output_negated, MatchState(*sides, stats=stats, node_cap=node_cap)
-
-
-def match_npn(
-    f: TruthTable,
-    g: TruthTable,
-    node_cap: Optional[int] = None,
-    observer: Observer = _NULL_OBSERVER,
-) -> MatchResult:
-    """Decide NPN equivalence of f and g and produce a witness if equivalent.
-
-    The zeroth-order signatures pick the output polarity: detection runs
-    against g, against its complement, or (for balanced functions) both.
-    node_cap None leaves the search unbounded; a negative cap is rejected.
-    """
-    if node_cap is not None and node_cap < 0:
-        raise ValueError(f"node cap {node_cap} is negative")
-    stats = SearchStats()
-    for output_negated, state in _arm_states(f, g, stats, node_cap):
+        state = MatchState(*sides, stats=stats, node_cap=node_cap)
         observer.on_arm(output_negated)
-        found = next((branch for branch, ok in detect(state, observer, {}) if ok), None)
-        if found is not None:
-            witness = transformation_from_map_list(found, f.n, output_negated)
+        if (found := detect(state, observer, {})) is not None:
+            witness = transformation_from_map_list(found, n, output_negated)
             return MatchResult(Verdict.EQUIVALENT, witness, found, stats)
     return MatchResult(Verdict.NON_EQUIVALENT, None, None, stats)
-
-
-def enumerate_complete_transformations(
-    f: TruthTable, g: TruthTable
-) -> list[tuple[tuple[VarMapping, ...], bool, bool]]:
-    """Exhaust the search tree; each entry is (map_list, output_negated,
-    verified). Diagnostic companion to match_npn."""
-    return [
-        (ml, output_negated, ok)
-        for output_negated, state in _arm_states(f, g, SearchStats())
-        for ml, ok in detect(state, _NULL_OBSERVER, {})
-    ]

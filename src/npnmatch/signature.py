@@ -57,10 +57,6 @@ class SSVector:
         return "{" + ",".join(map(str, zip(self.pos, self.neg, m.size, m.first, self.group))) + "}"
 
 
-def dump_first_order(pairs: Sequence[tuple[int, int]]) -> str:
-    return "{" + ",".join(f"({p},{q})" for p, q in pairs) + "}"
-
-
 def compute_ss_vector(
     bits: int,
     n: int,
@@ -127,7 +123,7 @@ def update(state, siblings: dict) -> bool:
     ``state`` carries two sides f and g (see the matcher's Side). At the
     root, where a side has no vector, the first vector is built from the
     side's root first-order pairs; a target with none is an arm that
-    matcher._arm_states has refuted, reported incompatible at once.
+    matcher.match_npn has refuted, reported incompatible at once.
 
     g's sorted canonical keys are compared with f's before g's vector is
     built; when they differ, g is left with no vector (v None) and no new

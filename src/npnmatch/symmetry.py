@@ -24,7 +24,6 @@ from .boolfn import (
     apply_np_transform,  # patched by the benchmark's tracer (npnbench/tracer.py)
     full_mask,
     low_mask,
-    var_mask,
     var_masks,
 )
 
@@ -71,19 +70,6 @@ def _swap_invariant(bits: int, i: int, j: int, low_i: int, mask_j: int, opposite
     metrics by 15-17% (2-vCPU Xeon, Python 3.11)."""
     delta = (1 << i) + (1 << j) if opposite else (1 << i) - (1 << j)
     return not ((bits >> delta) ^ bits) & low_i & mask_j
-
-
-def symmetry_flags(f: TruthTable, i: int, j: int) -> tuple[bool, bool]:
-    """(identical, opposite) results of the two nonskew swap conditions."""
-    n = f.n
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"bad variable pair ({i}, {j}) for n={n}")
-    i, j = max(i, j), min(i, j)
-    low_i = low_mask(n, i)
-    return (
-        _swap_invariant(f.bits, i, j, low_i, var_mask(n, j), False),
-        _swap_invariant(f.bits, i, j, low_i, low_mask(n, j), True),
-    )
 
 
 # Tables above _FOLD_ABOVE inputs fold down to _FOLD_STOP inputs; the

@@ -1,9 +1,14 @@
-"""Hand-worked function pairs used as golden data across the test suite.
+"""Hand-worked function pairs used as golden data across the test suite,
+and the reference helpers that only tests call.
 
 Covers are lists of cubes; a cube is a list of (variable, positive) literals.
 """
 
-from npnmatch.boolfn import TruthTable
+from unittest.mock import patch
+
+from npnmatch import matcher
+from npnmatch.boolfn import TruthTable, low_mask, var_mask
+from npnmatch.symmetry import _swap_invariant
 
 T, F = True, False
 
@@ -84,3 +89,41 @@ CASE7_G = tt(7, [
     [(0, T), (1, T), (3, T), (4, T)],
     [(0, T), (1, F), (5, F), (6, T)],
 ])
+
+
+# --- reference helpers -----------------------------------------------------
+def symmetry_flags(f, i, j):
+    """(identical, opposite) results of the two nonskew swap conditions."""
+    n = f.n
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"bad variable pair ({i}, {j}) for n={n}")
+    i, j = max(i, j), min(i, j)
+    low_i = low_mask(n, i)
+    return (
+        _swap_invariant(f.bits, i, j, low_i, var_mask(n, j), False),
+        _swap_invariant(f.bits, i, j, low_i, low_mask(n, j), True),
+    )
+
+
+def dump_first_order(pairs):
+    return "{" + ",".join(f"({p},{q})" for p, q in pairs) + "}"
+
+
+def enumerate_complete_transformations(f, g):
+    """Every complete branch of match_npn's search, in search order, as
+    (map_list, output_negated, verified). verify is wrapped to record each
+    branch with its real verdict and then refuse it, so the search drains
+    every output arm that the zeroth-order counts allow."""
+    complete, arms, verify = [], [], matcher.verify
+
+    class Arms(matcher.Observer):
+        def on_arm(self, output_negated):
+            arms.append(output_negated)
+
+    def refuse(table, target, map_list):
+        complete.append((map_list, arms[-1], verify(table, target, map_list)))
+        return False
+
+    with patch.object(matcher, "verify", refuse):
+        matcher.match_npn(f, g, observer=Arms())
+    return complete

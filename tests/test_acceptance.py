@@ -12,14 +12,14 @@ from npnmatch.boolfn import (
     count_minterms,
     equal,
 )
-from npnmatch.matcher import enumerate_complete_transformations, match_npn
+from npnmatch.matcher import match_npn
 from npnmatch.oracle import (
     enumerate_npn_classes,
     exhaustive_match,
     random_equivalent_pair,
     random_function,
 )
-from npnmatch.signature import compute_ss_vector, dump_first_order
+from npnmatch.signature import compute_ss_vector
 from npnmatch.symmetry import build_symmetry_classes, first_order_pairs
 
 from cases import (
@@ -32,6 +32,8 @@ from cases import (
     TRIO_A,
     TRIO_B,
     TRIO_C,
+    dump_first_order,
+    enumerate_complete_transformations,
 )
 from test_boolfn import random_table
 from test_matcher import RecordingObserver

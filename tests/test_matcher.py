@@ -23,7 +23,6 @@ from npnmatch.matcher import (
     Verdict,
     build_mapping_sets,
     commit_mapping,
-    enumerate_complete_transformations,
     extend_cubes,
     match_npn,
     transformation_from_map_list,
@@ -50,6 +49,7 @@ from cases import (
     TRIO_A,
     TRIO_B,
     TRIO_C,
+    enumerate_complete_transformations,
 )
 from invariants import InvariantObserver
 from test_boolfn import random_table, random_transform
@@ -540,6 +540,18 @@ class TestVerify:
                     assert apply_np_transform(f, transformation_from_map_list(ml, f.n)) != target
                     rejected += 1
         assert rejected >= 150, rejected  # seen: 196
+
+    def test_verified_corpus_branches_reproduce_their_target(self):
+        # the other half: every branch verify accepts is an exact witness
+        # for its arm's target, g or its complement
+        verified = 0
+        for _, f, g in corpus():
+            for ml, output_negated, ok in enumerate_complete_transformations(f, g):
+                if ok:
+                    target = negate(g) if output_negated else g
+                    assert apply_np_transform(f, transformation_from_map_list(ml, f.n)) == target
+                    verified += 1
+        assert verified >= 1300, verified  # seen: 1312
 
     def test_probes_spare_the_wrong_arm_its_transform(self, monkeypatch):
         # f is balanced, so both output arms pass the root keys, and the

@@ -1,7 +1,7 @@
 import random
 
 from npnmatch.boolfn import MAX_VARS, TruthTable, apply_np_transform, low_mask, var_mask
-from npnmatch.signature import compute_ss_vector, dump_first_order, update
+from npnmatch.signature import compute_ss_vector, update
 from npnmatch import signature
 from npnmatch.matcher import MatchState, Side, VarMapping, commit_mapping, extend_cubes
 from npnmatch.symmetry import build_symmetry_classes, canonical_keys, first_order_pairs
@@ -16,6 +16,7 @@ from cases import (
     TRIO_A,
     TRIO_B,
     TRIO_C,
+    dump_first_order,
 )
 from invariants import check_key_refuted
 from test_boolfn import random_table, random_transform

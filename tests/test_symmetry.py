@@ -13,10 +13,9 @@ from npnmatch.symmetry import (
     SymmetryClass,
     build_symmetry_classes,
     first_order_pairs,
-    symmetry_flags,
 )
 
-from cases import CASE4_F, CASE4_G, CASE7_F, CASE7_G
+from cases import CASE4_F, CASE4_G, CASE7_F, CASE7_G, symmetry_flags
 from test_boolfn import antiswap_vars, random_table, random_transform, swap_vars
 from test_golden import _wide_block, maiorana_mcfarland
 
