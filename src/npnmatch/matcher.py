@@ -15,7 +15,6 @@ import enum
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import starmap
 from typing import NamedTuple, Optional, Sequence
 
 from . import signature as sig
@@ -58,14 +57,10 @@ class VarMapping(NamedTuple):
 
 
 class MappingSet(NamedTuple):
-    """Candidates for one subject: a variable or a symmetry class of f.
-
-    Each candidate is the tuple of variable mappings it would commit
-    (a single mapping for plain variables, one per member for classes).
-    build_mapping_sets gives each mapping as a plain (frm, to, pol) triple;
-    the search names them as VarMappings only in the set it branches on and
-    in the forced mappings it commits.
-    """
+    """The mapping set a node branches on, as Observer.on_branch gets it:
+    the subject (a variable or a symmetry class's first member of f) and
+    its candidates (see candidates), each the tuple of mappings it would
+    commit."""
 
     subject: int
     candidates: tuple[tuple[VarMapping, ...], ...]
@@ -101,7 +96,9 @@ class Observer:
         pass
 
     def on_branch(self, chosen: MappingSet, candidate: tuple[VarMapping, ...]):
-        pass
+        """Before each candidate of a branch point, in order: chosen is one
+        object per branch point, and candidate is the element of
+        chosen.candidates itself."""
 
     def on_complete(self, map_list: tuple[VarMapping, ...], verified: bool):
         pass
@@ -112,26 +109,31 @@ _NULL_OBSERVER = Observer()
 
 class Side:
     """One function of a match. Fixed for the match: its table, symmetry
-    classes, their marks (signature.symmetry_marks) and its root first-order
-    pairs. Per node, each an immutable value: the current cube as two bit
-    masks (its variables and their values), the table's bits restricted to
-    it (an int, as a TruthTable is a whole function), its SS vector v, the
-    identified bit mask, and the phase record as two bit masks: phase_known
-    marks the variables whose phase is determined, phase_neg those of them
-    whose phase is negative. On an arm that match_npn refutes, both sides
-    hold no classes and the target has root_pairs None, so observers at its
-    root see no marks and no vectors (v None on both sides). A node that
-    update prunes on g's sorted keys leaves g with v None and f with its
-    vector."""
+    classes, their marks (signature.symmetry_marks), its subjects and its
+    root first-order pairs. The subjects are the units a mapping places:
+    each plain variable and each class, named by its first member; subjects
+    is their bit mask and classes maps a first member to its class. Per
+    node, each an immutable value: the current cube as two bit masks (its
+    variables and their values), the table's bits restricted to it (an int,
+    as a TruthTable is a whole function), its SS vector v, the identified
+    bit mask, and the phase record as two bit masks: phase_known marks the
+    variables whose phase is determined, phase_neg those of them whose
+    phase is negative. On an arm that match_npn refutes, both sides hold no
+    classes and the target has root_pairs None, so observers at its root
+    see no marks and no vectors (v None on both sides). A node that update
+    prunes on g's sorted keys leaves g with v None and f with its vector."""
 
     __slots__ = (
-        "table", "sym", "marks", "root_pairs", "cube_vars", "cube_vals",
-        "restricted", "v", "identified", "phase_known", "phase_neg",
+        "table", "sym", "marks", "subjects", "classes", "root_pairs", "cube_vars",
+        "cube_vals", "restricted", "v", "identified", "phase_known", "phase_neg",
     )
 
     def __init__(self, table: TruthTable, sym: Sequence[SymmetryClass], root_pairs):
         self.table, self.sym, self.root_pairs = table, sym, root_pairs
         self.marks = sig.symmetry_marks(sym, table.n)
+        self.classes = {cls.first: cls for cls in sym}
+        plain = (1 << table.n) - 1 & ~self.marks.members
+        self.subjects = plain | sum(1 << a for a in self.classes)
         self.cube_vars = self.cube_vals = self.identified = self.phase_known = self.phase_neg = 0
         self.restricted, self.v = table.bits, None
 
@@ -198,108 +200,90 @@ class MatchState:
 
 
 def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
-    """Mapping sets for every unidentified variable and symmetry class.
+    """(subject, peers) for every free subject of f, in ascending order:
+    peers is the bit mask of g's free subjects of the subject's class size
+    and group (see Side). candidates expands a pair into its mapping set.
 
-    Candidates must agree on group mark and symmetry marks and satisfy one of
-    the two first-order cases; candidates contradicting the phase records are
-    excluded here (a collision the observer gets to see).
-
-    After a compatible update, the free variables of a group share one
-    canonical key on each side, the same on both (signature.update). So for
-    free i of f and j of g in one group, (|f_{x_i}|, |f_{~x_i}|) equals g's
-    pair (a, b) or (b, a). When the two counts differ, update has recorded
-    both phases and only k = [|f_{x_i}| != a] is a first-order case: it
-    stands when it agrees with the records and is a collision otherwise.
-    When they are equal both polarities are cases, and records on both
-    sides leave only theirs.
-
-    A pair of free classes of one size and group is tested once, on its
-    first members. Each polarity k they allow gives one candidate: member
-    t maps at k ^ rel_f[t] ^ rel_g[t] (the classes' relative_pol), or,
-    when both classes are double, the first member at k and the rest at 0.
+    After a compatible update, a group's free variables share one canonical
+    key on each side, the same on both, and all of them, on both sides,
+    have a phase record or none has (signature.update). So for free i of f
+    and j of g in one group, (|f_{x_i}|, |f_{~x_i}|) is g's (a, b) or
+    (b, a), and j takes i at both polarities without a record and at
+    k = sign_f[i] ^ sign_g[j] with one. When the counts differ, k must also
+    be the first-order case [|f_{x_i}| != a]. It is not exactly when one of
+    the two records, not both, disagrees with its counts (phase_neg is not
+    [|x| < |~x|]): a phase collision, dropped from the peers and reported,
+    plain subjects first, each in ascending (i, j) order. A class pair is
+    decided on its first members: under a cube over other variables every
+    member reads the first member's group, key, counts and record, the last
+    two swapped when its relative_pol is 1.
     """
     f, g = state.f, state.g
-    pos_f, neg_f, group_f = f.v.pos, f.v.neg, f.v.group
-    pos_g, group_g = g.v.pos, g.v.group
-    known_f, known_g = f.phase_known, g.phase_known
+    group_f, pos_f, neg_f, size_f = f.v.group, f.v.pos, f.v.neg, f.marks.size
+    group_g, pos_g, neg_g, size_g = g.v.group, g.v.pos, g.v.neg, g.marks.size
     sign_f, sign_g = f.phase_neg, g.phase_neg
-    idf, idg = f.identified, g.identified
+    free_f, free_g = f.subjects & ~f.identified, g.subjects & ~g.identified
     n = f.table.n
 
-    def pair_pols(i: int, j: int) -> tuple[int, ...]:
-        """Polarities k for which i -> j - k, i and j in one group, passes
-        the first-order case and the phase records; a case the records rule
-        out is reported as a collision."""
-        if not known_f >> i & known_g >> j & 1:
-            return 0, 1  # equal counts, as a record is missing
-        need = (sign_f >> i ^ sign_g >> j) & 1
-        if pos_f[i] == neg_f[i] or need == (pos_f[i] != pos_g[j]):
-            return (need,)
-        observer.on_collision(VarMapping(i, j, need ^ 1))
-        return ()
-
-    sets: list[MappingSet] = []
-
-    # free plain variables of g by group; a variable of f meets only its own
-    peers: dict[int, list[int]] = {}
-    skip_g = idg | g.marks.members
+    # g's free subjects by (class size, group), and flip_g: those whose
+    # record disagrees with their counts
+    by_key, flip_g = {}, sign_g
     for j in range(n):
-        if not skip_g >> j & 1:
-            peers.setdefault(group_g[j], []).append(j)
-    skip_f = idf | f.marks.members
+        if free_g >> j & 1:
+            key = size_g[j], group_g[j]
+            by_key[key] = by_key.get(key, 0) | 1 << j
+            flip_g ^= (pos_g[j] < neg_g[j]) << j
+
+    sets, clashes = [], []
     for i in range(n):
-        if skip_f >> i & 1:
+        if not free_f >> i & 1:
             continue
-        # pair_pols, inlined, for every peer of i
-        cands, p, even = [], pos_f[i], pos_f[i] == neg_f[i]
-        for j in peers.get(group_f[i], ()):
-            if not known_f >> i & known_g >> j & 1:
-                cands += ((i, j, 0),), ((i, j, 1),)
-                continue
-            need = (sign_f >> i ^ sign_g >> j) & 1
-            if even or need == (p != pos_g[j]):
-                cands.append(((i, j, need),))
-            else:
-                observer.on_collision(VarMapping(i, j, need ^ 1))
-        sets.append(MappingSet(i, tuple(cands)))
-
-    # a class's members enter no plain set and every class candidate maps
-    # all of them, so a class is either wholly identified or wholly free. A
-    # cube over other variables keeps the table symmetric in a free class,
-    # so its members share one group and one key, and each member reads the
-    # first member's counts and phase record, swapped when its relative_pol
-    # is 1. So member t of a class pair allows exactly the polarities
-    # k ^ rel_f[t] ^ rel_g[t] for the k the first members allow, and a member
-    # pair fails only where the first pair fails (the one collision
-    # reported). A double class's members read pos == neg under every such
-    # cube, so they never get a phase record and allow both polarities.
-    free_g = [cls for cls in g.sym if not idg >> cls.first & 1]
-
-    for cls_f in f.sym:
-        if idf >> cls_f.first & 1:
-            continue
-        cands = []
-        for cls_g in free_g:
-            if cls_g.size != cls_f.size or group_f[cls_f.first] != group_g[cls_g.first]:
-                continue
-            pols = pair_pols(cls_f.first, cls_g.first)
-            if cls_f.double and cls_g.double:
-                # jointly negating two members is an invariance of both
-                # functions, so only the polarity parity matters: one
-                # candidate per parity, set on the first member
-                patterns = [[k] + [0] * (cls_f.size - 1) for k in pols]
-            else:
-                rel = [a ^ b for a, b in zip(cls_f.relative_pol, cls_g.relative_pol)]
-                patterns = [[k ^ r for r in rel] for k in pols]
-            cands += (tuple(zip(cls_f.members, cls_g.members, ks)) for ks in patterns)
-        sets.append(MappingSet(cls_f.first, tuple(cands)))
-
-    sets.sort(key=lambda s: s.subject)
+        peers = by_key.get((size_f[i], group_f[i]), 0)
+        p, q = pos_f[i], neg_f[i]
+        if p != q and (clash := peers & (flip_g ^ -((sign_f >> i ^ (p < q)) & 1))):
+            peers ^= clash
+            clashes.append((i in f.classes, i, clash))
+        sets.append((i, peers))
+    for _, i, clash in sorted(clashes):
+        for j in range(n):
+            if clash >> j & 1:
+                observer.on_collision(VarMapping(i, j, (sign_f >> i ^ sign_g >> j ^ 1) & 1))
     return sets
 
 
-def _named(candidate) -> tuple[VarMapping, ...]:
-    return tuple(starmap(VarMapping, candidate))
+def candidates(state: MatchState, i: int, peers: int) -> tuple[tuple[VarMapping, ...], ...]:
+    """The mapping set of f's subject i over its peers (see
+    build_mapping_sets), in search order: ascending g subject j, polarity k
+    0 before 1, k over both polarities when i has no phase record and
+    sign_f[i] ^ sign_g[j] when it has one. Each candidate is the tuple of
+    mappings it commits: i -> j - k for a plain variable; for a class pair,
+    member t maps at k ^ rel_f[t] ^ rel_g[t] (the classes' relative_pol),
+    or, when both classes are double, the first member at k and the rest
+    at 0. A double class's members read equal counts under every cube over
+    other variables, so they never get a phase record."""
+    f, g = state.f, state.g
+    cls_f = f.classes.get(i)
+    known, sign = f.phase_known >> i & 1, f.phase_neg >> i
+    out = []
+    while peers:
+        j = (peers & -peers).bit_length() - 1
+        peers &= peers - 1
+        pols = ((sign ^ g.phase_neg >> j) & 1,) if known else (0, 1)
+        if cls_f is None:
+            for k in pols:
+                out.append((VarMapping(i, j, k),))
+            continue
+        cls_g = g.classes[j]
+        if cls_f.double and cls_g.double:
+            # jointly negating two members is an invariance of both
+            # functions, so only the polarity parity matters: one
+            # candidate per parity, set on the first member
+            patterns = [(k,) + (0,) * (cls_f.size - 1) for k in pols]
+        else:
+            rel = [a ^ b for a, b in zip(cls_f.relative_pol, cls_g.relative_pol)]
+            patterns = [[k ^ r for r in rel] for k in pols]
+        out += [tuple(map(VarMapping, cls_f.members, cls_g.members, ks)) for ks in patterns]
+    return tuple(out)
 
 
 def commit_mapping(state: MatchState, m: VarMapping) -> None:
@@ -428,27 +412,31 @@ def detect(
     observer.on_vectors(state.splits, state)
 
     sets = build_mapping_sets(state, observer)
-    if not all(s.candidates for s in sets):
+    if not all(peers for _, peers in sets):
         return None
+    # each peer gives one candidate per polarity the phase record allows
+    known = state.f.phase_known
+    sized = [(peers.bit_count() << (not known >> i & 1), i, peers) for i, peers in sets]
 
-    singles = [s for s in sets if len(s.candidates) == 1]
-    if singles:
+    forced = [(i, peers) for size, i, peers in sized if size == 1]
+    if forced:
         # every forced mapping commits together as the one candidate; the
         # nearest ancestor that branched undoes it
-        for m in _named(m for s in singles for m in s.candidates[0]):
-            # two forced subjects can claim the same variable of g
-            if state.g.identified >> m.to & 1:
-                return None
-            commit_mapping(state, m)
-            observer.on_commit(m)
+        for i, peers in forced:
+            for m in candidates(state, i, peers)[0]:
+                # two forced subjects can claim the same variable of g
+                if state.g.identified >> m.to & 1:
+                    return None
+                commit_mapping(state, m)
+                observer.on_commit(m)
         extend_cubes(state)
         observer.on_cubes(state)
         return detect(state, observer, {})
 
     # the smallest set, the lowest subject on ties; an incomplete map list
     # always leaves a free subject, so there is one
-    best = min(sets, key=lambda s: (len(s.candidates), s.subject))
-    chosen = MappingSet(best.subject, tuple(map(_named, best.candidates)))
+    _, i, peers = min(sized)
+    chosen = MappingSet(i, candidates(state, i, peers))
     snap, children = state.snapshot(), {}
     for cand in chosen.candidates:
         observer.on_branch(chosen, cand)

@@ -117,8 +117,11 @@ def update(state, siblings: dict) -> bool:
     over the side's table.n inputs, see the matcher's Side), record
     first-determined phases, and report cross-function compatibility. When
     it reports the sides compatible, each group's unidentified variables
-    share one canonical key on each side, the same on both; the matcher's
-    build_mapping_sets relies on it.
+    share one canonical key on each side, the same on both, and either all
+    of them, on both sides, have a phase record or none has: a record is
+    made where a key's two counts first differ, so for all of a group at
+    once, and groups never merge. The matcher's build_mapping_sets relies
+    on both.
 
     ``state`` carries two sides f and g (see the matcher's Side). At the
     root, where a side has no vector, the first vector is built from the

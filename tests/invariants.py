@@ -3,7 +3,8 @@
 InvariantObserver checks at every node of every search it observes what
 the search relies on: each group's free variables carry one canonical key,
 symmetry classes stay whole, each class member reads its first member's
-phase record (up to its relative polarity), f and g identify as many
+phase record (up to its relative polarity), a group's free variables all
+have a phase record or none has, f and g identify as many
 variables per group, every candidate starts from its branch node's state,
 each vector counts its side's table under its cube, and the mapping sets
 and phase collisions are those of the per-pair rule. Refuted nodes are
@@ -14,7 +15,7 @@ check reaches, so a walk can assert that no check is vacuous.
 from collections import Counter
 
 from npnmatch.boolfn import low_mask, var_mask
-from npnmatch.matcher import Observer, VarMapping, build_mapping_sets
+from npnmatch.matcher import Observer, VarMapping, build_mapping_sets, candidates
 from npnmatch.symmetry import canonical_keys, first_order_pairs
 
 # the minterm-by-minterm recount of check_key_refuted runs up to this size
@@ -154,7 +155,10 @@ class InvariantObserver(Observer):
     many nodes (or groups, classes, branches) each check reached:
 
     - nodes: nodes with compatible vectors. At each: the one-key invariant
-      (keyed_groups), and build_mapping_sets and its collisions against
+      (keyed_groups); per group, all free variables of f and g share one
+      phase_known bit (recorded_groups and unrecorded_groups count the
+      groups with the bit set and clear); and build_mapping_sets, each
+      subject expanded by candidates, and its collisions against
       _reference_mapping_sets (class_sets; collisions counts the search's
       own on_collision calls, each the next one the rule expects);
     - branches (deep_branches: with a non-empty map list): each candidate
@@ -200,6 +204,7 @@ class InvariantObserver(Observer):
         self._identified_counts(depth, state)
         self._recount(depth, state)
         self._one_key(depth, state)
+        self._group_records(depth, state)
         self._mapping_sets(depth, state)
         self.state = state
         self.recorded[depth] = _fingerprint(state)
@@ -300,11 +305,24 @@ class InvariantObserver(Observer):
         assert keys[0] == keys[1], (depth, state.map_list)
         self.counts["keyed_groups"] += len(keys[0])
 
+    def _group_records(self, depth, state):
+        # build_mapping_sets reads a subject's phase record for all its peers
+        known = {}
+        for side in (state.f, state.g):
+            for i in range(side.table.n):
+                if not side.identified >> i & 1:
+                    known.setdefault(side.v.group[i], set()).add(side.phase_known >> i & 1)
+        assert all(len(k) == 1 for k in known.values()), (depth, state.map_list)
+        recorded = sum(k == {1} for k in known.values())
+        self.counts["recorded_groups"] += recorded
+        self.counts["unrecorded_groups"] += len(known) - recorded
+
     def _mapping_sets(self, depth, state):
         expected, self.pending = _reference_mapping_sets(state)
         seen = _Collisions()
         sets = build_mapping_sets(state, seen)
-        assert [(s.subject, list(s.candidates)) for s in sets] == expected, (depth, state.map_list)
+        got = [(i, list(candidates(state, i, peers))) for i, peers in sets]
+        assert got == expected, (depth, state.map_list)
         assert seen.seen == self.pending, (depth, state.map_list)
         firsts = {cls.first for cls in state.f.sym}
-        self.counts["class_sets"] += sum(s.subject in firsts for s in sets)
+        self.counts["class_sets"] += sum(i in firsts for i, _ in sets)

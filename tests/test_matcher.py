@@ -22,6 +22,7 @@ from npnmatch.matcher import (
     VarMapping,
     Verdict,
     build_mapping_sets,
+    candidates,
     commit_mapping,
     extend_cubes,
     match_npn,
@@ -114,9 +115,9 @@ def fresh_state(f, g, ignore_symmetry=False):
     )
 
 
-def candidates_of(sets, subject):
-    (s,) = [s for s in sets if s.subject == subject]
-    return [tuple(map(tuple, cand)) for cand in s.candidates]
+def candidates_of(state, sets, subject):
+    (peers,) = [peers for i, peers in sets if i == subject]
+    return [tuple(map(tuple, cand)) for cand in candidates(state, subject, peers)]
 
 
 class TestBuildMappingSets:
@@ -125,26 +126,26 @@ class TestBuildMappingSets:
         state = fresh_state(TRIO_A, TRIO_B, ignore_symmetry=True)
         assert update(state, {})
         sets = build_mapping_sets(state)
-        assert candidates_of(sets, 0) == [
+        assert candidates_of(state, sets, 0) == [
             ((0, 1, 0),),
             ((0, 1, 1),),
             ((0, 2, 0),),
             ((0, 2, 1),),
         ]
-        assert candidates_of(sets, 1) == [((1, 0, 1),)]
-        assert len(candidates_of(sets, 2)) == 4
+        assert candidates_of(state, sets, 1) == [((1, 0, 1),)]
+        assert len(candidates_of(state, sets, 2)) == 4
 
     def test_case4_initial_sets(self):
         state = fresh_state(CASE4_F, CASE4_G)
         assert update(state, {})
         sets = build_mapping_sets(state)
-        assert candidates_of(sets, 3) == [((3, 0, 1),)]
+        assert candidates_of(state, sets, 3) == [((3, 0, 1),)]
         # undetermined phases: the class maps with both uniform polarities
-        assert candidates_of(sets, 0) == [
+        assert candidates_of(state, sets, 0) == [
             ((0, 1, 0), (1, 3, 0)),
             ((0, 1, 1), (1, 3, 1)),
         ]
-        assert candidates_of(sets, 2) == [((2, 2, 0),), ((2, 2, 1),)]
+        assert candidates_of(state, sets, 2) == [((2, 2, 0),), ((2, 2, 1),)]
 
     def test_identity_candidates_present(self):
         rng = random.Random(7)
@@ -153,10 +154,10 @@ class TestBuildMappingSets:
             state = fresh_state(f, f)
             if not update(state, {}):
                 continue
-            for s in build_mapping_sets(state):
+            for i, peers in build_mapping_sets(state):
                 assert any(
                     all(frm == to and pol == 0 for frm, to, pol in cand)
-                    for cand in s.candidates
+                    for cand in candidates(state, i, peers)
                 )
 
 
@@ -262,6 +263,11 @@ class TestOneKeyPerGroup:
 
     def test_sets_and_collisions_match_the_per_pair_rule(self):
         assert_walk_reaches(nodes=1250, collisions=483, class_sets=527)
+
+    def test_a_groups_free_variables_share_one_phase_known_bit(self):
+        # the premise on which build_mapping_sets reads only the subject's
+        # record: groups with and without a record are both reached
+        assert_walk_reaches(nodes=4295, recorded_groups=7074, unrecorded_groups=1288)
 
 
 class TestCase4Walkthrough:
@@ -382,14 +388,14 @@ class TestCase7Walkthrough:
         extend_cubes(state)
         update(state, {})
         sets = build_mapping_sets(state)
-        assert [s.subject for s in sets] == [0, 1, 5, 6]
-        assert all(len(s.candidates) == 2 for s in sets)
-        assert candidates_of(sets, 0) == [
+        assert [i for i, _ in sets] == [0, 1, 5, 6]
+        assert all(len(candidates(state, i, peers)) == 2 for i, peers in sets)
+        assert candidates_of(state, sets, 0) == [
             ((0, 0, 1), (4, 2, 1)),
             ((0, 3, 0), (4, 4, 0)),
         ]
-        assert candidates_of(sets, 5) == [((5, 1, 1),), ((5, 6, 0),)]
-        assert candidates_of(sets, 6) == [((6, 1, 0),), ((6, 6, 1),)]
+        assert candidates_of(state, sets, 5) == [((5, 1, 1),), ((5, 6, 0),)]
+        assert candidates_of(state, sets, 6) == [((6, 1, 0),), ((6, 6, 1),)]
 
     def test_ties_branch_on_the_lowest_subject(self, monkeypatch):
         # after the first split, subjects 0, 1, 5 and 6 each have two
@@ -398,7 +404,7 @@ class TestCase7Walkthrough:
 
         def recorded(state, observer):
             sets = build_mapping_sets(state, observer)
-            sizes.append((state.splits, {s.subject: len(s.candidates) for s in sets}))
+            sizes.append((state.splits, {i: len(candidates(state, i, p)) for i, p in sets}))
             return sets
 
         monkeypatch.setattr(matcher, "build_mapping_sets", recorded)
