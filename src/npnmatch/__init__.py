@@ -24,7 +24,6 @@ from .oracle import (
     random_equivalent_pair,
     random_function,
 )
-from .signature import SSVector, compute_ss_vector
 from .symmetry import SymmetryClass, build_symmetry_classes
 from .workbench import (
     ParseError,
@@ -42,7 +41,6 @@ __all__ = [
     "NPTransformation",
     "Observer",
     "ParseError",
-    "SSVector",
     "SymmetryClass",
     "TruthTable",
     "VarMapping",
@@ -51,7 +49,6 @@ __all__ = [
     "build_symmetry_classes",
     "cli_dispatch",
     "compose",
-    "compute_ss_vector",
     "count_minterms",
     "enumerate_npn_classes",
     "equal",

@@ -1,9 +1,9 @@
 """Transformation search: mapping sets, pruned DFS, and top-level matching.
 
 The search keeps one Side per function (its table restricted to the
-current cube, its structural signature vector, identified variables and
-phase masks) and an ordered mapping list (one tree branch) whose first
-`splits` mappings define the cubes. Each recursion either commits every
+current cube, its structural signature vector with the phase record, and
+its identified variables) and an ordered mapping list (one tree branch)
+whose first `splits` mappings define the cubes. Each recursion either commits every
 forced (singleton) mapping set, or branches over the smallest multiple set.
 Branches are pruned on vector incompatibility and on phase collisions. The
 search stops at the first complete branch that verifies bit-exactly.
@@ -83,8 +83,9 @@ class Observer:
         pass
 
     def on_incompatible(self, depth: int, state: "MatchState"):
-        """The node prunes. state.g.v is None at a refuted arm's root (and
-        state.f.v too) and wherever g's keys differ from f's (see update)."""
+        """The node prunes. state.g.v, and with it g's phase record, is
+        None at a refuted arm's root (and state.f.v too) and wherever g's
+        keys differ from f's (see update)."""
 
     def on_collision(self, mapping: VarMapping):
         pass
@@ -108,46 +109,54 @@ _NULL_OBSERVER = Observer()
 
 
 class Side:
-    """One function of a match. Fixed for the match: its table, symmetry
-    classes, their marks (signature.symmetry_marks), its subjects and its
-    root first-order pairs. The subjects are the units a mapping places:
-    each plain variable and each class, named by its first member; subjects
-    is their bit mask and classes maps a first member to its class. Per
-    node, each an immutable value: the current cube as two bit masks (its
-    variables and their values), the table's bits restricted to it (an int,
-    as a TruthTable is a whole function), its SS vector v, the identified
-    bit mask, and the phase record as two bit masks: phase_known marks the
-    variables whose phase is determined, phase_neg those of them whose
-    phase is negative. On an arm that match_npn refutes, both sides hold no
-    classes and the target has root_pairs None, so observers at its root
-    see no marks and no vectors (v None on both sides). A node that update
-    prunes on g's sorted keys leaves g with v None and f with its vector."""
+    """One function of a match. Fixed for the match: its table, its class
+    layout and its root first-order pairs. The subjects are the units a
+    mapping places: each plain variable and each symmetry class, named by
+    its first member; classes maps a first member to its class, size holds
+    each variable's class size (-1 outside every class), and subjects is
+    the subjects' bit mask. Per node, each an immutable value: the current
+    cube as two bit masks (its variables and their values), the table's
+    bits restricted to it (an int, as a TruthTable is a whole function),
+    its SS vector v with its phase record (signature.SSVector), and the
+    identified bit mask. On an arm that match_npn refutes, both sides hold
+    no classes and the target has root_pairs None, so observers at its root
+    see no classes and no vectors (v None on both sides). A node that
+    update prunes on g's sorted keys leaves g with v None and f with its
+    vector."""
 
     __slots__ = (
-        "table", "sym", "marks", "subjects", "classes", "root_pairs", "cube_vars",
-        "cube_vals", "restricted", "v", "identified", "phase_known", "phase_neg",
+        "table", "classes", "size", "subjects", "root_pairs", "cube_vars", "cube_vals",
+        "restricted", "v", "identified",
     )
 
     def __init__(self, table: TruthTable, sym: Sequence[SymmetryClass], root_pairs):
-        self.table, self.sym, self.root_pairs = table, sym, root_pairs
-        self.marks = sig.symmetry_marks(sym, table.n)
+        self.table, self.root_pairs = table, root_pairs
         self.classes = {cls.first: cls for cls in sym}
-        plain = (1 << table.n) - 1 & ~self.marks.members
-        self.subjects = plain | sum(1 << a for a in self.classes)
-        self.cube_vars = self.cube_vals = self.identified = self.phase_known = self.phase_neg = 0
+        self.size, later = [-1] * table.n, 0  # later: the classes' later members
+        for cls in sym:
+            for m in cls.members:
+                self.size[m] = cls.size
+                later |= 1 << m
+            later ^= 1 << cls.first
+        self.subjects = (1 << table.n) - 1 & ~later
+        self.cube_vars = self.cube_vals = self.identified = 0
         self.restricted, self.v = table.bits, None
 
     def save(self):
-        return (
-            self.cube_vars, self.cube_vals, self.restricted, self.v, self.identified,
-            self.phase_known, self.phase_neg,
-        )
+        return self.cube_vars, self.cube_vals, self.restricted, self.v, self.identified
 
     def load(self, saved) -> None:
-        (
-            self.cube_vars, self.cube_vals, self.restricted, self.v, self.identified,
-            self.phase_known, self.phase_neg,
-        ) = saved
+        self.cube_vars, self.cube_vals, self.restricted, self.v, self.identified = saved
+
+    def dump(self) -> str:
+        """Debug rendering of v: one (pos, neg, class size, first member,
+        group) per variable, the class marks -1 outside every class."""
+        first = [-1] * self.table.n
+        for a, cls in self.classes.items():
+            for m in cls.members:
+                first[m] = a
+        v = self.v
+        return "{" + ",".join(map(str, zip(v.pos, v.neg, self.size, first, v.group))) + "}"
 
     def narrow(self, i: int, positive: bool) -> None:
         """Restrict to the literal x_i (positive) or ~x_i."""
@@ -175,7 +184,7 @@ class MatchState:
     def split_sides(self, m: VarMapping) -> tuple[bool, bool]:
         """Literal phases of the split on m: f's variable takes its recorded
         phase (positive when undetermined), g's follows m's polarity."""
-        side_f = not self.f.phase_neg >> m.frm & 1
+        side_f = not self.f.v.phase_neg >> m.frm & 1
         return side_f, side_f ^ (m.pol == 1)
 
     def cubes(self) -> tuple[str, str]:
@@ -202,11 +211,12 @@ class MatchState:
 def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     """(subject, peers) for every free subject of f, in ascending order:
     peers is the bit mask of g's free subjects of the subject's class size
-    and group (see Side). candidates expands a pair into its mapping set.
+    (Side.size) and group. candidates expands a pair into its mapping set.
 
     After a compatible update, a group's free variables share one canonical
     key on each side, the same on both, and all of them, on both sides,
-    have a phase record or none has (signature.update). So for free i of f
+    have a phase record or none has (signature.update; sign_f and sign_g
+    are the vectors' phase_neg masks). So for free i of f
     and j of g in one group, (|f_{x_i}|, |f_{~x_i}|) is g's (a, b) or
     (b, a), and j takes i at both polarities without a record and at
     k = sign_f[i] ^ sign_g[j] with one. When the counts differ, k must also
@@ -219,9 +229,9 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     two swapped when its relative_pol is 1.
     """
     f, g = state.f, state.g
-    group_f, pos_f, neg_f, size_f = f.v.group, f.v.pos, f.v.neg, f.marks.size
-    group_g, pos_g, neg_g, size_g = g.v.group, g.v.pos, g.v.neg, g.marks.size
-    sign_f, sign_g = f.phase_neg, g.phase_neg
+    group_f, pos_f, neg_f, size_f = f.v.group, f.v.pos, f.v.neg, f.size
+    group_g, pos_g, neg_g, size_g = g.v.group, g.v.pos, g.v.neg, g.size
+    sign_f, sign_g = f.v.phase_neg, g.v.phase_neg
     free_f, free_g = f.subjects & ~f.identified, g.subjects & ~g.identified
     n = f.table.n
 
@@ -263,12 +273,12 @@ def candidates(state: MatchState, i: int, peers: int) -> tuple[tuple[VarMapping,
     other variables, so they never get a phase record."""
     f, g = state.f, state.g
     cls_f = f.classes.get(i)
-    known, sign = f.phase_known >> i & 1, f.phase_neg >> i
+    known, sign = f.v.phase_known >> i & 1, f.v.phase_neg >> i
     out = []
     while peers:
         j = (peers & -peers).bit_length() - 1
         peers &= peers - 1
-        pols = ((sign ^ g.phase_neg >> j) & 1,) if known else (0, 1)
+        pols = ((sign ^ g.v.phase_neg >> j) & 1,) if known else (0, 1)
         if cls_f is None:
             for k in pols:
                 out.append((VarMapping(i, j, k),))
@@ -415,7 +425,7 @@ def detect(
     if not all(peers for _, peers in sets):
         return None
     # each peer gives one candidate per polarity the phase record allows
-    known = state.f.phase_known
+    known = state.f.v.phase_known
     sized = [(peers.bit_count() << (not known >> i & 1), i, peers) for i, peers in sets]
 
     forced = [(i, peers) for size, i, peers in sized if size == 1]

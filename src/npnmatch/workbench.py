@@ -178,8 +178,8 @@ class TraceObserver(Observer):
         print(f"-- detecting against {which} target --", file=self.out)
 
     def on_vectors(self, depth, state):
-        print(f"[{depth}] V_f={state.f.v.dump()}", file=self.out)
-        print(f"[{depth}] V_g={state.g.v.dump()}", file=self.out)
+        print(f"[{depth}] V_f={state.f.dump()}", file=self.out)
+        print(f"[{depth}] V_g={state.g.dump()}", file=self.out)
 
     def on_incompatible(self, depth, state):
         print(f"[{depth}] vectors incompatible; prune", file=self.out)

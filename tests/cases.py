@@ -6,9 +6,9 @@ Covers are lists of cubes; a cube is a list of (variable, positive) literals.
 
 from unittest.mock import patch
 
-from npnmatch import matcher
+from npnmatch import matcher, signature
 from npnmatch.boolfn import TruthTable, low_mask, var_mask
-from npnmatch.symmetry import _swap_invariant
+from npnmatch.symmetry import _swap_invariant, first_order_pairs
 
 T, F = True, False
 
@@ -103,6 +103,20 @@ def symmetry_flags(f, i, j):
         _swap_invariant(f.bits, i, j, low_i, var_mask(n, j), False),
         _swap_invariant(f.bits, i, j, low_i, low_mask(n, j), True),
     )
+
+
+def vector_side(f, sym, bits=None, identified=0, prev=None):
+    """f's side after signature.update, with its twin as g: both sides
+    hold f's classes sym, the restricted table bits (f's own when None),
+    the identified mask and the previous vector prev (a first vector when
+    None, built from the pairs of bits)."""
+    restricted = f.bits if bits is None else bits
+    pairs = first_order_pairs(restricted, f.n, identified)
+    state = matcher.MatchState(*(matcher.Side(f, sym, pairs) for _ in range(2)))
+    for side in (state.f, state.g):
+        side.restricted, side.identified, side.v = restricted, identified, prev
+    signature.update(state, {})
+    return state.f
 
 
 def dump_first_order(pairs):

@@ -65,7 +65,7 @@ def check_key_refuted(depth, state):
         assert live_f != live_g, (depth, state.map_list)
         return "below"
     assert state.f.v is None and not state.map_list and state.g.root_pairs is None
-    assert not state.f.sym and not state.g.sym
+    assert not state.f.classes and not state.g.classes
     assert sorted(pairs_f) != sorted(pairs_g), pairs_f
     return "keys" if pairs_g[-1] in pairs_f else "top"
 
@@ -85,24 +85,24 @@ def _reference_mapping_sets(state):
         pols = (0,) if p == a and q == b else ()
         if p == b and q == a:
             pols += (1,)
-        if not pols or not f.phase_known >> i & g.phase_known >> j & 1:
+        if not pols or not f.v.phase_known >> i & g.v.phase_known >> j & 1:
             return pols
-        need = (f.phase_neg >> i ^ g.phase_neg >> j) & 1
+        need = (f.v.phase_neg >> i ^ g.v.phase_neg >> j) & 1
         if need in pols:
             return (need,)
         collisions.extend(VarMapping(i, j, k) for k in pols)
         return ()
 
     n, sets = f.table.n, []
-    free_f = [i for i in range(n) if not (f.identified | f.marks.members) >> i & 1]
-    free_g = [j for j in range(n) if not (g.identified | g.marks.members) >> j & 1]
+    free_f = [i for i in range(n) if not f.identified >> i & 1 and f.size[i] < 0]
+    free_g = [j for j in range(n) if not g.identified >> j & 1 and g.size[j] < 0]
     for i in free_f:
         sets.append((i, [((i, j, k),) for j in free_g for k in pair_pols(i, j)]))
-    for cls_f in f.sym:
+    for cls_f in f.classes.values():
         if f.identified >> cls_f.first & 1:
             continue
         cands = []
-        for cls_g in g.sym:
+        for cls_g in g.classes.values():
             if g.identified >> cls_g.first & 1 or cls_g.size != cls_f.size:
                 continue
             member_pols = []
@@ -145,8 +145,9 @@ def _keys(table):
 def _fingerprint(state):
     f, g = state.f, state.g
     return (
-        list(state.map_list), state.splits, f.restricted, g.restricted, f.v.dump(), g.v.dump(),
-        f.identified, g.identified, f.phase_known, f.phase_neg, g.phase_known, g.phase_neg,
+        list(state.map_list), state.splits, f.restricted, g.restricted, f.dump(), g.dump(),
+        f.identified, g.identified, f.v.phase_known, f.v.phase_neg, g.v.phase_known,
+        g.v.phase_neg,
     )
 
 
@@ -239,7 +240,7 @@ class InvariantObserver(Observer):
 
     def _whole_classes(self, depth, state):
         for side in (state.f, state.g):
-            for cls in side.sym:
+            for cls in side.classes.values():
                 hits = sum(side.identified >> m & 1 for m in cls.members)
                 assert hits in (0, cls.size), (depth, cls, state.map_list)
                 self.counts["whole_classes"] += hits == cls.size
@@ -251,8 +252,9 @@ class InvariantObserver(Observer):
     def _class_phases(self, depth, state):
         # build_mapping_sets decides a class pair by its first members
         for side in (state.f, state.g):
-            v, known, neg = side.v, side.phase_known, side.phase_neg
-            for cls in side.sym:
+            v = side.v
+            known, neg = v.phase_known, v.phase_neg
+            for cls in side.classes.values():
                 a = cls.first
                 if side.identified >> a & 1:
                     continue
@@ -311,7 +313,7 @@ class InvariantObserver(Observer):
         for side in (state.f, state.g):
             for i in range(side.table.n):
                 if not side.identified >> i & 1:
-                    known.setdefault(side.v.group[i], set()).add(side.phase_known >> i & 1)
+                    known.setdefault(side.v.group[i], set()).add(side.v.phase_known >> i & 1)
         assert all(len(k) == 1 for k in known.values()), (depth, state.map_list)
         recorded = sum(k == {1} for k in known.values())
         self.counts["recorded_groups"] += recorded
@@ -324,5 +326,4 @@ class InvariantObserver(Observer):
         got = [(i, list(candidates(state, i, peers))) for i, peers in sets]
         assert got == expected, (depth, state.map_list)
         assert seen.seen == self.pending, (depth, state.map_list)
-        firsts = {cls.first for cls in state.f.sym}
-        self.counts["class_sets"] += sum(i in firsts for i, _ in sets)
+        self.counts["class_sets"] += sum(i in state.f.classes for i, _ in sets)

@@ -19,7 +19,6 @@ from npnmatch.oracle import (
     random_equivalent_pair,
     random_function,
 )
-from npnmatch.signature import compute_ss_vector
 from npnmatch.symmetry import build_symmetry_classes, first_order_pairs
 
 from cases import (
@@ -34,6 +33,7 @@ from cases import (
     TRIO_C,
     dump_first_order,
     enumerate_complete_transformations,
+    vector_side,
 )
 from test_boolfn import random_table
 from test_matcher import RecordingObserver
@@ -95,7 +95,7 @@ def test_criterion_3_golden_examples():
     ok &= dump_first_order(first_order_pairs(TRIO_C.bits, TRIO_C.n)) == "{(3,1),(1,3),(3,1)}"
 
     def initial_dump(f):
-        return compute_ss_vector(f.bits, f.n, build_symmetry_classes(f)).dump()
+        return vector_side(f, build_symmetry_classes(f)).dump()
 
     # four-variable pair: initial and post-update vectors
     ok &= initial_dump(CASE4_F) == (

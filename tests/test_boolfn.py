@@ -17,7 +17,7 @@ from npnmatch.boolfn import (
 )
 from npnmatch.matcher import MatchState, Side
 from npnmatch.oracle import all_transformations
-from npnmatch.signature import compute_ss_vector, update
+from npnmatch.signature import update
 from npnmatch.symmetry import build_symmetry_classes, complement_pairs, first_order_pairs
 
 from cases import CASE3_F, CASE3_G, CASE7_F, CASE7_G, TRIO_A
@@ -90,10 +90,10 @@ def antiswap_vars(bits, n, i, j):
 
 
 def root_vector(f, sym, pairs):
-    """The first vector update builds from the shared root pairs."""
+    """f's side holding the first vector update builds from the root pairs."""
     state = MatchState(Side(f, sym, pairs), Side(f, sym, pairs))
     update(state, {})
-    return state.f.v
+    return state.f
 
 
 def random_table(rng, n):
@@ -358,17 +358,17 @@ class TestRootFirstOrderPairs:
             for _ in range(4):
                 f = random_table(rng, n)
                 pairs = first_order_pairs(f.bits, f.n)
-                assert pairs == [
+                brute = [
                     (
                         sum(f.bits >> m & 1 for m in range(1 << n) if m >> i & 1),
                         sum(f.bits >> m & 1 for m in range(1 << n) if not m >> i & 1),
                     )
                     for i in range(n)
                 ]
+                assert pairs == brute
                 sym = build_symmetry_classes(f, pairs)
                 assert sym == build_symmetry_classes(f)
-                v = compute_ss_vector(f.bits, f.n, sym)
-                assert root_vector(f, sym, pairs).dump() == v.dump()
+                assert root_vector(f, sym, pairs).dump() == root_vector(f, sym, brute).dump()
 
     def test_fold_matches_masked_popcount(self):
         # n = 15..MAX_VARS take the bit-sliced fold; constant 1 carries
@@ -396,8 +396,8 @@ class TestRootFirstOrderPairs:
                 if n in (15, 16):
                     sym = build_symmetry_classes(f, pairs)
                     assert sym == build_symmetry_classes(f)
-                    v = compute_ss_vector(f.bits, f.n, sym)
-                    assert root_vector(f, sym, pairs).dump() == v.dump()
+                    brute = root_vector(f, sym, [(p, total - p) for p in want])
+                    assert root_vector(f, sym, pairs).dump() == brute.dump()
 
     def test_negated_arm_pairs(self):
         rng = random.Random(14)

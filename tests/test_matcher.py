@@ -82,7 +82,7 @@ class RecordingObserver(Observer):
         self.events.append(("arm", output_negated))
 
     def on_vectors(self, depth, state):
-        self.events.append(("vec", depth, state.f.v.dump(), state.g.v.dump()))
+        self.events.append(("vec", depth, state.f.dump(), state.g.dump()))
 
     def on_incompatible(self, depth, state):
         self.events.append(("incompatible", depth))

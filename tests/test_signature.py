@@ -1,7 +1,7 @@
 import random
 
 from npnmatch.boolfn import MAX_VARS, TruthTable, apply_np_transform, low_mask, var_mask
-from npnmatch.signature import compute_ss_vector, update
+from npnmatch.signature import update
 from npnmatch import signature
 from npnmatch.matcher import MatchState, Side, VarMapping, commit_mapping, extend_cubes
 from npnmatch.symmetry import build_symmetry_classes, canonical_keys, first_order_pairs
@@ -17,6 +17,7 @@ from cases import (
     TRIO_B,
     TRIO_C,
     dump_first_order,
+    vector_side,
 )
 from invariants import check_key_refuted
 from test_boolfn import random_table, random_transform
@@ -24,11 +25,11 @@ from test_matcher import assert_walk_reaches, invariant_walk
 
 
 def ss(f, cube=None, sym=None, identified=0, prev=None):
-    """Vector of f restricted by the bit mask cube (unrestricted when None)."""
+    """f's side with the vector of f restricted by the bit mask cube
+    (unrestricted when None)."""
     if sym is None:
         sym = build_symmetry_classes(f)
-    restricted = f.bits if cube is None else f.bits & cube
-    return compute_ss_vector(restricted, f.n, sym, identified, prev)
+    return vector_side(f, sym, None if cube is None else f.bits & cube, identified, prev)
 
 
 class TestFirstOrderValue:
@@ -66,7 +67,7 @@ class TestComputeSSVector:
         )
 
     def test_case5_refined_after_split(self):
-        prev = ss(CASE5_F)
+        prev = ss(CASE5_F).v
         identified = 0b00101  # x0 and x2
         v = ss(CASE5_F, var_mask(5, 0), identified=identified, prev=prev)
         assert v.dump() == (
@@ -90,11 +91,11 @@ class TestComputeSSVector:
             n = rng.randint(2, 6)
             f = random_table(rng, n)
             sym = build_symmetry_classes(f)
-            prev = compute_ss_vector(f.bits, f.n, sym)
+            prev = vector_side(f, sym).v
             i = rng.randrange(n)
             identified = 1 << i
             mask = var_mask(n, i) if rng.random() < 0.5 else low_mask(n, i)
-            cur = compute_ss_vector(f.bits & mask, n, sym, identified, prev)
+            cur = vector_side(f, sym, f.bits & mask, identified, prev).v
             for a in range(n):
                 for b in range(a + 1, n):
                     if prev.group[a] != prev.group[b]:
@@ -104,7 +105,7 @@ class TestComputeSSVector:
         rng = random.Random(29)
         f = random_table(rng, 5)
         cube = var_mask(5, 2)
-        v = ss(f, cube)
+        v = ss(f, cube).v
         restricted = f.bits & cube
         for i in range(5):
             if i != 2:
@@ -116,7 +117,7 @@ def root_phases(f, g):
     sides = [Side(h, build_symmetry_classes(h), first_order_pairs(h.bits, h.n)) for h in (f, g)]
     state = MatchState(*sides)
     update(state, {})
-    return [(side.phase_known, side.phase_neg) for side in sides]
+    return [(side.v.phase_known, side.v.phase_neg) for side in sides]
 
 
 class TestDeterminePhases:
@@ -133,19 +134,19 @@ class TestVectorsCompatible:
     """Two vectors are compatible when their profiles are equal (SSVector)."""
 
     def test_case4_pair(self):
-        assert ss(CASE4_F).profile == ss(CASE4_G).profile
+        assert ss(CASE4_F).v.profile == ss(CASE4_G).v.profile
 
     def test_trio_mismatch(self):
-        assert ss(TRIO_A).profile != ss(TRIO_C).profile
+        assert ss(TRIO_A).v.profile != ss(TRIO_C).v.profile
 
     def test_self(self):
-        assert ss(CASE5_F).profile == ss(CASE5_F).profile
+        assert ss(CASE5_F).v.profile == ss(CASE5_F).v.profile
 
     def test_single_bit_flip_detected(self):
         rng = random.Random(41)
         f = random_table(rng, 4)
         g = TruthTable(4, f.bits ^ 1)
-        vf, vg = ss(f), ss(g)
+        vf, vg = ss(f).v, ss(g).v
         # one flipped minterm shifts every per-variable count by one
         assert vf.profile != vg.profile
 
@@ -157,7 +158,7 @@ class TestVectorsCompatible:
             t = random_transform(rng, n, allow_output=False)
             h = apply_np_transform(f, t)
             keys = [sorted(canonical_keys(first_order_pairs(x.bits, x.n))) for x in (f, h)]
-            assert keys[0] == keys[1] == sorted(ss(f).key)
+            assert keys[0] == keys[1] == sorted(ss(f).v.key)
 
     def test_identified_counts_agree_at_every_node(self):
         # the profile skips identified variables because their per-group
