@@ -3,10 +3,11 @@
 The search keeps one Side per function (its table restricted to the
 current cube, its structural signature vector with the phase record, and
 its identified variables) and an ordered mapping list (one tree branch)
-whose first `splits` mappings define the cubes. Each recursion either commits every
-forced (singleton) mapping set, or branches over the smallest multiple set.
-Branches are pruned on vector incompatibility and on phase collisions. The
-search stops at the first complete branch that verifies bit-exactly.
+whose first `splits` mappings define the cubes. Each recursion descends
+once on every forced (singleton) mapping set, or once per candidate of the
+smallest multiple set. Branches are pruned on vector incompatibility and
+on phase collisions. The search stops at the first complete branch that
+verifies bit-exactly.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ class SearchStats:
 
 
 class Observer:
-    """No-op hooks for tracing the search; subclass what you need."""
+    """No-op hooks for tracing the search; subclass what you need. Each
+    descend calls on_commit per mapping, then on_cubes once; a refused
+    forced commit ends it with neither further call."""
 
     def on_arm(self, output_negated: bool):
         pass
@@ -118,11 +121,12 @@ class Side:
     cube as two bit masks (its variables and their values), the table's
     bits restricted to it (an int, as a TruthTable is a whole function),
     its SS vector v with its phase record (signature.SSVector), and the
-    identified bit mask. On an arm that match_npn refutes, both sides hold
-    no classes and the target has root_pairs None, so observers at its root
-    see no classes and no vectors (v None on both sides). A node that
-    update prunes on g's sorted keys leaves g with v None and f with its
-    vector."""
+    identified bit mask. At a complete map list the cube masks hold the
+    last split but restricted does not (see descend). On an arm that
+    match_npn refutes, both sides hold no classes and the target has
+    root_pairs None, so observers at its root see no classes and no
+    vectors (v None on both sides). A node that update prunes on g's
+    sorted keys leaves g with v None and f with its vector."""
 
     __slots__ = (
         "table", "classes", "size", "subjects", "root_pairs", "cube_vars", "cube_vals",
@@ -158,21 +162,12 @@ class Side:
         v = self.v
         return "{" + ",".join(map(str, zip(v.pos, v.neg, self.size, first, v.group))) + "}"
 
-    def narrow(self, i: int, positive: bool) -> None:
-        """Restrict to the literal x_i (positive) or ~x_i."""
-        self.cube_vars |= 1 << i
-        self.cube_vals |= positive << i
-        self.restricted &= (var_mask if positive else low_mask)(self.table.n, i)
-
 
 @dataclass
 class MatchState:
-    """Live state of one transformation search: a Side for f and one for g.
-
-    The sides are restricted to the Shannon splits on map_list[:splits]
-    (see cubes()). The split that completes the map list leaves them as
-    they are, because the node below it only verifies.
-    """
+    """Live state of one transformation search: a Side for f and one for g,
+    restricted to the Shannon splits on map_list[:splits] (see descend);
+    the split that completes the map list enters only their cube masks."""
 
     f: Side
     g: Side
@@ -181,20 +176,13 @@ class MatchState:
     stats: SearchStats = field(default_factory=SearchStats)
     node_cap: Optional[int] = None
 
-    def split_sides(self, m: VarMapping) -> tuple[bool, bool]:
-        """Literal phases of the split on m: f's variable takes its recorded
-        phase (positive when undetermined), g's follows m's polarity."""
-        side_f = not self.f.v.phase_neg >> m.frm & 1
-        return side_f, side_f ^ (m.pol == 1)
-
     def cubes(self) -> tuple[str, str]:
-        """The cubes that the sides are restricted to, for display: x2~x0
-        style, "true" when empty."""
+        """The sides' cubes in split order, for display: x2~x0 style, "true"
+        when empty."""
         cube_f, cube_g = "", ""
         for m in self.map_list[: self.splits]:
-            side_f, side_g = self.split_sides(m)
-            cube_f += f"x{m.frm}" if side_f else f"~x{m.frm}"
-            cube_g += f"x{m.to}" if side_g else f"~x{m.to}"
+            cube_f += f"x{m.frm}" if self.f.cube_vals >> m.frm & 1 else f"~x{m.frm}"
+            cube_g += f"x{m.to}" if self.g.cube_vals >> m.to & 1 else f"~x{m.to}"
         return cube_f or "true", cube_g or "true"
 
     def snapshot(self):
@@ -296,22 +284,33 @@ def candidates(state: MatchState, i: int, peers: int) -> tuple[tuple[VarMapping,
     return tuple(out)
 
 
-def commit_mapping(state: MatchState, m: VarMapping) -> None:
-    state.map_list.append(m)
-    state.f.identified |= 1 << m.frm
-    state.g.identified |= 1 << m.to
-
-
-def extend_cubes(state: MatchState) -> None:
-    """Shannon-split on the oldest committed mapping not yet used: narrow
-    each side by one literal."""
-    m = state.map_list[state.splits]
+def descend(state: MatchState, cand: Sequence[VarMapping], observer=_NULL_OBSERVER) -> bool:
+    """The paper's commit and Shannon expansion: commit cand's mappings in
+    order, then split both sides on map_list[splits], the oldest mapping
+    not yet split on. f's variable takes its recorded phase (positive
+    without one), g's that literal flipped by the mapping's polarity. The
+    cube masks always take both literals, the tables only while the map
+    list is incomplete. False, with no split, at a mapping whose variable
+    of g is already identified, before it commits: two forced subjects can
+    claim one; a branch's peers are free."""
+    f, g, map_list = state.f, state.g, state.map_list
+    for m in cand:
+        if g.identified >> m.to & 1:
+            return False
+        map_list.append(m)
+        f.identified |= 1 << m.frm
+        g.identified |= 1 << m.to
+        observer.on_commit(m)
+    m, n = map_list[state.splits], f.table.n
     state.splits += 1
-    if len(state.map_list) == state.f.table.n:
-        return  # the node below only verifies and reads neither table
-    side_f, side_g = state.split_sides(m)
-    state.f.narrow(m.frm, side_f)
-    state.g.narrow(m.to, side_g)
+    lit_f = ~f.v.phase_neg >> m.frm & 1
+    for side, i, lit in ((f, m.frm, lit_f), (g, m.to, lit_f ^ m.pol)):
+        side.cube_vars |= 1 << i
+        side.cube_vals |= lit << i
+        if len(map_list) < n:
+            side.restricted &= (var_mask if lit else low_mask)(n, i)
+    observer.on_cubes(state)
+    return True
 
 
 def transformation_from_map_list(
@@ -397,10 +396,11 @@ def detect(
     state: MatchState, observer: Observer, siblings: dict
 ) -> Optional[tuple[VarMapping, ...]]:
     """Procedure-2 style DFS. Returns the first complete branch, in search
-    order, that verifies (None when none does) and consumes the state: only
-    a node branching over two or more candidates snapshots it, restoring it
-    after each candidate that fails. The node's depth is state.splits; every
-    level commits a mapping, so the recursion is at most n + 1 deep.
+    order, that verifies (None when none does) and consumes the state. A
+    node descends once on its forced mappings or once per candidate of the
+    set it branches on, restoring a snapshot after each that fails. The
+    node's depth is state.splits; every level commits a mapping, so the
+    recursion is at most n + 1 deep.
 
     siblings is the store that the node above shares among its children
     (see signature.update); a root takes an empty one.
@@ -428,20 +428,11 @@ def detect(
     known = state.f.v.phase_known
     sized = [(peers.bit_count() << (not known >> i & 1), i, peers) for i, peers in sets]
 
-    forced = [(i, peers) for size, i, peers in sized if size == 1]
+    forced = [m for size, i, peers in sized if size == 1 for m in candidates(state, i, peers)[0]]
     if forced:
         # every forced mapping commits together as the one candidate; the
         # nearest ancestor that branched undoes it
-        for i, peers in forced:
-            for m in candidates(state, i, peers)[0]:
-                # two forced subjects can claim the same variable of g
-                if state.g.identified >> m.to & 1:
-                    return None
-                commit_mapping(state, m)
-                observer.on_commit(m)
-        extend_cubes(state)
-        observer.on_cubes(state)
-        return detect(state, observer, {})
+        return detect(state, observer, {}) if descend(state, forced, observer) else None
 
     # the smallest set, the lowest subject on ties; an incomplete map list
     # always leaves a free subject, so there is one
@@ -450,11 +441,7 @@ def detect(
     snap, children = state.snapshot(), {}
     for cand in chosen.candidates:
         observer.on_branch(chosen, cand)
-        for m in cand:
-            commit_mapping(state, m)
-            observer.on_commit(m)
-        extend_cubes(state)
-        observer.on_cubes(state)
+        descend(state, cand, observer)
         if (found := detect(state, observer, children)) is not None:
             return found
         state.restore(snap)

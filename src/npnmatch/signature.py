@@ -16,13 +16,13 @@ from .symmetry import canonical_keys, first_order_pairs
 
 class SSVector:
     """One side's signature at one node, built only by update: per variable
-    the cofactor counts pos and neg, group serial and canonical key
-    (symmetry.canonical_keys); the keys in ascending order (sorted_keys);
-    the compatibility profile, the sorted (group, key, class size) of the
-    variables that are not identified; and the phase record as two bit
-    masks: phase_known marks the variables whose phase is determined,
-    phase_neg those of them whose phase is negative. Each record starts
-    from the previous vector's, none at the root.
+    the cofactor counts pos and neg and the group serial; the variables'
+    canonical keys (symmetry.canonical_keys) in ascending order
+    (sorted_keys); the compatibility profile, the sorted (group, key, class
+    size) of the variables that are not identified; and the phase record
+    as two bit masks: phase_known marks the variables whose phase is
+    determined, phase_neg those of them whose phase is negative. Each
+    record starts from the previous vector's, none at the root.
 
     Two vectors are compatible, a necessary condition for a mapping under
     the current cubes, when their profiles are equal: per group, the
@@ -32,12 +32,10 @@ class SSVector:
     pairs variables of equal group, and an identified variable keeps its
     group, so their per-group counts always agree."""
 
-    __slots__ = (
-        "pos", "neg", "group", "key", "sorted_keys", "profile", "phase_known", "phase_neg",
-    )
+    __slots__ = ("pos", "neg", "group", "sorted_keys", "profile", "phase_known", "phase_neg")
 
-    def __init__(self, pos, neg, group, key, sorted_keys, profile, phase_known, phase_neg):
-        self.pos, self.neg, self.group, self.key = pos, neg, group, key
+    def __init__(self, pos, neg, group, sorted_keys, profile, phase_known, phase_neg):
+        self.pos, self.neg, self.group = pos, neg, group
         self.sorted_keys, self.profile = sorted_keys, profile
         self.phase_known, self.phase_neg = phase_known, phase_neg
 
@@ -130,5 +128,5 @@ def update(state, siblings: dict) -> bool:
             if p != q and not known >> i & 1:
                 known |= 1 << i
                 sign |= (p < q) << i
-        side.v = siblings[slot] = SSVector(pos, neg, group, key, sorted_keys, profile, known, sign)
+        side.v = siblings[slot] = SSVector(pos, neg, group, sorted_keys, profile, known, sign)
     return state.g.v is not None and state.f.v.profile == state.g.v.profile

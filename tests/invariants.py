@@ -245,7 +245,8 @@ class InvariantObserver(Observer):
                 assert hits in (0, cls.size), (depth, cls, state.map_list)
                 self.counts["whole_classes"] += hits == cls.size
                 if not hits and side.v is not None:
-                    marks = {(side.v.group[m], side.v.key[m]) for m in cls.members}
+                    key = canonical_keys(zip(side.v.pos, side.v.neg))
+                    marks = {(side.v.group[m], key[m]) for m in cls.members}
                     assert len(marks) == 1, (depth, cls, state.map_list)
                     self.counts["free_class_checks"] += 1
 
@@ -298,10 +299,10 @@ class InvariantObserver(Observer):
     def _one_key(self, depth, state):
         keys = []
         for side in (state.f, state.g):
-            per_group = {}
+            per_group, key = {}, canonical_keys(zip(side.v.pos, side.v.neg))
             for i in range(side.table.n):
                 if not side.identified >> i & 1:
-                    per_group.setdefault(side.v.group[i], set()).add(side.v.key[i])
+                    per_group.setdefault(side.v.group[i], set()).add(key[i])
             assert all(len(k) == 1 for k in per_group.values()), (depth, state.map_list)
             keys.append(per_group)
         assert keys[0] == keys[1], (depth, state.map_list)

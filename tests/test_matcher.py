@@ -23,8 +23,7 @@ from npnmatch.matcher import (
     Verdict,
     build_mapping_sets,
     candidates,
-    commit_mapping,
-    extend_cubes,
+    descend,
     match_npn,
     transformation_from_map_list,
     verify,
@@ -384,8 +383,7 @@ class TestCase7Walkthrough:
     def test_recursion2_mapping_sets(self):
         state = fresh_state(CASE7_F, CASE7_G)
         update(state, {})
-        commit_mapping(state, VarMapping(2, 5, 1))
-        extend_cubes(state)
+        descend(state, (VarMapping(2, 5, 1),))
         update(state, {})
         sets = build_mapping_sets(state)
         assert [i for i, _ in sets] == [0, 1, 5, 6]
@@ -680,6 +678,53 @@ class TestMatchNPN:
         assert match_npn(CASE7_F, CASE7_G, node_cap=10_000).equivalent
 
 
+class TestDescend:
+    """descend commits a candidate and splits both sides on the oldest
+    mapping not yet split on. f = ~x0 (x1 | x2) | x0 x1 x2 has x0 at
+    negative phase (one minterm under x0, three under ~x0), and g is its
+    image under x0 -> x1 - 1, x1 -> x0 - 0, x2 -> x2 - 0, so the split on
+    x0 -> x1 - 1 takes ~x0 in f and x1 in g."""
+
+    F = TruthTable.from_minterms(3, [2, 4, 6, 7])
+    G = TruthTable.from_minterms(3, [3, 5, 6, 7])
+    X0, X1 = VarMapping(0, 1, 1), VarMapping(1, 0, 0)
+
+    def root(self):
+        state = fresh_state(self.F, self.G, ignore_symmetry=True)
+        assert update(state, {}) and state.f.v.phase_neg & 1
+        return state
+
+    def test_splits_on_the_first_of_two_mappings(self):
+        state, obs = self.root(), RecordingObserver()
+        assert descend(state, (self.X0, self.X1), obs)
+        f, g = state.f, state.g
+        assert state.map_list == [self.X0, self.X1] and state.splits == 1
+        assert (f.identified, g.identified) == (0b011, 0b011)
+        assert (f.cube_vars, f.cube_vals, g.cube_vars, g.cube_vals) == (0b001, 0, 0b010, 0b010)
+        # ~x0 keeps f's minterms 2, 4 and 6, x1 keeps g's 3, 6 and 7
+        assert (f.restricted, g.restricted) == (0b01010100, 0b11001000)
+        assert obs.events == [("commit", "0->1-1"), ("commit", "1->0-0"), ("cubes", "~x0", "x1")]
+
+    def test_a_claimed_variable_of_g_stops_before_its_commit(self):
+        state, obs = self.root(), RecordingObserver()
+        assert not descend(state, (self.X0, VarMapping(2, 1, 0)), obs)
+        f, g = state.f, state.g
+        assert state.map_list == [self.X0] and state.splits == 0
+        assert (f.identified, g.identified) == (0b001, 0b010)
+        assert (f.cube_vars, f.cube_vals, g.cube_vars, g.cube_vals) == (0, 0, 0, 0)
+        assert (f.restricted, g.restricted) == (self.F.bits, self.G.bits)
+        assert obs.events == [("commit", "0->1-1")]
+
+    def test_a_complete_map_list_splits_only_the_cube_masks(self):
+        state, obs = self.root(), RecordingObserver()
+        assert descend(state, (self.X0, self.X1, VarMapping(2, 2, 0)), obs)
+        f, g = state.f, state.g
+        assert len(state.map_list) == 3 and state.splits == 1
+        assert (f.cube_vars, f.cube_vals, g.cube_vars, g.cube_vals) == (0b001, 0, 0b010, 0b010)
+        assert (f.restricted, g.restricted) == (self.F.bits, self.G.bits)
+        assert obs.events[-1] == ("cubes", "~x0", "x1")
+
+
 class TestWholeFunctionTables:
     """A TruthTable holds a whole function; a side's table restricted to a
     cube is a bare int. So a match builds a TruthTable only where it needs
@@ -702,13 +747,13 @@ class TestWholeFunctionTables:
 
         built = counting("tables", TruthTable.__post_init__)
         monkeypatch.setattr(TruthTable, "__post_init__", built)
-        monkeypatch.setattr(Side, "narrow", counting("narrow", Side.narrow))
+        monkeypatch.setattr(matcher, "descend", counting("descend", matcher.descend))
         for name in ("apply_np_transform", "negate"):
             monkeypatch.setattr(matcher, name, counting(name, getattr(matcher, name)))
         for f, g in pairs + [golden]:
             calls.clear()
             result = match_npn(f, g)
-            assert calls["narrow"] > 0, f
+            assert calls["descend"] > 0, f
             assert calls["tables"] == calls["apply_np_transform"] + calls["negate"], (f, calls)
         assert result.witness.output_negated and calls["negate"] == 1, calls
 

@@ -3,7 +3,7 @@ import random
 from npnmatch.boolfn import MAX_VARS, TruthTable, apply_np_transform, low_mask, var_mask
 from npnmatch.signature import update
 from npnmatch import signature
-from npnmatch.matcher import MatchState, Side, VarMapping, commit_mapping, extend_cubes
+from npnmatch.matcher import MatchState, Side, VarMapping, descend
 from npnmatch.symmetry import build_symmetry_classes, canonical_keys, first_order_pairs
 
 from cases import (
@@ -158,7 +158,7 @@ class TestVectorsCompatible:
             t = random_transform(rng, n, allow_output=False)
             h = apply_np_transform(f, t)
             keys = [sorted(canonical_keys(first_order_pairs(x.bits, x.n))) for x in (f, h)]
-            assert keys[0] == keys[1] == sorted(ss(f).v.key)
+            assert keys[0] == keys[1] == ss(f).v.sorted_keys
 
     def test_identified_counts_agree_at_every_node(self):
         # the profile skips identified variables because their per-group
@@ -184,8 +184,7 @@ class TestSiblingVectors:
         snap, children = state.snapshot(), {}
 
         def child():
-            commit_mapping(state, VarMapping(0, 0, 0))
-            extend_cubes(state)
+            descend(state, (VarMapping(0, 0, 0),))
             reused = state.stats.vectors_reused
             assert not update(state, children)
             assert state.f.v is not None and state.g.v is None
