@@ -74,8 +74,12 @@ def _swap_invariant(bits: int, i: int, j: int, low_i: int, mask_j: int, opposite
 
 # Tables above _FOLD_ABOVE inputs fold down to _FOLD_STOP inputs; the
 # variables below the stop are counted by masked popcounts over the folded
-# planes. Median us per function over 21 interleaved rounds, 2-vCPU Xeon,
-# Python 3.11 (with no fold: 20 us at n = 12, 29 us at n = 14):
+# planes. The fold trades popcounts for ANDs, shifts and XORs: at n = 20 a
+# popcount of the 2^20-bit table took 54-56 us (27-29 us for a half), an
+# AND of that width 5-6 us (3-4 us for a half) and a shift by half the
+# width 11-22 us (timeit, min of 7-9; the ranges span runs). All figures
+# here: 2-vCPU Xeon, Python 3.11. Median us per function over 21
+# interleaved rounds (with no fold: 20 us at n = 12, 29 us at n = 14):
 #   n          12   14   15   16   18   20    22
 #   stop 10    29   34   37   51  110  302  1628
 #   stop 11              36   56  113  304  1610
@@ -85,7 +89,9 @@ _FOLD_ABOVE = 14
 _FOLD_STOP = 10
 
 
-def first_order_pairs(bits: int, n: int, skip: int = 0) -> list[tuple[int, int]]:
+def first_order_pairs(
+    bits: int, n: int, skip: int = 0, split: list[int] | None = None
+) -> list[tuple[int, int]]:
     """(|f_{x_i}|, |f_{~x_i}|) for every variable of the table bits over n
     inputs, a whole function or one restricted to a cube; the variables in
     the bit mask skip read (0, 0) and are not counted.
@@ -96,6 +102,13 @@ def first_order_pairs(bits: int, n: int, skip: int = 0) -> list[tuple[int, int]]
     counts x_v from the upper half of every plane, then adds the upper half
     onto the lower one, halving the width. A table of at most _FOLD_ABOVE
     inputs is not folded: each variable takes one masked popcount.
+
+    The fold's first step splits bits on x_{n-1}. A caller that holds that
+    split already passes it as split, the list [lo, hi, |hi|] of the halves
+    at x_{n-1} = 0 and 1 and the upper one's count: above _FOLD_ABOVE
+    inputs the fold starts from it, not from bits, and empties it, so that
+    each half is freed once it is folded. Each plane, too, is dropped once
+    split, so the fold never holds two full levels.
     """
     if n <= _FOLD_ABOVE:
         total = bits.bit_count()
@@ -103,24 +116,32 @@ def first_order_pairs(bits: int, n: int, skip: int = 0) -> list[tuple[int, int]]
             (0, 0) if skip >> i & 1 else (p := (bits & mask).bit_count(), total - p)
             for i, mask in enumerate(var_masks(n))
         ]
+    top = n - 1
+    if split is None:
+        hi = bits >> (1 << top)
+        lo, p = bits & full_mask(top), 0 if skip >> top & 1 else hi.bit_count()
+    else:
+        (lo, hi, p), split[:] = split, ()
     pos = [0] * n
-    planes = [bits]
-    width = _FOLD_STOP
-    for v in range(n - 1, width - 1, -1):
+    pos[top] = p
+    carry = lo & hi
+    planes = [lo ^ hi, carry] if carry else [lo ^ hi]
+    del lo, hi
+    for v in range(top - 1, _FOLD_STOP - 1, -1):
         shift, low = 1 << v, full_mask(v)
         folded, carry = [], 0
-        for b, p in enumerate(planes):
-            hi = p >> shift
+        for b in range(len(planes)):
+            hi, lo, planes[b] = planes[b] >> shift, planes[b] & low, None
             if not skip >> v & 1:
                 pos[v] += hi.bit_count() << b
-            lo = p & low
-            t = lo ^ hi
+            t, c = lo ^ hi, lo & hi
+            del lo, hi
             folded.append(t ^ carry)
-            carry = (lo & hi) ^ (t & carry)
+            carry = c ^ (t & carry)
         if carry:
             folded.append(carry)
         planes = folded
-    live = [(i, mask) for i, mask in enumerate(var_masks(width)) if not skip >> i & 1]
+    live = [(i, mask) for i, mask in enumerate(var_masks(_FOLD_STOP)) if not skip >> i & 1]
     total = 0
     for b, p in enumerate(planes):
         total += p.bit_count() << b

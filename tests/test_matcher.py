@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from functools import cache
 
@@ -28,7 +29,7 @@ from npnmatch.matcher import (
     transformation_from_map_list,
     verify,
 )
-from npnmatch.oracle import exhaustive_match, random_equivalent_pair
+from npnmatch.oracle import exhaustive_match, random_equivalent_pair, random_function
 from npnmatch.signature import update
 from npnmatch.symmetry import (
     _FOLD_ABOVE,
@@ -963,3 +964,109 @@ class TestKeyRefutedArms:
                 seen[builds, folds] += 1
         assert seen[0, 1] >= 10 and seen[0, 2] >= 5 and seen[2, 2] == 5, seen
 
+
+
+@cache
+def n20_pairs():
+    """The n = 20 pairs of the root tests, from the library's generators:
+    weights that allow neither output arm, a balanced pair that g's top
+    input refutes on both arms, and an equivalent pair on the positive arm
+    only."""
+    return {
+        "weights": (random_function(20, "type1_random", 1), random_function(20, "type1_random", 2)),
+        "balanced": (
+            random_function(20, "type2_balanced", 1),
+            random_function(20, "type2_balanced", 2),
+        ),
+        "equivalent": random_equivalent_pair(20, "type1_random", 2)[:2],
+    }
+
+
+class TestRootSplit:
+    """match_npn splits each table once on x_{n-1}, and every root fold
+    starts from that split: each root call of first_order_pairs (the only
+    calls made through matcher's name; the search counts through
+    signature's) gets the split of the table it folds, f's first."""
+
+    @staticmethod
+    def folds(monkeypatch, f, g):
+        """(result, [(table folded, split given)] per root fold)"""
+        real, calls = matcher.first_order_pairs, []
+
+        def counted(bits, n, skip=0, split=None):
+            table = "f" if bits is f.bits else "g" if bits is g.bits else None
+            calls.append((table, split is not None and len(split) == 3))
+            return real(bits, n, skip, split)
+
+        monkeypatch.setattr(matcher, "first_order_pairs", counted)
+        return match_npn(f, g), calls
+
+    def test_weights_that_allow_no_arm_fold_nothing(self, monkeypatch):
+        f, g = n20_pairs()["weights"]
+        assert count_minterms(f) not in (count_minterms(g), (1 << 20) - count_minterms(g))
+        result, calls = self.folds(monkeypatch, f, g)
+        assert not result.equivalent and result.stats.nodes_visited == 0
+        assert calls == []
+
+    def test_gs_top_input_refutes_both_arms_after_fs_fold(self, monkeypatch):
+        f, g = n20_pairs()["balanced"]
+        keys = canonical_keys(first_order_pairs(f.bits, 20))
+        for t in (g, negate(g)):
+            p = (t.bits & var_mask(20, 19)).bit_count()
+            assert canonical_keys([(p, (1 << 19) - p)])[0] not in keys
+        result, calls = self.folds(monkeypatch, f, g)
+        assert not result.equivalent and result.stats.nodes_visited == 2
+        assert calls == [("f", True)]
+
+    def test_an_equivalent_pair_folds_f_then_g(self, monkeypatch):
+        f, g = n20_pairs()["equivalent"]
+        result, calls = self.folds(monkeypatch, f, g)
+        assert result.equivalent and not result.witness.output_negated
+        assert calls == [("f", True), ("g", True)]
+
+
+def traced_widths(f, g):
+    """(peak, held) of one match_npn(f, g) call, after a first call has
+    filled the mask caches: the traced bytes above those at its start, at
+    its peak and when the root's search starts (the first detect call), in
+    widths of one table (2^n bits)."""
+    match_npn(f, g)
+    real, held = matcher.detect, []
+
+    def first(state, observer, siblings):
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0])
+        return real(state, observer, siblings)
+
+    matcher.detect = first
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        match_npn(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        matcher.detect = real
+    width = (1 << f.n) // 8
+    return (peak - base) / width, (held[0] - base) / width
+
+
+class TestRootMemory:
+    """The traced peak of one n = 20 call, in table widths (a Python int of
+    2^20 bits reads 1.067 of them), stays within what the root read before
+    it split each table once (commit d776151): 3.847 widths for the
+    equivalent pair, whose peak is the final verify's transform, and 3.211
+    for the balanced pair, whose peak is f's fold. Each bound adds 0.01
+    width (1.3 KB) for small objects, far less than one half-table int
+    (0.53), and may tighten but must not loosen. At the balanced pair's
+    peak, the first step of f's fold, f's halves, their sum and carry and
+    g's halves are held: three widths of ints, as the whole-table fold held
+    at its second level. The search starts with no half held: both pairs
+    run the positive arm first, whose target is g itself."""
+
+    @pytest.mark.parametrize("name, bound", [("equivalent", 3.86), ("balanced", 3.23)])
+    def test_traced_peak(self, name, bound):
+        peak, held = traced_widths(*n20_pairs()[name])
+        assert peak <= bound, peak
+        assert held < 0.25, held

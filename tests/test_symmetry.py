@@ -4,12 +4,18 @@ import random
 import pytest
 
 from npnmatch.boolfn import (
+    MAX_VARS,
     NPTransformation,
     TruthTable,
     apply_np_transform,
     equal,
+    full_mask,
+    negate,
 )
+from npnmatch.matcher import match_npn
+from npnmatch.oracle import exhaustive_match
 from npnmatch.symmetry import (
+    _FOLD_ABOVE,
     SymmetryClass,
     build_symmetry_classes,
     first_order_pairs,
@@ -17,7 +23,7 @@ from npnmatch.symmetry import (
 
 from cases import CASE4_F, CASE4_G, CASE7_F, CASE7_G, symmetry_flags
 from test_boolfn import antiswap_vars, random_table, random_transform, swap_vars
-from test_golden import _wide_block, maiorana_mcfarland
+from test_golden import _transform, _type2, _wide_block, maiorana_mcfarland
 
 
 def brute_flags(f, i, j):
@@ -305,3 +311,79 @@ class TestTransformedClasses:
                 assert build_symmetry_classes(h) == image_classes(classes, t), (n, t)
                 sizes += [c.size for c in classes]
         assert sizes and max(sizes) >= 3
+
+
+def split_on_top(bits, n):
+    """The fold's first step as match_npn takes it: [lo, hi, |hi|], bits's
+    halves at x_{n-1} = 0 and 1 and the upper one's count."""
+    hi = bits >> (1 << (n - 1))
+    return [bits & full_mask(n - 1), hi, hi.bit_count()]
+
+
+class TestFoldFromSplit:
+    """first_order_pairs started from a given split on x_{n-1} returns the
+    pairs of the whole-table fold, reads the split and not the table, and
+    empties the split."""
+
+    def test_agrees_with_the_whole_table_fold(self):
+        assert _FOLD_ABOVE + 1 == 15
+        rng = random.Random(83)
+        for n in range(15, MAX_VARS + 1):
+            half, low = 1 << (n - 1), full_mask(n - 1)
+            tables = {
+                "random": rng.getrandbits(1 << n),
+                "zero": 0,
+                "one": full_mask(n),
+                "upper half zero": rng.getrandbits(half),
+                "lower half zero": rng.getrandbits(half) << half,
+                "upper half one": rng.getrandbits(half) | low << half,
+            }
+            top = 1 << (n - 1)
+            # none, random ones with and without x_{n-1}, all but x_{n-1}
+            skips = (0, rng.getrandbits(n) & ~top, rng.getrandbits(n) | top, (1 << n) - 1 ^ top)
+            for name, bits in tables.items():
+                for skip in skips:
+                    split = split_on_top(bits, n)
+                    want = first_order_pairs(bits, n, skip)
+                    # bits None: the fold must not read the table
+                    assert first_order_pairs(None, n, skip, split) == want, (n, name, skip)
+                    assert split == [], (n, name)
+
+    @pytest.mark.parametrize("n", [0, 1, 14, 15])
+    def test_match_npn_at_the_fold_boundary(self, n):
+        """n = 14 counts every variable by masked popcounts and n = 15 folds
+        from the root's split. Up to n = 8 the oracle decides every pair
+        below; above it match(f, g), match(g, f), match(f, ~g) and
+        match(T(f), g) agree, and each witness maps its first argument onto
+        its second."""
+        rng = random.Random(89 + n)
+        if n <= 1:
+            tables = [TruthTable(n, v) for v in range(1 << (1 << n))]
+            for f in tables:
+                for g in tables:
+                    result = match_npn(f, g)
+                    assert result.equivalent == (exhaustive_match(f, g) is not None), (f, g)
+                    if result.equivalent:
+                        assert apply_np_transform(f, result.witness) == g, (f, g)
+            return
+        size = 1 << n
+        f = TruthTable(n, rng.getrandbits(size))
+        balanced = TruthTable(n, _type2(rng, n))
+        one = next(m for m in range(size // 2) if f.bits >> m & 1)
+        zero = next(m for m in range(size // 2) if not f.bits >> m & 1)
+        pairs = [
+            (f, apply_np_transform(f, _transform(rng, n))),
+            (balanced, apply_np_transform(balanced, _transform(rng, n))),
+            # a near miss: two minterms exchanged below x_{n-1}, so the top
+            # input's counts agree and the full keys decide
+            (f, TruthTable(n, f.bits ^ (1 << one) ^ (1 << zero))),
+            (balanced, TruthTable(n, _type2(rng, n))),
+        ]
+        for k, (f, g) in enumerate(pairs):
+            tf = apply_np_transform(f, _transform(rng, n))
+            calls = (f, g), (g, f), (f, negate(g)), (tf, g)
+            results = [match_npn(a, b) for a, b in calls]
+            assert all(r.equivalent == (k < 2) for r in results), (n, k)
+            for (a, b), r in zip(calls, results):
+                if r.equivalent:
+                    assert apply_np_transform(a, r.witness) == b, (n, k)

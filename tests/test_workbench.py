@@ -358,14 +358,15 @@ class TestCLI:
 
     def test_negative_node_cap_is_rejected_before_the_search(self, files, capsys, monkeypatch):
         # a cap of 0 visits the root and exceeds its budget there; a
-        # negative cap is refused before the first count
+        # negative cap is refused before the first count (the root split's
+        # mask is its first call)
         with pytest.raises(BudgetExceededError, match="after 1 nodes"):
             match_npn(CASE7_F, CASE7_G, node_cap=0)
 
         def refuse(*args, **kwargs):
             raise AssertionError("search started")
 
-        monkeypatch.setattr(matcher, "count_minterms", refuse)
+        monkeypatch.setattr(matcher, "full_mask", refuse)
         with pytest.raises(ValueError, match="node cap -3 is negative"):
             match_npn(CASE7_F, CASE7_G, node_cap=-3)
         argv = ["match", files("f.tt", CASE7_F), files("g.tt", CASE7_G), "--node-cap", "-1"]
