@@ -13,7 +13,6 @@ from npnmatch.boolfn import (
     negate,
 )
 from npnmatch.matcher import match_npn
-from npnmatch.oracle import exhaustive_match
 from npnmatch.symmetry import (
     _FOLD_ABOVE,
     SymmetryClass,
@@ -349,23 +348,15 @@ class TestFoldFromSplit:
                     assert first_order_pairs(None, n, skip, split) == want, (n, name, skip)
                     assert split == [], (n, name)
 
-    @pytest.mark.parametrize("n", [0, 1, 14, 15])
+    @pytest.mark.parametrize("n", [14, 15])
     def test_match_npn_at_the_fold_boundary(self, n):
         """n = 14 counts every variable by masked popcounts and n = 15 folds
-        from the root's split. Up to n = 8 the oracle decides every pair
-        below; above it match(f, g), match(g, f), match(f, ~g) and
-        match(T(f), g) agree, and each witness maps its first argument onto
-        its second."""
+        from the root's split (n = 0 and 1, where the split has no or one
+        input below it, are checked against the oracle in test_matcher).
+        Above the oracle's limit, match(f, g), match(g, f), match(f, ~g)
+        and match(T(f), g) agree, and each witness maps its first argument
+        onto its second."""
         rng = random.Random(89 + n)
-        if n <= 1:
-            tables = [TruthTable(n, v) for v in range(1 << (1 << n))]
-            for f in tables:
-                for g in tables:
-                    result = match_npn(f, g)
-                    assert result.equivalent == (exhaustive_match(f, g) is not None), (f, g)
-                    if result.equivalent:
-                        assert apply_np_transform(f, result.witness) == g, (f, g)
-            return
         size = 1 << n
         f = TruthTable(n, rng.getrandbits(size))
         balanced = TruthTable(n, _type2(rng, n))
