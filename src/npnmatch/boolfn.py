@@ -132,8 +132,10 @@ def apply_np_transform(f: TruthTable, t: NPTransformation) -> TruthTable:
     Every exchange involves the top input x_{n-1}, and the table is walked as
     its two halves (x_{n-1} = 0 and x_{n-1} = 1), so each exchange is a delta
     swap between two half-width ints (Knuth, TAOCP 4A 7.1.3) and negating
-    x_{n-1} swaps the halves. Nothing spans the full table until the halves
-    are joined at the end.
+    x_{n-1} swaps the halves. The upper half is kept shifted up by the last
+    exchange's distance, so the next exchange realigns it with one shift by
+    the difference of the two distances and needs no other shift. Nothing
+    spans the full table until the halves are joined at the end.
     """
     n = f.n
     if len(t.perm) != n:
@@ -146,29 +148,36 @@ def apply_np_transform(f: TruthTable, t: NPTransformation) -> TruthTable:
     # already applied, so every exchange is a plain one between them and a
     # change of parity swaps them. x_top's cycle is walked first (j = p settles
     # slot j); each other cycle or negated fixed point is then joined to it by
-    # exchanging its x_k, and walked.
+    # exchanging its x_k, and walked. hi holds the upper half shifted up by o,
+    # the distance of the last exchange (0 before the first exchange and after
+    # a swap of the halves, which realigns it).
     perm, neg = list(t.perm), [1 - p for p in t.input_pol]
     if n:
         top = n - 1
         up, masks = 1 << top, var_masks(n)
-        lo, hi = bits & full_mask(top), bits >> up
+        lo, hi, o = bits & full_mask(top), bits >> up, 0
         if neg[top]:
             lo, hi = hi, lo
         p = perm[top]
         for k in range(top, -1, -1):
             j = p if k == top else k if perm[k] != k or neg[k] else top
             while j != top:
-                # the AND is as wide as lo; var_mask(n, j) is clear at
-                # 2^top .. 2^top + 2^j - 1, where hi << d overhangs
+                # x fits in lo: var_mask(n, j) is clear at 2^top .. 2^top +
+                # 2^j - 1, where hi, now shifted by d, overhangs. x is
+                # allocated as wide as hi, so it is released before the next
+                # exchange allocates its own
                 d = 1 << j
-                x = ((hi << d) ^ lo) & masks[j]
+                hi = hi << d - o if d >= o else hi >> o - d
+                x = (hi ^ lo) & masks[j]
                 lo ^= x
-                hi ^= x >> d
+                hi ^= x
+                del x
+                o = d
                 if neg[j]:
-                    lo, hi, neg[j] = hi, lo, 0
+                    lo, hi, o, neg[j] = hi >> o, lo, 0, 0
                 p, perm[j] = perm[j], p
                 j = p
-        bits = hi << up | lo
+        bits = hi << up - o | lo
     if t.output_negated:
         bits ^= full_mask(n)
     return TruthTable(n, bits)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,35 @@ def swap_vars(bits, n, i, j):
 def antiswap_vars(bits, n, i, j):
     """Exchange x_i and x_j, negating both: x_i = x_j = 0 trades with x_i = x_j = 1."""
     return delta_swap(bits, (1 << i) + (1 << j), low_mask(n, i) & low_mask(n, j))
+
+
+def reference_apply(f, t):
+    """apply_np_transform at full width from negate_var and swap_vars: negate
+    each x_k with input_pol[k] = 0, then exchange variables until x_k reads
+    x_{perm[k]} for every k (q[k] is the variable x_k reads so far)."""
+    n, bits = f.n, f.bits
+    for k in range(n):
+        if not t.input_pol[k]:
+            bits = negate_var(bits, n, k)
+    q = list(range(n))
+    for k in range(n):
+        v, w = q[k], t.perm[k]
+        if v != w:
+            bits = swap_vars(bits, n, v, w)
+            q = [w if u == v else v if u == w else u for u in q]
+    if t.output_negated:
+        bits ^= full_mask(n)
+    return TruthTable(n, bits)
+
+
+def top_cycle(n, walk, negated=()):
+    """The transform whose x_{n-1} cycle makes apply_np_transform exchange
+    x_{n-1} with each input of walk in turn, with input_pol 0 at negated."""
+    perm = list(range(n))
+    cycle = [n - 1, *walk]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        perm[a] = b
+    return NPTransformation(tuple(perm), tuple(int(i not in negated) for i in range(n)))
 
 
 def root_vector(f, sym, pairs):
@@ -259,6 +289,33 @@ class TestApplyNPTransform:
             assert apply_np_transform(h, inverse(t)) == f
             assert_minterms_agree(f, t, h, edges + [rng.getrandbits(n) for _ in range(64)])
 
+    def test_full_width_reference_every_transform_n4(self):
+        rng = random.Random(21)
+        f = random_table(rng, 4)
+        for t in all_transformations(4):
+            assert reference_apply(f, t) == brute_apply(f, t), t
+
+    @pytest.mark.parametrize("n", [16, 21, MAX_VARS])
+    def test_carried_offset_against_full_width_reference(self, n):
+        # The walk holds the upper half shifted by the last exchange's
+        # distance 2^j: x_{n-2} leaves the largest offset and x_0 the
+        # smallest. The walks move the offset down and back up, swap the
+        # halves right after the largest offset (x_{n-2} negated), and join
+        # at the largest offset, with x_{n-1} or x_0 negated on the way
+        rng = random.Random(n + 100)
+        f = random_table(rng, n)
+        top, a, b = n - 1, n - 2, n - 3
+        ts = [
+            top_cycle(n, (a, 0, b)),
+            top_cycle(n, (a, 0, b), negated=(a,)),
+            top_cycle(n, (a, b), negated=(a, b)),
+            top_cycle(n, (b, 0, a), negated=(top,)),
+            top_cycle(n, (0, a), negated=(0,)),
+        ]
+        ts.append(NPTransformation(ts[-1].perm, ts[-1].input_pol, True))
+        for t in ts:
+            assert apply_np_transform(f, t) == reference_apply(f, t), t
+
     def test_group_action(self):
         rng = random.Random(9)
         for _ in range(12):
@@ -300,6 +357,43 @@ class TestApplyNPTransform:
         # used to return a 2-input transform
         with pytest.raises(ValueError, match="arity"):
             compose(identity(2), identity(3))
+
+
+def transform_peak_widths(f, ts):
+    """The largest traced peak of apply_np_transform(f, t) over ts, above the
+    bytes traced at the call's start, in widths of one table (2^n bits)."""
+    apply_np_transform(f, ts[0])  # fills the mask caches
+    peaks = []
+    for t in ts:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h = apply_np_transform(f, t)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        del h
+    return max(peaks) / ((1 << f.n) // 8)
+
+
+class TestTransformMemory:
+    """The traced peak of one n = 20 transform, in table widths (a Python int
+    of 2^20 bits reads 1.067 of them), over seeded random transforms and
+    walks that end on the smallest and on the largest offset of the upper
+    half. The peak is the join at the largest offset, 2^18: lo, the upper
+    half shifted by a quarter of the table, that half moved to the top and
+    the joined table. Each exchange releases its delta before the next one
+    allocates, so no exchange comes near it. These transforms read 4.005
+    when the walk shifted the upper half twice per exchange. The bound adds
+    0.01 width for small objects and may tighten but must not loosen."""
+
+    def test_traced_peak_n20(self):
+        rng = random.Random(20)
+        n = 20
+        f = random_table(rng, n)
+        ts = [random_transform(rng, n) for _ in range(8)]
+        ts += [top_cycle(n, (n - 2, 0)), top_cycle(n, (0, n - 2)), top_cycle(n, (0, n - 2), negated=(0,))]
+        assert transform_peak_widths(f, ts) <= 3.48
 
 
 def _bits_of(bits, n):
