@@ -393,7 +393,8 @@ class TestTransformMemory:
         f = random_table(rng, n)
         ts = [random_transform(rng, n) for _ in range(8)]
         ts += [top_cycle(n, (n - 2, 0)), top_cycle(n, (0, n - 2)), top_cycle(n, (0, n - 2), negated=(0,))]
-        assert transform_peak_widths(f, ts) <= 3.48
+        peak = transform_peak_widths(f, ts)
+        assert peak <= 3.48, peak
 
 
 def _bits_of(bits, n):

@@ -1061,10 +1061,10 @@ class TestRootMemory:
     pair reads 3.212, what the root read before it split each table once
     (commit d776151), and its peak is f's fold. Each bound adds 0.01 width
     (1.3 KB) for small objects, far less than one half-table int (0.53),
-    and may tighten but must not loosen. At the balanced pair's
-    peak, the first step of f's fold, f's halves, their sum and carry and
-    g's halves are held: three widths of ints, as the whole-table fold held
-    at its second level. The search starts with no half held: both pairs
+    and may tighten but must not loosen. At the balanced pair's peak, the
+    first step of f's fold, f's halves, their sum and carry and g's halves
+    are held: three widths of ints, as the whole-table fold held at its
+    second level. The search starts with no half held: both pairs
     run the positive arm first, whose target is g itself."""
 
     @pytest.mark.parametrize("name, bound", [("equivalent", 3.33), ("balanced", 3.23)])
