@@ -37,19 +37,24 @@ KIND_ALIASES = {
 }
 
 
-def all_transformations(n: int) -> Iterator[NPTransformation]:
-    """Every NPN transformation, in the reference enumeration order:
-    permutations lexicographic, input polarities as ascending n-bit integers
-    (bit i = polarity of input i), positive output before negative."""
+def _orbit(f: TruthTable) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Per permutation, lexicographic: (perm, images), images[pol_bits] being
+    f's image under perm and polarities pol_bits (bit i: input i). From p - 1
+    to p the inputs up to p's lowest set bit flip; input i negates perm[i]."""
+    n = f.n
     for perm in itertools.permutations(range(n)):
+        bits = apply_np_transform(f, NPTransformation(perm, (0,) * n)).bits
+        flips = [(var_mask(n, k), low_mask(n, k), 1 << k) for k in perm]
+        images = []
         for pol_bits in range(1 << n):
-            pol = tuple((pol_bits >> i) & 1 for i in range(n))
-            yield NPTransformation(perm, pol, False)
-            yield NPTransformation(perm, pol, True)
+            for hi, lo, shift in flips[: (pol_bits & -pol_bits).bit_length()]:
+                bits = (bits & hi) >> shift | (bits & lo) << shift
+            images.append(bits)
+        yield perm, images
 
 
 def exhaustive_match(f: TruthTable, g: TruthTable) -> Optional[NPTransformation]:
-    """First transformation (in reference order) carrying f onto g, if any."""
+    """First transform carrying f onto g, if any, in _orbit's order, positive output first."""
     if f.n != g.n:
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
     if f.n > EXHAUSTIVE_MAX_VARS:
@@ -57,22 +62,16 @@ def exhaustive_match(f: TruthTable, g: TruthTable) -> Optional[NPTransformation]
     n, cf = f.n, count_minterms(f)
     # an input transform keeps the minterm count and an output negation
     # complements it, so the counts rule out one output polarity or both
-    images = ((False, g.bits), (True, g.bits ^ full_mask(n)))
-    targets = {h: neg for neg, h in images if h.bit_count() == cf}
+    outputs = ((False, g.bits), (True, g.bits ^ full_mask(n)))
+    targets = [(h, neg) for neg, h in outputs if h.bit_count() == cf]
     if not targets:
         return None
-    # Per permutation, walk the polarities in reference order on one image:
-    # from pol_bits - 1 to pol_bits the inputs up to its lowest set bit
-    # flip, and flipping input i negates variable perm[i] of the image.
-    for perm in itertools.permutations(range(n)):
-        bits = apply_np_transform(f, NPTransformation(perm, (0,) * n)).bits
-        flips = [(var_mask(n, k), low_mask(n, k), 1 << k) for k in perm]
-        for pol_bits in range(1 << n):
-            for hi, lo, shift in flips[: (pol_bits & -pol_bits).bit_length()]:
-                bits = (bits & hi) >> shift | (bits & lo) << shift
-            if bits in targets:
-                pol = tuple((pol_bits >> i) & 1 for i in range(n))
-                return NPTransformation(perm, pol, targets[bits])
+    for perm, images in _orbit(f):
+        hits = [(images.index(h), neg) for h, neg in targets if h in images]
+        if hits:
+            pol_bits, neg = min(hits)
+            pol = tuple((pol_bits >> i) & 1 for i in range(n))
+            return NPTransformation(perm, pol, neg)
     return None
 
 
@@ -96,16 +95,16 @@ class NPNClasses:
 def enumerate_npn_classes(n: int) -> NPNClasses:
     if not 0 <= n <= ENUMERATE_MAX_VARS:
         raise ValueError(f"n={n} out of range [0, {ENUMERATE_MAX_VARS}]")
-    total = 1 << (1 << n)
-    transforms = list(all_transformations(n))
+    total, full = 1 << (1 << n), full_mask(n)
     canonical = [-1] * total
     reps = []
     for v in range(total):
         if canonical[v] != -1:
             continue
         f = TruthTable(n, v)
-        for t in transforms:
-            canonical[apply_np_transform(f, t).bits] = v
+        for _, images in _orbit(f):
+            for bits in images:
+                canonical[bits] = canonical[bits ^ full] = v
         reps.append(f)
     return NPNClasses(n, tuple(reps), tuple(canonical))
 
@@ -121,7 +120,7 @@ def _random_table(rng: random.Random, n: int, kind: str) -> TruthTable:
     kind = KIND_ALIASES[kind]
     size = 1 << n
     if kind == KIND_TYPE1:
-        return TruthTable(n, rng.getrandbits(size) & full_mask(n))
+        return TruthTable(n, rng.getrandbits(size))
     # rng.sample(range(size), size // 2)'s pool walk, on an array, not a list
     # of ints; a byte per 8 minterms: OR-ing into a growing int is quadratic
     pool, buf = array("I", range(size)), bytearray((size + 7) // 8)

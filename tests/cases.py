@@ -4,10 +4,11 @@ and the reference helpers that only tests call.
 Covers are lists of cubes; a cube is a list of (variable, positive) literals.
 """
 
+import itertools
 from unittest.mock import patch
 
 from npnmatch import matcher, signature
-from npnmatch.boolfn import TruthTable, low_mask, var_mask
+from npnmatch.boolfn import NPTransformation, TruthTable, low_mask, var_mask
 from npnmatch.symmetry import _swap_invariant, first_order_pairs
 
 T, F = True, False
@@ -92,6 +93,17 @@ CASE7_G = tt(7, [
 
 
 # --- reference helpers -----------------------------------------------------
+def all_transformations(n):
+    """Every NPN transformation, in the reference enumeration order:
+    permutations lexicographic, input polarities as ascending n-bit integers
+    (bit i = polarity of input i), positive output before negative."""
+    for perm in itertools.permutations(range(n)):
+        for pol_bits in range(1 << n):
+            pol = tuple((pol_bits >> i) & 1 for i in range(n))
+            yield NPTransformation(perm, pol, False)
+            yield NPTransformation(perm, pol, True)
+
+
 def symmetry_flags(f, i, j):
     """(identical, opposite) results of the two nonskew swap conditions."""
     n = f.n

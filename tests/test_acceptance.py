@@ -19,7 +19,12 @@ from npnmatch.oracle import (
     random_equivalent_pair,
     random_function,
 )
-from npnmatch.symmetry import build_symmetry_classes, first_order_pairs
+from npnmatch.symmetry import (
+    build_symmetry_classes,
+    canonical_keys,
+    complement_pairs,
+    first_order_pairs,
+)
 
 from cases import (
     CASE4_F,
@@ -175,17 +180,12 @@ def test_criterion_3_golden_examples():
 
 
 def _invariant_key(f: TruthTable):
-    n = f.n
-    half = 1 << (n - 1)
-
-    def side(count, pairs):
-        canon = tuple(sorted((max(p, q), min(p, q)) for p, q in pairs))
-        return (min(count, (1 << n) - count), canon)
-
-    pairs = first_order_pairs(f.bits, f.n)
-    neg_pairs = [(half - p, half - q) for p, q in pairs]
-    return min(side(count_minterms(f), pairs),
-               side((1 << n) - count_minterms(f), neg_pairs))
+    """A bucket key that NPN transforms keep: the minterm count up to
+    complement, and the lesser of f's and ~f's sorted canonical pairs."""
+    n, count = f.n, count_minterms(f)
+    pairs = first_order_pairs(f.bits, n)
+    return (min(count, (1 << n) - count),
+            min(tuple(sorted(canonical_keys(p))) for p in (pairs, complement_pairs(pairs, n))))
 
 
 def _match_partition(n: int) -> list[int]:

@@ -17,11 +17,10 @@ from npnmatch.boolfn import (
     var_mask,
 )
 from npnmatch.matcher import MatchState, Side
-from npnmatch.oracle import all_transformations
 from npnmatch.signature import update
 from npnmatch.symmetry import build_symmetry_classes, complement_pairs, first_order_pairs
 
-from cases import CASE3_F, CASE3_G, CASE7_F, CASE7_G, TRIO_A
+from cases import CASE3_F, CASE3_G, CASE7_F, CASE7_G, TRIO_A, all_transformations
 
 
 def brute_apply(f, t):

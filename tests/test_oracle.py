@@ -15,7 +15,6 @@ from npnmatch.boolfn import (
 )
 from npnmatch.matcher import match_npn
 from npnmatch.oracle import (
-    all_transformations,
     enumerate_npn_classes,
     exhaustive_match,
     random_equivalent_pair,
@@ -23,7 +22,7 @@ from npnmatch.oracle import (
 )
 from npnmatch.workbench import serialize_function
 
-from cases import CASE3_F, CASE3_G, TRIO_A, TRIO_C
+from cases import CASE3_F, CASE3_G, TRIO_A, TRIO_C, all_transformations
 from test_boolfn import random_table, random_transform
 from test_golden import _with_weight
 
@@ -110,6 +109,21 @@ class TestEnumerateClasses:
         classes = enumerate_npn_classes(2)
         for rep in classes.representatives:
             assert classes.canonical[rep.bits] == rep.bits
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_same_partition_as_plain_scan(self, n):
+        # the reference applies every transform on its own, without the
+        # orbit walk that enumerate_npn_classes and exhaustive_match share
+        canonical, reps = [-1] * (1 << (1 << n)), []
+        for v in range(len(canonical)):
+            if canonical[v] == -1:
+                f = TruthTable(n, v)
+                for t in all_transformations(n):
+                    canonical[apply_np_transform(f, t).bits] = v
+                reps.append(f)
+        classes = enumerate_npn_classes(n)
+        assert classes.canonical == tuple(canonical)
+        assert classes.representatives == tuple(reps)
 
     def test_canonicalization_matches_exhaustive(self):
         classes = enumerate_npn_classes(3)
