@@ -112,7 +112,9 @@ def update(state, siblings: dict) -> bool:
             # a first vector refines one group that holds every variable
             pairs, old, known, sign = side.root_pairs, [0] * side.table.n, 0, 0
         else:
-            pairs = first_order_pairs(side.restricted, side.table.n, identified)
+            # the side's cube lets a wide table be counted as its cofactor
+            cube = side.cube_vars, side.cube_vals
+            pairs = first_order_pairs(side.restricted, side.table.n, identified, cube=cube)
             old, known, sign = prev.group, prev.phase_known, prev.phase_neg
         key = canonical_keys(pairs)
         sorted_keys = sorted(key)

@@ -24,6 +24,7 @@ from .boolfn import (
     apply_np_transform,  # patched by the benchmark's tracer (npnbench/tracer.py)
     full_mask,
     low_mask,
+    var_mask,
     var_masks,
 )
 
@@ -64,6 +65,9 @@ def _swap_invariant(bits: int, i: int, j: int, low_i: int, mask_j: int, opposite
     to exchange under the mask low_i & mask_j. low_i is low_mask(n, i);
     mask_j is low_mask(n, j) when opposite and var_mask(n, j) otherwise.
 
+    Above _FOLD_ABOVE inputs build_symmetry_classes calls this on the
+    whole table only for a condition that held on a slice of it first
+    (_refute_on_slice), so most full-width tests of a tied pair never run.
     The pair's mask low_i & mask_j is rebuilt on every call, not cached per
     (n, i, j, opposite): at n = 20 each is a 128 KB int, and a cache of them
     took random_n20 peak RSS from 133.8 to 150.1 MB and slowed its time
@@ -85,12 +89,23 @@ def _swap_invariant(bits: int, i: int, j: int, low_i: int, mask_j: int, opposite
 #   stop 11              36   56  113  304  1610
 #   stop 12              42   57  118  315  1606
 #   stop 14              47   83  144  351  1686
+# Above _FOLD_ABOVE inputs two more kernels leave the full table: a swap
+# condition is first tested on a slice of 2^_FOLD_STOP to 2^(_FOLD_STOP+2)
+# bits (_refute_on_slice), and a table restricted to a cube is counted as
+# its compacted cofactor (_cofactor_pairs). At n = 20 a slice test reads
+# 1-10 us against 46 us for the full-width one, and a below-root count
+# over a cube of 1-4 variables 211-405 us against 349-555 us for the
+# masked full-width fold. Up to _FOLD_ABOVE inputs neither runs.
 _FOLD_ABOVE = 14
 _FOLD_STOP = 10
 
 
 def first_order_pairs(
-    bits: int, n: int, skip: int = 0, split: list[int] | None = None
+    bits: int,
+    n: int,
+    skip: int = 0,
+    split: list[int] | None = None,
+    cube: tuple[int, int] = (0, 0),
 ) -> list[tuple[int, int]]:
     """(|f_{x_i}|, |f_{~x_i}|) for every variable of the table bits over n
     inputs, a whole function or one restricted to a cube; the variables in
@@ -109,6 +124,12 @@ def first_order_pairs(
     inputs the fold starts from it, not from bits, and empties it, so that
     each half is freed once it is folded. Each plane, too, is dropped once
     split, so the fold never holds two full levels.
+
+    A table restricted to a cube is zero outside it. A caller that passes
+    the cube as cube, the bit masks (variables, values), has it counted
+    as its cofactor over the other inputs, 2^k times narrower for a cube
+    of k variables, above _FOLD_ABOVE inputs (_cofactor_pairs); the pairs
+    are those of the restricted table either way.
     """
     if n <= _FOLD_ABOVE:
         total = bits.bit_count()
@@ -116,6 +137,8 @@ def first_order_pairs(
             (0, 0) if skip >> i & 1 else (p := (bits & mask).bit_count(), total - p)
             for i, mask in enumerate(var_masks(n))
         ]
+    if cube[0]:
+        return _cofactor_pairs(bits, n, skip, cube)
     top = n - 1
     if split is None:
         hi = bits >> (1 << top)
@@ -150,6 +173,64 @@ def first_order_pairs(
     return [(0, 0) if skip >> i & 1 else (p, total - p) for i, p in enumerate(pos)]
 
 
+def _cofactor_pairs(bits: int, n: int, skip: int, cube: tuple[int, int]) -> list[tuple[int, int]]:
+    """first_order_pairs of bits over n inputs, zero outside the cube
+    (variables, values), from its cofactor over the inputs outside the
+    cube: the paper's Shannon expansion, one cube variable at a time.
+
+    While the table's top input x_t is in the cube, the cofactor keeps
+    the half at x_t's value: the upper one shifted down, or the table as
+    it is, whose upper half is zero. Otherwise a cube variable x_u gives
+    its slot to x_t: the halves lo and hi at x_t = 0 and 1 are each zero
+    wherever x_u differs from its value c, so lo >> 2^u | hi (c = 1) or
+    lo | hi << 2^u (c = 0) is the cofactor, x_t read at slot u: one AND,
+    two shifts and one OR, each as wide as a half. A cube variable never
+    moves, so it is still at its own slot when its turn comes. The
+    cofactor is counted like any table, and its counts move back to the
+    inputs they belong to. A cube variable outside skip reads (|f|, 0) at
+    value 1 and (0, |f|) at value 0."""
+    cube_vars, cube_vals = cube
+    at = list(range(n))  # at[s]: the input of the table at slot s
+    rest = cube_vars
+    while rest:
+        t = len(at) - 1
+        half = 1 << t
+        if rest >> at[t] & 1:
+            u = at[t]
+            if cube_vals >> u & 1:
+                bits >>= half
+        else:
+            u = rest.bit_length() - 1
+            d = 1 << u
+            # each half is built and shifted before the other is taken, so
+            # at most three half-width ints are alive next to bits
+            if cube_vals >> u & 1:
+                bits = (bits & full_mask(t)) >> d | bits >> half
+            else:
+                bits = (bits >> half) << d | bits & full_mask(t)
+            at[u] = at[t]
+        rest ^= 1 << u
+        at.pop()
+    width, counted = len(at), cube_vars & ~skip
+    skipped = sum(1 << s for s, v in enumerate(at) if skip >> v & 1)
+    total = bits.bit_count() if counted else 0
+    split = None
+    if width > _FOLD_ABOVE:
+        # the fold starts from the cofactor's split and frees it; the
+        # cofactor itself is dropped first
+        t = width - 1
+        hi = bits >> (1 << t)
+        split = [bits & full_mask(t), hi, 0 if skipped >> t & 1 else hi.bit_count()]
+        bits = hi = None
+    pairs = [(0, 0)] * n
+    for v, pair in zip(at, first_order_pairs(bits, width, skipped, split)):
+        pairs[v] = pair
+    for v in range(n):
+        if counted >> v & 1:
+            pairs[v] = (total, 0) if cube_vals >> v & 1 else (0, total)
+    return pairs
+
+
 def complement_pairs(pairs: Sequence[tuple[int, int]], n: int) -> list[tuple[int, int]]:
     """first_order_pairs of the complement of f, from those of f: each
     cofactor of ~f over x_i has 2^(n-1) minterms minus f's."""
@@ -162,6 +243,35 @@ def canonical_keys(pairs: Sequence[tuple[int, int]]) -> list[int]:
     negation keeps, packed as max << MAX_VARS | min: a count never exceeds
     2^(MAX_VARS - 1), so the keys order like the (max, min) tuples."""
     return [p << MAX_VARS | q if p >= q else q << MAX_VARS | p for p, q in pairs]
+
+
+def _refute_on_slice(
+    bits: int, n: int, i: int, a: int, identical: bool, opposite: bool
+) -> tuple[bool, bool]:
+    """(identical, opposite), each cleared when that swap of x_i and x_a
+    (i > a) fails on a slice of the table over n > _FOLD_STOP + 2 inputs.
+    A swap that leaves f invariant leaves every cofactor over the other
+    inputs invariant, so a slice can refute a swap but never accept one.
+
+    The slice is the cofactor that sets every input from _FOLD_STOP up to
+    1 except x_i and x_a: the inputs below _FOLD_STOP and those of x_a,
+    then x_i, that lie above them. Each of its 1, 2 or 4 chunks of
+    2^_FOLD_STOP bits is cut from the table with one shift, which copies
+    only what lies above the chunk: the higher x_i, the more."""
+    free = [v for v in (a, i) if v >= _FOLD_STOP]
+    first = (1 << n) - (1 << _FOLD_STOP)  # every input from _FOLD_STOP up set
+    chunk, cut = full_mask(_FOLD_STOP), 0
+    for c in range(1 << len(free)):
+        at = first - sum(1 << v for k, v in enumerate(free) if not c >> k & 1)
+        cut |= (bits >> at & chunk) << (c << _FOLD_STOP)
+    width = _FOLD_STOP + len(free)
+    si = width - 1 if free else i
+    sa = _FOLD_STOP if a >= _FOLD_STOP else a
+    low_i = low_mask(width, si)
+    return (
+        identical and _swap_invariant(cut, si, sa, low_i, var_mask(width, sa), False),
+        opposite and _swap_invariant(cut, si, sa, low_i, low_mask(width, sa), True),
+    )
 
 
 def build_symmetry_classes(
@@ -178,7 +288,10 @@ def build_symmetry_classes(
 
     A swap condition is tested only where the counts allow it: the
     identical swap of x_a and x_i maps f_{x_a} onto f_{x_i}, the opposite
-    one onto f_{~x_i}, so each needs |f_{x_a}| to equal that count.
+    one onto f_{~x_i}, so each needs |f_{x_a}| to equal that count. Above
+    _FOLD_ABOVE inputs a condition that the counts allow is tested on a
+    slice of the table first (_refute_on_slice), and only one that holds
+    there is tested on the whole table.
     """
     n = f.n
     if sig is None:
@@ -191,13 +304,17 @@ def build_symmetry_classes(
     # each variable's masks, looked up once per build from the caches
     bits, var = f.bits, var_masks(n)
     low = [low_mask(n, v) for v in range(n)]
+    wide = n > _FOLD_ABOVE
     for i, (p, q) in enumerate(sig):
         opened = buckets.setdefault(keys[i], [])
         for cls in opened:
             members, pols, _ = cls
             a = members[0]
-            identical = sig[a][0] == p and _swap_invariant(bits, i, a, low[i], var[a], False)
-            opposite = sig[a][0] == q and _swap_invariant(bits, i, a, low[i], low[a], True)
+            identical, opposite = sig[a][0] == p, sig[a][0] == q
+            if wide and (identical or opposite):
+                identical, opposite = _refute_on_slice(bits, n, i, a, identical, opposite)
+            identical = identical and _swap_invariant(bits, i, a, low[i], var[a], False)
+            opposite = opposite and _swap_invariant(bits, i, a, low[i], low[a], True)
             if identical or opposite:
                 if len(members) == 1:
                     cls[2] = identical and opposite

@@ -9,7 +9,12 @@ from unittest.mock import patch
 
 from npnmatch import matcher, signature
 from npnmatch.boolfn import NPTransformation, TruthTable, low_mask, var_mask
-from npnmatch.symmetry import _swap_invariant, first_order_pairs
+from npnmatch.symmetry import (
+    SymmetryClass,
+    _swap_invariant,
+    canonical_keys,
+    first_order_pairs,
+)
 
 T, F = True, False
 
@@ -115,6 +120,32 @@ def symmetry_flags(f, i, j):
         _swap_invariant(f.bits, i, j, low_i, var_mask(n, j), False),
         _swap_invariant(f.bits, i, j, low_i, low_mask(n, j), True),
     )
+
+
+def full_width_classes(f):
+    """build_symmetry_classes with every swap condition tested on the whole
+    table (symmetry_flags), never on a slice: each variable in ascending
+    order joins the first class, among those opened by variables of its
+    canonical first-order key, whose first member it swaps with, at
+    relative polarity 0 when the identical swap holds; the second member
+    decides the double flag."""
+    keys = canonical_keys(first_order_pairs(f.bits, f.n))
+    classes = []  # [members, relative polarities, double]
+    for i in range(f.n):
+        for cls in classes:
+            members, pols, _ = cls
+            if keys[members[0]] != keys[i]:
+                continue
+            identical, opposite = symmetry_flags(f, i, members[0])
+            if identical or opposite:
+                if len(members) == 1:
+                    cls[2] = identical and opposite
+                members.append(i)
+                pols.append(0 if identical else 1)
+                break
+        else:
+            classes.append([[i], [0], False])
+    return [SymmetryClass(tuple(m), tuple(p), d) for m, p, d in classes if len(m) > 1]
 
 
 def vector_side(f, sym, bits=None, identified=0, prev=None):

@@ -34,6 +34,8 @@ import tracemalloc
 from functools import cache
 from pathlib import Path
 
+import pytest
+
 from npnmatch import NPTransformation, TruthTable, apply_np_transform, match_npn, negate
 from npnmatch.boolfn import full_mask, low_mask, var_mask
 from npnmatch.workbench import TraceObserver
@@ -445,6 +447,30 @@ def test_bent_identity_pi_search_size():
     assert (r.stats.nodes_visited, r.stats.verify_calls) == (10950, 4005)
     assert r.stats.vectors_reused == 4012
     assert peak < 1 << 20, peak
+
+
+# (nodes_visited, verify_calls) of the bent pairs below: per n, a random-pi
+# member, the inner product x . y and a second random-pi member
+BENT_WIDE_PINS = {16: [(28, 2), (9, 1), (14, 1)], 20: [(33, 1), (11, 1), (42, 1)]}
+
+
+@pytest.mark.parametrize("n", sorted(BENT_WIDE_PINS))
+def test_bent_search_size_above_the_fold(n):
+    """Seeded bent members above 14 inputs, each against a copy under a
+    hidden NP transform. No outcome digest holds a structured function of
+    more than 14 inputs. Every input of a bent function shares one
+    canonical pair, so the symmetry build tests each pair it compares on a
+    slice first, and every node below the root counts its cube's
+    cofactor: a change to either kernel must keep these counts."""
+    rng = random.Random(BENT_SEED + n)
+    got = []
+    for inner in (False, True, False):
+        f = maiorana_mcfarland(rng, n, inner)
+        g = apply_np_transform(f, _transform(rng, n))
+        r = match_npn(f, g)
+        assert r.equivalent and apply_np_transform(f, r.witness) == g
+        got.append((r.stats.nodes_visited, r.stats.verify_calls))
+    assert got == BENT_WIDE_PINS[n]
 
 
 if __name__ == "__main__":

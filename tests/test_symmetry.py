@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from npnmatch import symmetry
 from npnmatch.boolfn import (
     MAX_VARS,
     NPTransformation,
@@ -10,17 +11,20 @@ from npnmatch.boolfn import (
     apply_np_transform,
     equal,
     full_mask,
+    low_mask,
     negate,
+    var_mask,
 )
 from npnmatch.matcher import match_npn
 from npnmatch.symmetry import (
     _FOLD_ABOVE,
+    _FOLD_STOP,
     SymmetryClass,
     build_symmetry_classes,
     first_order_pairs,
 )
 
-from cases import CASE4_F, CASE4_G, CASE7_F, CASE7_G, symmetry_flags
+from cases import CASE4_F, CASE4_G, CASE7_F, CASE7_G, full_width_classes, symmetry_flags
 from test_boolfn import antiswap_vars, random_table, random_transform, swap_vars
 from test_golden import _transform, _type2, _wide_block, maiorana_mcfarland
 
@@ -295,12 +299,15 @@ def image_classes(classes, t):
 class TestTransformedClasses:
     """Above the brute-force limit: the classes of f under an NP transform
     are the image of f's classes, with the same sizes, double flags and
-    members, and relative polarities moved by the input negations."""
+    members, and relative polarities moved by the input negations. Above
+    _FOLD_ABOVE inputs, where the build refutes on slices first, the
+    classes of f and of its image are also those of the full-width build
+    (cases.full_width_classes)."""
 
     def test_bent_and_block_members(self):
         rng = random.Random(59)
         sizes = []
-        for n in range(12, 19):
+        for n in range(12, MAX_VARS + 1):
             members = [maiorana_mcfarland(rng, n)] if n % 2 == 0 else []
             members.append(TruthTable(n, _wide_block(rng, n)))
             for f in members:
@@ -308,8 +315,100 @@ class TestTransformedClasses:
                 h = apply_np_transform(f, t)
                 classes = build_symmetry_classes(f)
                 assert build_symmetry_classes(h) == image_classes(classes, t), (n, t)
+                if n > _FOLD_ABOVE:
+                    assert classes == full_width_classes(f), n
+                    assert build_symmetry_classes(h) == full_width_classes(h), (n, t)
                 sizes += [c.size for c in classes]
         assert sizes and max(sizes) >= 3
+
+
+def plant_wide(bits, n, i, j, kind):
+    """bits made invariant under the identical swap of x_i and x_j (i > j),
+    the opposite one, or both ("double"), without a loop over minterms:
+    each orbit's cell at x_i = 0 is copied onto its other cell. Disjoint
+    pairs keep each other's symmetry, as in plant."""
+    if kind != "opposite":
+        moving = bits & low_mask(n, i) & var_mask(n, j)  # x_i = 0, x_j = 1
+        bits = bits & ~(var_mask(n, i) & low_mask(n, j)) | swap_vars(moving, n, i, j)
+    if kind != "identical":
+        moving = bits & low_mask(n, i) & low_mask(n, j)  # x_i = x_j = 0
+        bits = bits & ~(var_mask(n, i) & var_mask(n, j)) | antiswap_vars(moving, n, i, j)
+    return bits
+
+
+class TestSliceRefutation:
+    """Above _FOLD_ABOVE inputs the build tests a swap condition on a slice
+    of the table first (symmetry._refute_on_slice): 1, 2 or 4 chunks of
+    2^_FOLD_STOP bits, as none, one or both of the pair's inputs lie at or
+    above _FOLD_STOP. A slice refutes only what the whole table refutes, so
+    the classes equal the full-width build's (cases.full_width_classes)."""
+
+    @staticmethod
+    def shape(i, a):
+        return (i >= _FOLD_STOP) + (a >= _FOLD_STOP)
+
+    def test_planted_pairs_on_every_slice_shape(self, monkeypatch):
+        real, calls = symmetry._refute_on_slice, []
+
+        def recorded(bits, n, i, a, identical, opposite):
+            got = real(bits, n, i, a, identical, opposite)
+            calls.append((n, i, a, (identical, opposite), got))
+            return got
+
+        monkeypatch.setattr(symmetry, "_refute_on_slice", recorded)
+        rng = random.Random(61)
+        kinds = ("identical", "opposite", "double")
+        passed = set()  # (shape, kind) of planted pairs that passed their slice
+        for n in range(_FOLD_ABOVE + 1, MAX_VARS + 1):
+            low, high = list(range(_FOLD_STOP)), list(range(_FOLD_STOP, n))
+            for shape in range(3):
+                rng.shuffle(low)
+                rng.shuffle(high)
+                # shape 0: both inputs below _FOLD_STOP, 1: across, 2: above
+                if shape == 1:
+                    upper, lower = iter(high), iter(low)
+                else:
+                    upper = lower = iter(high if shape == 2 else low)
+                count = min(3, len(high) // 2) if shape == 2 else 3
+                pairs = []
+                for kind in kinds[:count]:
+                    i, j = next(upper), next(lower)
+                    pairs.append((max(i, j), min(i, j), kind))
+                bits = rng.getrandbits(1 << n)
+                for i, j, kind in pairs:
+                    bits = plant_wide(bits, n, i, j, kind)
+                f = TruthTable(n, bits)
+                calls.clear()
+                classes = build_symmetry_classes(f)
+                assert classes == full_width_classes(f), (n, shape)
+                owner = {m: (c.first, c.double) for c in classes for m in c.members}
+                for i, j, kind in pairs:
+                    assert self.shape(i, j) == shape
+                    assert owner[i][0] == owner[j][0], (n, i, j, kind)
+                    assert owner[i][1] == (kind == "double"), (n, i, j, kind)
+                for _, i, a, _, got in calls:
+                    if any(got) and {i, a} in [{x, y} for x, y, _ in pairs]:
+                        passed.add((self.shape(i, a), kinds[(got[1] and not got[0]) + 2 * all(got)]))
+        assert passed == {(shape, kind) for shape in range(3) for kind in kinds}, passed
+
+    def test_slice_refutes_only_what_the_table_refutes(self):
+        # bent members put every pair in one bucket, so every pair reaches
+        # its slice, and most are refuted there
+        rng = random.Random(67)
+        refuted = 0
+        for n in range(16, MAX_VARS + 1, 2):
+            f = maiorana_mcfarland(rng, n)
+            sig = first_order_pairs(f.bits, n)
+            for i in range(n):
+                for a in range(i):
+                    want = (sig[a][0] == sig[i][0], sig[a][0] == sig[i][1])
+                    got = symmetry._refute_on_slice(f.bits, n, i, a, *want)
+                    for w, g, full in zip(want, got, symmetry_flags(f, i, a)):
+                        # a slice never adds a condition the counts rule
+                        # out, nor drops one that the whole table holds
+                        assert g <= w and g >= (w and full), (n, i, a)
+                    refuted += any(want) and not any(got)
+        assert refuted > 100, refuted
 
 
 def split_on_top(bits, n):
@@ -378,3 +477,50 @@ class TestFoldFromSplit:
             for (a, b), r in zip(calls, results):
                 if r.equivalent:
                     assert apply_np_transform(a, r.witness) == b, (n, k)
+
+
+def restrict(bits, n, cube_vars, cube_vals):
+    """bits ANDed with each cube literal, as descend restricts a side."""
+    for v in range(n):
+        if cube_vars >> v & 1:
+            bits &= var_mask(n, v) if cube_vals >> v & 1 else low_mask(n, v)
+    return bits
+
+
+class TestCofactorCounts:
+    """Given the cube of a restricted table, first_order_pairs counts its
+    compacted cofactor above _FOLD_ABOVE inputs and returns the pairs of
+    the masked full-width fold, for any skip mask."""
+
+    def test_agrees_with_the_masked_fold(self):
+        rng = random.Random(101)
+        shapes = set()
+        for n in range(_FOLD_ABOVE + 1, MAX_VARS + 1):
+            cubes = [[n - 1], [0], [0, n - 1]]
+            if n - _FOLD_ABOVE <= 4:
+                # leaves _FOLD_ABOVE inputs: the cofactor takes masked popcounts
+                cubes.append(rng.sample(range(n), n - _FOLD_ABOVE))
+            cubes += [rng.sample(range(n), rng.randint(1, 4)) for _ in range(4)]
+            for cube in cubes:
+                cube_vars = sum(1 << v for v in cube)
+                for _ in range(2):
+                    cube_vals = rng.getrandbits(n) & cube_vars
+                    bits = restrict(rng.getrandbits(1 << n), n, cube_vars, cube_vals)
+                    # the search's skip holds the cube; the others need not
+                    for skip in (0, rng.getrandbits(n), cube_vars | rng.getrandbits(n)):
+                        want = first_order_pairs(bits, n, skip)
+                        got = first_order_pairs(bits, n, skip, cube=(cube_vars, cube_vals))
+                        assert got == want, (n, cube, cube_vals, skip)
+                    shapes.add(n - len(cube) <= _FOLD_ABOVE)
+        assert shapes == {False, True}
+
+    def test_empty_and_full_cofactors(self):
+        # an all-zero or all-one cofactor, and a cube on every input
+        n = _FOLD_ABOVE + 2
+        for cube_vars in (0b101 << 7, (1 << n) - 1):
+            for cube_vals in (0, cube_vars, cube_vars & 0x5555):
+                ones = restrict(full_mask(n), n, cube_vars, cube_vals)
+                for bits in (0, ones):
+                    for skip in (0, cube_vars):
+                        got = first_order_pairs(bits, n, skip, cube=(cube_vars, cube_vals))
+                        assert got == first_order_pairs(bits, n, skip), (cube_vars, cube_vals)
