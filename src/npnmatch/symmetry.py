@@ -16,6 +16,7 @@ member, so one test against that member decides membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .boolfn import (
@@ -67,7 +68,8 @@ def _swap_invariant(bits: int, i: int, j: int, low_i: int, mask_j: int, opposite
 
     Above _FOLD_ABOVE inputs build_symmetry_classes calls this on the
     whole table only for a condition that held on a slice of it first
-    (_refute_on_slice), so most full-width tests of a tied pair never run.
+    (_sliced_swap_invariant), so most full-width tests of a tied pair
+    never run.
     The pair's mask low_i & mask_j is rebuilt on every call, not cached per
     (n, i, j, opposite): at n = 20 each is a 128 KB int, and a cache of them
     took random_n20 peak RSS from 133.8 to 150.1 MB and slowed its time
@@ -91,7 +93,7 @@ def _swap_invariant(bits: int, i: int, j: int, low_i: int, mask_j: int, opposite
 #   stop 14              47   83  144  351  1686
 # Above _FOLD_ABOVE inputs two more kernels leave the full table: a swap
 # condition is first tested on a slice of 2^_FOLD_STOP to 2^(_FOLD_STOP+2)
-# bits (_refute_on_slice), and a table restricted to a cube is counted as
+# bits (_sliced_swap_invariant), and a table restricted to a cube is counted as
 # its compacted cofactor (_cofactor_pairs). At n = 20 a slice test reads
 # 1-10 us against 46 us for the full-width one, and a below-root count
 # over a cube of 1-4 variables 211-405 us against 349-555 us for the
@@ -245,20 +247,20 @@ def canonical_keys(pairs: Sequence[tuple[int, int]]) -> list[int]:
     return [p << MAX_VARS | q if p >= q else q << MAX_VARS | p for p, q in pairs]
 
 
-def _refute_on_slice(
-    bits: int, n: int, i: int, a: int, identical: bool, opposite: bool
-) -> tuple[bool, bool]:
-    """(identical, opposite), each cleared when that swap of x_i and x_a
-    (i > a) fails on a slice of the table over n > _FOLD_STOP + 2 inputs.
-    A swap that leaves f invariant leaves every cofactor over the other
-    inputs invariant, so a slice can refute a swap but never accept one.
+def _sliced_swap_invariant(
+    n: int, bits: int, i: int, j: int, low_i: int, mask_j: int, opposite: bool
+) -> bool:
+    """_swap_invariant of the table bits over n > _FOLD_STOP + 2 inputs,
+    tested first on a slice of it. A swap that leaves f invariant leaves
+    every cofactor over the other inputs invariant, so the slice can
+    refute the swap but never accept it: only the full-width test does.
 
     The slice is the cofactor that sets every input from _FOLD_STOP up to
-    1 except x_i and x_a: the inputs below _FOLD_STOP and those of x_a,
+    1 except x_i and x_j: the inputs below _FOLD_STOP and those of x_j,
     then x_i, that lie above them. Each of its 1, 2 or 4 chunks of
     2^_FOLD_STOP bits is cut from the table with one shift, which copies
     only what lies above the chunk: the higher x_i, the more."""
-    free = [v for v in (a, i) if v >= _FOLD_STOP]
+    free = [v for v in (j, i) if v >= _FOLD_STOP]
     first = (1 << n) - (1 << _FOLD_STOP)  # every input from _FOLD_STOP up set
     chunk, cut = full_mask(_FOLD_STOP), 0
     for c in range(1 << len(free)):
@@ -266,11 +268,10 @@ def _refute_on_slice(
         cut |= (bits >> at & chunk) << (c << _FOLD_STOP)
     width = _FOLD_STOP + len(free)
     si = width - 1 if free else i
-    sa = _FOLD_STOP if a >= _FOLD_STOP else a
-    low_i = low_mask(width, si)
-    return (
-        identical and _swap_invariant(cut, si, sa, low_i, var_mask(width, sa), False),
-        opposite and _swap_invariant(cut, si, sa, low_i, low_mask(width, sa), True),
+    sj = _FOLD_STOP if j >= _FOLD_STOP else j
+    mask = (low_mask if opposite else var_mask)(width, sj)
+    return _swap_invariant(cut, si, sj, low_mask(width, si), mask, opposite) and _swap_invariant(
+        bits, i, j, low_i, mask_j, opposite
     )
 
 
@@ -290,8 +291,8 @@ def build_symmetry_classes(
     identical swap of x_a and x_i maps f_{x_a} onto f_{x_i}, the opposite
     one onto f_{~x_i}, so each needs |f_{x_a}| to equal that count. Above
     _FOLD_ABOVE inputs a condition that the counts allow is tested on a
-    slice of the table first (_refute_on_slice), and only one that holds
-    there is tested on the whole table.
+    slice of the table first (_sliced_swap_invariant), and only one that
+    holds there is tested on the whole table.
     """
     n = f.n
     if sig is None:
@@ -304,17 +305,14 @@ def build_symmetry_classes(
     # each variable's masks, looked up once per build from the caches
     bits, var = f.bits, var_masks(n)
     low = [low_mask(n, v) for v in range(n)]
-    wide = n > _FOLD_ABOVE
+    swap = _swap_invariant if n <= _FOLD_ABOVE else partial(_sliced_swap_invariant, n)
     for i, (p, q) in enumerate(sig):
         opened = buckets.setdefault(keys[i], [])
         for cls in opened:
             members, pols, _ = cls
             a = members[0]
-            identical, opposite = sig[a][0] == p, sig[a][0] == q
-            if wide and (identical or opposite):
-                identical, opposite = _refute_on_slice(bits, n, i, a, identical, opposite)
-            identical = identical and _swap_invariant(bits, i, a, low[i], var[a], False)
-            opposite = opposite and _swap_invariant(bits, i, a, low[i], low[a], True)
+            identical = sig[a][0] == p and swap(bits, i, a, low[i], var[a], False)
+            opposite = sig[a][0] == q and swap(bits, i, a, low[i], low[a], True)
             if identical or opposite:
                 if len(members) == 1:
                     cls[2] = identical and opposite

@@ -338,27 +338,29 @@ def plant_wide(bits, n, i, j, kind):
 
 class TestSliceRefutation:
     """Above _FOLD_ABOVE inputs the build tests a swap condition on a slice
-    of the table first (symmetry._refute_on_slice): 1, 2 or 4 chunks of
-    2^_FOLD_STOP bits, as none, one or both of the pair's inputs lie at or
-    above _FOLD_STOP. A slice refutes only what the whole table refutes, so
-    the classes equal the full-width build's (cases.full_width_classes)."""
+    of the table first (symmetry._sliced_swap_invariant): 1, 2 or 4 chunks
+    of 2^_FOLD_STOP bits, as none, one or both of the pair's inputs lie at
+    or above _FOLD_STOP. A slice refutes only what the whole table
+    refutes, so the classes equal the full-width build's
+    (cases.full_width_classes)."""
 
     @staticmethod
     def shape(i, a):
         return (i >= _FOLD_STOP) + (a >= _FOLD_STOP)
 
     def test_planted_pairs_on_every_slice_shape(self, monkeypatch):
-        real, calls = symmetry._refute_on_slice, []
+        real, accepted = symmetry._sliced_swap_invariant, {}
 
-        def recorded(bits, n, i, a, identical, opposite):
-            got = real(bits, n, i, a, identical, opposite)
-            calls.append((n, i, a, (identical, opposite), got))
+        def recorded(n, bits, i, a, low_i, mask_a, opposite):
+            got = real(n, bits, i, a, low_i, mask_a, opposite)
+            if got:
+                accepted.setdefault((i, a), set()).add(opposite)
             return got
 
-        monkeypatch.setattr(symmetry, "_refute_on_slice", recorded)
+        monkeypatch.setattr(symmetry, "_sliced_swap_invariant", recorded)
         rng = random.Random(61)
-        kinds = ("identical", "opposite", "double")
-        passed = set()  # (shape, kind) of planted pairs that passed their slice
+        kinds = {"identical": {False}, "opposite": {True}, "double": {False, True}}
+        passed = set()  # (shape, kind) of planted pairs that passed their slices
         for n in range(_FOLD_ABOVE + 1, MAX_VARS + 1):
             low, high = list(range(_FOLD_STOP)), list(range(_FOLD_STOP, n))
             for shape in range(3):
@@ -371,14 +373,14 @@ class TestSliceRefutation:
                     upper = lower = iter(high if shape == 2 else low)
                 count = min(3, len(high) // 2) if shape == 2 else 3
                 pairs = []
-                for kind in kinds[:count]:
+                for kind in list(kinds)[:count]:
                     i, j = next(upper), next(lower)
                     pairs.append((max(i, j), min(i, j), kind))
                 bits = rng.getrandbits(1 << n)
                 for i, j, kind in pairs:
                     bits = plant_wide(bits, n, i, j, kind)
                 f = TruthTable(n, bits)
-                calls.clear()
+                accepted.clear()
                 classes = build_symmetry_classes(f)
                 assert classes == full_width_classes(f), (n, shape)
                 owner = {m: (c.first, c.double) for c in classes for m in c.members}
@@ -386,29 +388,39 @@ class TestSliceRefutation:
                     assert self.shape(i, j) == shape
                     assert owner[i][0] == owner[j][0], (n, i, j, kind)
                     assert owner[i][1] == (kind == "double"), (n, i, j, kind)
-                for _, i, a, _, got in calls:
-                    if any(got) and {i, a} in [{x, y} for x, y, _ in pairs]:
-                        passed.add((self.shape(i, a), kinds[(got[1] and not got[0]) + 2 * all(got)]))
+                    if accepted.get((i, j)) == kinds[kind]:
+                        passed.add((shape, kind))
         assert passed == {(shape, kind) for shape in range(3) for kind in kinds}, passed
 
-    def test_slice_refutes_only_what_the_table_refutes(self):
+    def test_slice_refutes_only_what_the_table_refutes(self, monkeypatch):
         # bent members put every pair in one bucket, so every pair reaches
         # its slice, and most are refuted there
+        real, full_width = symmetry._swap_invariant, []
+
+        def counted(bits, *args):
+            full_width.append(bits.bit_length() > 1 << (_FOLD_STOP + 2))
+            return real(bits, *args)
+
+        monkeypatch.setattr(symmetry, "_swap_invariant", counted)
         rng = random.Random(67)
-        refuted = 0
+        tested = 0
         for n in range(16, MAX_VARS + 1, 2):
             f = maiorana_mcfarland(rng, n)
             sig = first_order_pairs(f.bits, n)
             for i in range(n):
                 for a in range(i):
-                    want = (sig[a][0] == sig[i][0], sig[a][0] == sig[i][1])
-                    got = symmetry._refute_on_slice(f.bits, n, i, a, *want)
-                    for w, g, full in zip(want, got, symmetry_flags(f, i, a)):
-                        # a slice never adds a condition the counts rule
-                        # out, nor drops one that the whole table holds
-                        assert g <= w and g >= (w and full), (n, i, a)
-                    refuted += any(want) and not any(got)
-        assert refuted > 100, refuted
+                    for opposite, want in enumerate((sig[a][0] == sig[i][0], sig[a][0] == sig[i][1])):
+                        if not want:
+                            continue
+                        mask = (low_mask if opposite else var_mask)(n, a)
+                        got = symmetry._sliced_swap_invariant(
+                            n, f.bits, i, a, low_mask(n, i), mask, bool(opposite)
+                        )
+                        assert got == symmetry_flags(f, i, a)[opposite], (n, i, a, opposite)
+                        tested += 1
+        # a condition the slice lets through runs one full-width test
+        refuted = tested - sum(full_width)
+        assert refuted > 100, (tested, refuted)
 
 
 def split_on_top(bits, n):
