@@ -93,11 +93,14 @@ def _swap_invariant(bits: int, i: int, j: int, low_i: int, mask_j: int, opposite
 #   stop 14              47   83  144  351  1686
 # Above _FOLD_ABOVE inputs two more kernels leave the full table: a swap
 # condition is first tested on a slice of 2^_FOLD_STOP to 2^(_FOLD_STOP+2)
-# bits (_sliced_swap_invariant), and a table restricted to a cube is counted as
-# its compacted cofactor (_cofactor_pairs). At n = 20 a slice test reads
-# 1-10 us against 46 us for the full-width one, and a below-root count
-# over a cube of 1-4 variables 211-405 us against 349-555 us for the
-# masked full-width fold. Up to _FOLD_ABOVE inputs neither runs.
+# bits (_sliced_swap_invariant), and a table restricted to a cube is
+# counted as its compacted cofactor (_cofactor_pairs). At n = 20 (timeit,
+# two runs; BENCH_a4194eb.json) a swap test that the slice refutes took
+# 2-12 us for a pair below x_13 and 19-79 us for a pair with x_19,
+# against 27-133 us for the full-width test; a below-root count over a
+# cube of 1-4 variables took 114-242 us against 207-419 us for the masked
+# full-width fold, except over x_19 alone, which read the same either way.
+# Up to _FOLD_ABOVE inputs neither runs.
 _FOLD_ABOVE = 14
 _FOLD_STOP = 10
 
@@ -250,10 +253,11 @@ def canonical_keys(pairs: Sequence[tuple[int, int]]) -> list[int]:
 def _sliced_swap_invariant(
     n: int, bits: int, i: int, j: int, low_i: int, mask_j: int, opposite: bool
 ) -> bool:
-    """_swap_invariant of the table bits over n > _FOLD_STOP + 2 inputs,
-    tested first on a slice of it. A swap that leaves f invariant leaves
-    every cofactor over the other inputs invariant, so the slice can
-    refute the swap but never accept it: only the full-width test does.
+    """_swap_invariant of x_i and x_j (i > j) on the table bits over
+    n > _FOLD_STOP + 2 inputs, tested first on a slice of it. A swap that
+    leaves f invariant leaves every cofactor over the other inputs
+    invariant, so the slice can refute the swap but never accept it: only
+    the full-width test does.
 
     The slice is the cofactor that sets every input from _FOLD_STOP up to
     1 except x_i and x_j: the inputs below _FOLD_STOP and those of x_j,
@@ -270,9 +274,8 @@ def _sliced_swap_invariant(
     si = width - 1 if free else i
     sj = _FOLD_STOP if j >= _FOLD_STOP else j
     mask = (low_mask if opposite else var_mask)(width, sj)
-    return _swap_invariant(cut, si, sj, low_mask(width, si), mask, opposite) and _swap_invariant(
-        bits, i, j, low_i, mask_j, opposite
-    )
+    sliced = _swap_invariant(cut, si, sj, low_mask(width, si), mask, opposite)
+    return sliced and _swap_invariant(bits, i, j, low_i, mask_j, opposite)
 
 
 def build_symmetry_classes(
