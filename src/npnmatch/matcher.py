@@ -210,35 +210,32 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     k = sign_f[i] ^ sign_g[j] with one. When the counts differ, k must also
     be the first-order case [|f_{x_i}| != a]. It is not exactly when one of
     the two records, not both, disagrees with its counts (phase_neg is not
-    [|x| < |~x|]): a phase collision, dropped from the peers and reported,
+    the vector's lesser mask): a phase collision, dropped and reported,
     plain subjects first, each in ascending (i, j) order. A class pair is
     decided on its first members: under a cube over other variables every
     member reads the first member's group, key, counts and record, the last
     two swapped when its relative_pol is 1.
     """
     f, g = state.f, state.g
-    group_f, pos_f, neg_f, size_f = f.v.group, f.v.pos, f.v.neg, f.size
-    group_g, pos_g, neg_g, size_g = g.v.group, g.v.pos, g.v.neg, g.size
+    group_f, size_f, group_g, size_g = f.v.group, f.size, g.v.group, g.size
     sign_f, sign_g = f.v.phase_neg, g.v.phase_neg
+    flip_f, flip_g = sign_f ^ f.v.lesser, sign_g ^ g.v.lesser  # records that disagree
     free_f, free_g = f.subjects & ~f.identified, g.subjects & ~g.identified
     n = f.table.n
 
-    # g's free subjects by (class size, group), and flip_g: those whose
-    # record disagrees with their counts
-    by_key, flip_g = {}, sign_g
+    # g's free subjects by (class size, group)
+    by_key = {}
     for j in range(n):
         if free_g >> j & 1:
             key = size_g[j], group_g[j]
             by_key[key] = by_key.get(key, 0) | 1 << j
-            flip_g ^= (pos_g[j] < neg_g[j]) << j
 
     sets, clashes = [], []
     for i in range(n):
         if not free_f >> i & 1:
             continue
         peers = by_key.get((size_f[i], group_f[i]), 0)
-        p, q = pos_f[i], neg_f[i]
-        if p != q and (clash := peers & (flip_g ^ -((sign_f >> i ^ (p < q)) & 1))):
+        if f.v.unequal >> i & 1 and (clash := peers & (flip_g ^ -(flip_f >> i & 1))):
             peers ^= clash
             clashes.append((i in f.classes, i, clash))
         sets.append((i, peers))
@@ -359,38 +356,33 @@ def _probe_draws(n: int) -> tuple[int, int]:
     return lanes, random.Random(n).getrandbits(_PROBES * n)
 
 
-def _probes_agree(f: TruthTable, g: TruthTable, t: NPTransformation) -> bool:
-    """g(m) = f(a), a = T m the point that apply_np_transform reads for m,
-    on every probe m. m's top _PROBE_TOP inputs are 1, and for each of f's
-    top inputs k, m's input perm[k] reads 1 ^ neg[k] so that a_k = 1: where
-    the two collide (neg[k] = 1 and perm[k] among m's top inputs), the
-    lower of the bits k and perm[k] gives way. All probes are computed at
-    once, one lane each."""
+def verify(f: TruthTable, g: TruthTable, map_list: Sequence[VarMapping]) -> bool:
+    """g = f under the complete map list's transform T (output not negated):
+    perm[k] = j and neg[k] = p for each mapping k -> j - p. Only the exact
+    full-width comparison accepts, and only it builds T. Probe minterms,
+    all computed at once, one lane each, refute most wrong lists first:
+    g(m) = f(a) must hold for a = T m, the point that apply_np_transform
+    reads for m. m's top _PROBE_TOP inputs are 1, and for each of f's top
+    inputs k, m's input perm[k] reads 1 ^ neg[k] so that a_k = 1: where the
+    two collide (neg[k] = 1 and perm[k] among m's top inputs), the lower of
+    the bits k and perm[k] gives way."""
     n = f.n
+    if len(map_list) != n:
+        raise ValueError(f"map list has {len(map_list)} of {n} mappings")
     lanes, m = _probe_draws(n)
     top = min(_PROBE_TOP, n)
     m |= lanes * ((1 << n) - (1 << (n - top)))
-    perm, pol = t.perm, t.input_pol
-    for k in range(n - top, n):
-        if pol[k] or perm[k] <= k:
-            j = lanes << perm[k]
-            m = m | j if pol[k] else m & ~j
+    for k, j, p in sorted(x for x in map_list if x.frm >= n - top):
+        if not p or j <= k:
+            m = m & ~(lanes << j) if p else m | lanes << j
     a = 0
-    for k in range(n):
-        a |= (m >> perm[k] & lanes ^ lanes * (1 - pol[k])) << k
+    for k, j, p in map_list:
+        a |= (m >> j & lanes ^ lanes * p) << k
     lane = (1 << n) - 1
     for p in range(_PROBES):
         if (g.bits >> (m >> p * n & lane) ^ f.bits >> (a >> p * n & lane)) & 1:
             return False
-    return True
-
-
-def verify(f: TruthTable, g: TruthTable, map_list: Sequence[VarMapping]) -> bool:
-    """g = f under the map list's transform (output not negated). Probe
-    minterms refute most wrong lists; only the exact full-width comparison
-    accepts."""
-    t = transformation_from_map_list(map_list, f.n)
-    return _probes_agree(f, g, t) and equal(apply_np_transform(f, t), g)
+    return equal(apply_np_transform(f, transformation_from_map_list(map_list, n)), g)
 
 
 def detect(
@@ -423,13 +415,20 @@ def detect(
     observer.on_vectors(state.splits, state)
 
     sets = build_mapping_sets(state, observer)
-    if not all(peers for _, peers in sets):
-        return None
-    # each peer gives one candidate per polarity the phase record allows
-    known = state.f.v.phase_known
-    sized = [(peers.bit_count() << (not known >> i & 1), i, peers) for i, peers in sets]
-
-    forced = [m for size, i, peers in sized if size == 1 for m in candidates(state, i, peers)[0]]
+    # a peer gives a candidate per polarity the phase record allows
+    known, sign_f, sign_g = state.f.v.phase_known, state.f.v.phase_neg, state.g.v.phase_neg
+    forced, best = [], None
+    for i, peers in sets:
+        if not peers:
+            return None
+        size = peers.bit_count() << (not known >> i & 1)
+        if size == 1 and i in state.f.classes:
+            forced += candidates(state, i, peers)[0]
+        elif size == 1:
+            j = peers.bit_length() - 1
+            forced.append(VarMapping(i, j, (sign_f >> i ^ sign_g >> j) & 1))
+        elif best is None or size < best[0]:
+            best = size, i, peers
     if forced:
         # every forced mapping commits together as the one candidate; the
         # nearest ancestor that branched undoes it
@@ -437,7 +436,7 @@ def detect(
 
     # the smallest set, the lowest subject on ties; an incomplete map list
     # always leaves a free subject, so there is one
-    _, i, peers = min(sized)
+    _, i, peers = best
     chosen = MappingSet(i, candidates(state, i, peers))
     snap, children = state.snapshot(), {}
     for cand in chosen.candidates:
