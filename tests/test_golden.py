@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import random
 import sys
 import time
 import tracemalloc
 from functools import cache
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -146,10 +148,18 @@ def _balanced(rng, n):
     return _shuffled(rng, n, full_mask(n) >> (1 << (n - 1)))
 
 
+# _wide_block builds its tables in chunks over this many low inputs
+_CHUNK_INPUTS = 10
+
+
 def _wide_block(rng, n):
-    """_block built from per-block weight masks instead of a loop over
-    minterms: blocks of 3 to 6 inputs, read through their weight under
-    random literal polarities, combined by a random table over the weights."""
+    """_block built without a loop over all 2^n minterms: blocks of 3 to 6
+    inputs, read through their weight under random literal polarities,
+    combined by a random table over the weights. A minterm's weight vector
+    is that of its low _CHUNK_INPUTS inputs plus that of the others, so the
+    table is joined from chunks of 2^_CHUNK_INPUTS bits, one per weight
+    vector of the others, each the union of the low inputs' weight classes
+    that the table sets."""
     order = list(range(n))
     rng.shuffle(order)
     blocks = []
@@ -157,29 +167,27 @@ def _wide_block(rng, n):
         size = min(len(order), rng.randint(3, 6))
         blocks.append(order[:size])
         order = order[size:]
-    full = full_mask(n)
-    weights = []  # weights[b][w]: minterms whose block b has weight w
-    for block in blocks:
-        masks = [full]
-        for v in block:
-            one = var_mask(n, v) if rng.getrandbits(1) else full ^ var_mask(n, v)
-            zero = full ^ one
-            masks = [
-                (masks[w] & zero if w < len(masks) else 0)
-                | (masks[w - 1] & one if w else 0)
-                for w in range(len(masks) + 1)
-            ]
-        weights.append(masks)
+    # the inputs read at value 0, then one value per weight vector in
+    # lexicographic order
+    flip = sum(1 << v for block in blocks for v in block if not rng.getrandbits(1))
+    value = {w: rng.getrandbits(1) for w in itertools.product(*(range(len(b) + 1) for b in blocks))}
+    masks = [sum(1 << v for v in block) for block in blocks]
 
-    def combine(b, region):
-        if b == len(weights):
-            return region if rng.getrandbits(1) else 0
-        out = 0
-        for mask in weights[b]:
-            out |= combine(b + 1, region & mask)
-        return out
+    def weights(x):
+        return tuple((x & mask).bit_count() for mask in masks)
 
-    return combine(0, full)
+    low = min(n, _CHUNK_INPUTS)
+    classes = {}  # the low inputs' weight vector -> its minterms in a chunk
+    for m in range(1 << low):
+        w = weights(m ^ (flip & ((1 << low) - 1)))
+        classes[w] = classes.get(w, 0) | 1 << m
+    uppers = [weights((top << low ^ flip) >> low << low) for top in range(1 << (n - low))]
+    chunks = {}
+    for upper in uppers:
+        if upper not in chunks:
+            chunks[upper] = sum(b for w, b in classes.items() if value[tuple(map(add, w, upper))])
+    width = max(1, (1 << low) // 8)
+    return int.from_bytes(b"".join(chunks[u].to_bytes(width, "little") for u in uppers), "little")
 
 
 def _other_reweighted(rng, n, make, complement):
@@ -471,6 +479,20 @@ def test_bent_search_size_above_the_fold(n):
         assert r.equivalent and apply_np_transform(f, r.witness) == g
         got.append((r.stats.nodes_visited, r.stats.verify_calls))
     assert got == BENT_WIDE_PINS[n]
+
+
+def test_wide_block_tables_are_pinned():
+    # the chunked _wide_block must give the tables, and leave the rng in
+    # the state, of the build that ANDed one full-width mask per weight
+    # vector: this digest is that build's, one table per size from one rng
+    rng = random.Random(WIDE_SEED)
+    digest = hashlib.sha256()
+    for n in range(12, 23):
+        digest.update(f"{n}:{_wide_block(rng, n):x}\n".encode())
+    digest.update(f"{rng.getrandbits(64):x}".encode())
+    assert digest.hexdigest() == (
+        "a7a8136cb5d207368f1b69034cbf1148ac8c40c52358c562fe9b81ae99758f00"
+    )
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from functools import cache
+from unittest.mock import patch
 
 import pytest
 
@@ -724,6 +725,46 @@ class TestDescend:
         assert (f.cube_vars, f.cube_vals, g.cube_vars, g.cube_vals) == (0b001, 0, 0b010, 0b010)
         assert (f.restricted, g.restricted) == (self.F.bits, self.G.bits)
         assert obs.events[-1] == ("cubes", "~x0", "x1")
+
+
+class TestForcedExpansion:
+    """detect sizes the mapping sets and expands the forced ones in one
+    pass, a forced plain subject straight into its one mapping. At every
+    forced descend of the golden corpus, and of every pair at n = 0 and 1,
+    the list it commits is the concatenation of candidates(state, i,
+    peers)[0] over the forced subjects in ascending order. descend is
+    wrapped as cases.enumerate_complete_transformations wraps verify."""
+
+    def test_forced_lists_are_the_first_candidates(self):
+        counts, descend = Counter(), matcher.descend
+
+        def checked(state, cand, observer=matcher._NULL_OBSERVER):
+            known = state.f.v.phase_known
+            forced = [
+                (i, peers) for i, peers in build_mapping_sets(state)
+                if peers.bit_count() << (not known >> i & 1) == 1
+            ]
+            # a branch point has no forced subject, so its candidates descend
+            if forced:
+                expected = [m for i, peers in forced for m in candidates(state, i, peers)[0]]
+                assert list(cand) == expected, (state.map_list, cand)
+                counts["forced"] += 1
+                counts["class"] += any(i in state.f.classes for i, _ in forced)
+                counts["plain"] += any(i not in state.f.classes for i, _ in forced)
+                counts[f"n{state.f.table.n}"] += 1
+            return descend(state, cand, observer)
+
+        tiny = [
+            (TruthTable(n, a), TruthTable(n, b))
+            for n in (0, 1) for a in range(1 << (1 << n)) for b in range(1 << (1 << n))
+        ]
+        with patch.object(matcher, "descend", checked):
+            for f, g in tiny + [(f, g) for _, f, g in corpus()]:
+                match_npn(f, g)
+        assert counts["forced"] >= 292, counts
+        assert counts["class"] >= 52 and counts["plain"] >= 251, counts
+        # n = 0 pairs verify their empty map list at the root
+        assert counts["n1"] >= 18 and not counts["n0"], counts
 
 
 class TestWholeFunctionTables:
