@@ -100,9 +100,6 @@ class _Nodes(matcher.Observer):
     def on_incompatible(self, depth, state):
         self._note("incompatible")
 
-    def on_vectors(self, depth, state):
-        self._note("vectors")
-
     def on_collision(self, mapping):
         self._note("collision")
 
