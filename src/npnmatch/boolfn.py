@@ -36,6 +36,13 @@ def var_masks(n: int) -> tuple[int, ...]:
     return tuple(var_mask(n, i) for i in range(n))
 
 
+@lru_cache(maxsize=1 << 12)
+def set_bits(mask: int) -> tuple[int, ...]:
+    """The indices of mask's set bits in ascending order (mask >= 0): the
+    search's loops over its free or live variables, from one cache lookup."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @lru_cache(maxsize=None)
 def low_mask(n: int, i: int) -> int:
     """Complement of var_mask(n, i): minterms with bit i clear."""

@@ -27,6 +27,7 @@ from .boolfn import (
     full_mask,
     low_mask,
     negate,
+    set_bits,
     var_mask,
 )
 from .symmetry import (
@@ -221,28 +222,23 @@ def build_mapping_sets(state: MatchState, observer: Observer = _NULL_OBSERVER):
     sign_f, sign_g = f.v.phase_neg, g.v.phase_neg
     flip_f, flip_g = sign_f ^ f.v.lesser, sign_g ^ g.v.lesser  # records that disagree
     free_f, free_g = f.subjects & ~f.identified, g.subjects & ~g.identified
-    n = f.table.n
 
     # g's free subjects by (class size, group)
     by_key = {}
-    for j in range(n):
-        if free_g >> j & 1:
-            key = size_g[j], group_g[j]
-            by_key[key] = by_key.get(key, 0) | 1 << j
+    for j in set_bits(free_g):
+        key = size_g[j], group_g[j]
+        by_key[key] = by_key.get(key, 0) | 1 << j
 
     sets, clashes = [], []
-    for i in range(n):
-        if not free_f >> i & 1:
-            continue
+    for i in set_bits(free_f):
         peers = by_key.get((size_f[i], group_f[i]), 0)
         if f.v.unequal >> i & 1 and (clash := peers & (flip_g ^ -(flip_f >> i & 1))):
             peers ^= clash
             clashes.append((i in f.classes, i, clash))
         sets.append((i, peers))
     for _, i, clash in sorted(clashes):
-        for j in range(n):
-            if clash >> j & 1:
-                observer.on_collision(VarMapping(i, j, (sign_f >> i ^ sign_g >> j ^ 1) & 1))
+        for j in set_bits(clash):
+            observer.on_collision(VarMapping(i, j, (sign_f >> i ^ sign_g >> j ^ 1) & 1))
     return sets
 
 
@@ -260,9 +256,7 @@ def candidates(state: MatchState, i: int, peers: int) -> tuple[tuple[VarMapping,
     cls_f = f.classes.get(i)
     known, sign = f.v.phase_known >> i & 1, f.v.phase_neg >> i
     out = []
-    while peers:
-        j = (peers & -peers).bit_length() - 1
-        peers &= peers - 1
+    for j in set_bits(peers):
         pols = ((sign ^ g.v.phase_neg >> j) & 1,) if known else (0, 1)
         if cls_f is None:
             for k in pols:

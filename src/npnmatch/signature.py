@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 
-from .boolfn import MAX_VARS
+from .boolfn import MAX_VARS, set_bits
 from .symmetry import first_order_pairs
 
 
@@ -98,7 +98,7 @@ def update(state, siblings: dict) -> bool:
             cube = side.cube_vars, side.cube_vals
             pairs = first_order_pairs(side.restricted, n, identified, cube=cube)
             old, known, sign = prev.group, prev.phase_known, prev.phase_neg
-        live = [i for i in range(n) if not identified >> i & 1]
+        live = set_bits((1 << n) - 1 & ~identified)
         keys, unequal, lesser = [], 0, 0
         for i in live:
             p, q = pairs[i]
@@ -113,11 +113,10 @@ def update(state, siblings: dict) -> bool:
             side.v = siblings[slot] = None
             break
         group, groups = old, [old[i] for i in live]
-        marks = set(zip(groups, map(operator.neg, keys)))
-        if len(marks) > len(set(groups)):
+        if len(set(zip(groups, keys))) > len(set(groups)):
             # a group splits: old serials ascending, each one's keys descending
             serial, last, fresh = {}, None, max(old) + 1
-            for g, k in sorted(marks):
+            for g, k in sorted(set(zip(groups, map(operator.neg, keys)))):
                 if g == last:
                     serial[g, k], fresh = fresh, fresh + 1
                 else:
@@ -125,7 +124,6 @@ def update(state, siblings: dict) -> bool:
             group = old[:]
             for t, i in enumerate(live):
                 group[i] = groups[t] = serial[groups[t], -keys[t]]
-        del marks  # not held through g's count
         profile = sorted(zip(groups, keys, [side.size[i] for i in live]))
         side.v = siblings[slot] = SSVector(
             pairs, group, sorted_keys, profile, known | unequal, sign | lesser & ~known, unequal,

@@ -171,7 +171,6 @@ def completeness_walk():
     return counts
 
 
-
 def test_every_node_a_witness_extends_returns_a_branch():
     counts = completeness_walk()
     assert counts["pairs"] == 2328
