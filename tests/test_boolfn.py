@@ -14,6 +14,7 @@ from npnmatch.boolfn import (
     full_mask,
     low_mask,
     negate,
+    set_bits,
     var_mask,
 )
 from npnmatch.matcher import MatchState, Side
@@ -440,6 +441,14 @@ class TestVariableKernels:
         for i in range(n):
             after = _bits_of(negate_var(bits, n, i), n)
             assert after == [before[m ^ (1 << i)] for m in range(1 << n)], i
+
+
+def test_set_bits_against_a_test_per_input():
+    rng = random.Random(24)
+    masks = [0, 1, 255, 256, (1 << MAX_VARS) - 1, (1 << 24) - 1]
+    masks += [1 << i for i in range(24)] + [rng.getrandbits(24) for _ in range(2000)]
+    for mask in masks:
+        assert set_bits(mask) == tuple(i for i in range(24) if mask >> i & 1), mask
 
 
 class TestRootFirstOrderPairs:
