@@ -36,17 +36,14 @@ def var_masks(n: int) -> tuple[int, ...]:
     return tuple(var_mask(n, i) for i in range(n))
 
 
-# per byte b of a mask over at most 24 inputs, each byte value's set bits as
-# input indices; a fixed table, where a cache keyed by whole masks held one
-# entry per mask the search met (3,134 on structured_mid seed 1, about 1 MB)
-_BYTE_BITS = [[tuple(8 * b + i for i in range(8) if v >> i & 1) for v in range(256)] for b in range(3)]
+# _BYTES[b][v]: the set bits of value v in byte b of a mask, as input indices
+_BYTES = [[tuple(8 * b + i for i in range(8) if v >> i & 1) for v in range(256)] for b in range(3)]
 
 
 def set_bits(mask: int) -> tuple[int, ...]:
-    """The indices of mask's set bits in ascending order, 0 <= mask < 2^24:
-    the search's loops over its live or free variables, from three table
-    lookups in place of a test per input."""
-    lo, mid, hi = _BYTE_BITS
+    """The indices of mask's set bits in ascending order, 0 <= mask < 2^24,
+    from three table lookups (an lru_cache by mask held about 1 MB)."""
+    lo, mid, hi = _BYTES
     return lo[mask & 255] + mid[mask >> 8 & 255] + hi[mask >> 16]
 
 

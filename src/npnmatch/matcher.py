@@ -259,8 +259,7 @@ def candidates(state: MatchState, i: int, peers: int) -> tuple[tuple[VarMapping,
     for j in set_bits(peers):
         pols = ((sign ^ g.v.phase_neg >> j) & 1,) if known else (0, 1)
         if cls_f is None:
-            for k in pols:
-                out.append((VarMapping(i, j, k),))
+            out += [(VarMapping(i, j, k),) for k in pols]
             continue
         cls_g = g.classes[j]
         if cls_f.double and cls_g.double:

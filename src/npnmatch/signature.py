@@ -11,8 +11,6 @@ mappings are ruled out.
 
 from __future__ import annotations
 
-import operator
-
 from .boolfn import MAX_VARS, set_bits
 from .symmetry import first_order_pairs
 
@@ -116,7 +114,7 @@ def update(state, siblings: dict) -> bool:
         if len(set(zip(groups, keys))) > len(set(groups)):
             # a group splits: old serials ascending, each one's keys descending
             serial, last, fresh = {}, None, max(old) + 1
-            for g, k in sorted(set(zip(groups, map(operator.neg, keys)))):
+            for g, k in sorted({(g, -k) for g, k in zip(groups, keys)}):
                 if g == last:
                     serial[g, k], fresh = fresh, fresh + 1
                 else:
